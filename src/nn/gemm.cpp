@@ -29,24 +29,28 @@
 
 namespace dosc::nn::gemm {
 
-// packed_b_size() quotes the baseline tile width for every dispatch level.
+// packed_b_size() and the per-thread panel buffers quote the baseline tile
+// and k-panel sizes for every dispatch level.
 #ifdef DOSC_GEMM_HAVE_AVX2
 static_assert(gemm_avx2::kNr == gemm_baseline::kNr);
+static_assert(gemm_avx2::kMr == gemm_baseline::kMr);
+static_assert(gemm_avx2::kKc == gemm_baseline::kKc);
 #endif
 
 namespace {
 
-using RowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n, std::size_t kc,
+using RowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n, std::size_t k,
                         const double* a, std::size_t a_rs, std::size_t a_ks, const double* b,
                         std::size_t ldb, double* c, std::size_t ldc, bool accumulate,
-                        bool upper_only, double* panel);
+                        bool upper_only, double* panel, double* a_panel, double* acc);
 using RefFn = void (*)(std::size_t m, std::size_t n, std::size_t kc, const double* a,
                        std::size_t lda, const double* b, std::size_t ldb, double* c,
                        std::size_t ldc, bool accumulate);
 using PackedRowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n,
-                              std::size_t kc, const double* a, std::size_t a_rs,
+                              std::size_t k, const double* a, std::size_t a_rs,
                               std::size_t a_ks, const double* bp_all, double* c,
-                              std::size_t ldc, bool accumulate);
+                              std::size_t ldc, bool accumulate, double* a_panel,
+                              double* acc);
 using PackBFn = void (*)(std::size_t kc, std::size_t n, const double* b, std::size_t ldb,
                          double* bp);
 
@@ -94,7 +98,7 @@ void record(std::size_t m, std::size_t n, std::size_t k) {
   }
 }
 
-std::vector<double>& panel_buffer() {
+std::vector<double>& b_panel_buffer() {
   thread_local std::vector<double> buf;
   return buf;
 }
@@ -102,6 +106,43 @@ std::vector<double>& panel_buffer() {
 std::vector<double>& transpose_buffer() {
   thread_local std::vector<double> buf;
   return buf;
+}
+
+std::vector<double>& a_panel_buffer() {
+  thread_local std::vector<double> buf;
+  return buf;
+}
+
+std::vector<double>& accumulate_buffer() {
+  thread_local std::vector<double> buf;
+  return buf;
+}
+
+/// `buf` grown to at least `size` doubles.
+double* grown(std::vector<double>& buf, std::size_t size) {
+  if (buf.size() < size) buf.resize(size);
+  return buf.data();
+}
+
+/// The calling thread's packed-panel buffer, grown to one k-panel of B.
+double* b_panel_scratch(std::size_t k) {
+  const std::size_t need = std::min(k, gemm_baseline::kKc) * gemm_baseline::kNr;
+  return grown(b_panel_buffer(), std::max<std::size_t>(need, 64));
+}
+
+/// The calling thread's buffer for one k-panel of `rows` rows of A, needed
+/// only when the reduction spans more than one panel (gemm_blocked).
+double* a_panel_scratch(std::size_t rows, std::size_t k) {
+  if (k <= gemm_baseline::kKc) return nullptr;
+  const std::size_t tiles = (rows + gemm_baseline::kMr - 1) / gemm_baseline::kMr;
+  return grown(a_panel_buffer(), tiles * gemm_baseline::kMr * gemm_baseline::kKc);
+}
+
+/// The calling thread's accumulate buffer for rows x n of C, needed only
+/// when a product adds into C over more than one k-panel (gemm_blocked).
+double* accumulate_scratch(std::size_t rows, std::size_t n, std::size_t k, bool accumulate) {
+  if (!accumulate || k <= gemm_baseline::kKc) return nullptr;
+  return grown(accumulate_buffer(), rows * n);
 }
 
 /// Chunks are sized so each holds at least ~256k multiply-adds: smaller
@@ -117,10 +158,9 @@ void run_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a, std
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
   parallel_for_rows(m, std::max(min_rows, ks.mr), ks.mr,
                     [&](std::size_t row0, std::size_t row1) {
-                      std::vector<double>& panel = panel_buffer();
-                      if (panel.size() < k * 8) panel.resize(std::max<std::size_t>(k * 8, 64));
                       ks.rows(row0, row1, n, k, a, a_rs, a_ks, b, ldb, c, ldc, accumulate,
-                              upper_only, panel.data());
+                              upper_only, b_panel_scratch(k), a_panel_scratch(row1 - row0, k),
+                              accumulate_scratch(row1 - row0, n, k, accumulate));
                     });
 }
 
@@ -152,7 +192,9 @@ void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
   parallel_for_rows(m, std::max(min_rows, ks.mr), ks.mr,
                     [&](std::size_t row0, std::size_t row1) {
-                      ks.rows_packed(row0, row1, n, k, a, lda, 1, bp, c, ldc, accumulate);
+                      ks.rows_packed(row0, row1, n, k, a, lda, 1, bp, c, ldc, accumulate,
+                                     a_panel_scratch(row1 - row0, k),
+                                     accumulate_scratch(row1 - row0, n, k, accumulate));
                     });
 }
 

@@ -2,10 +2,11 @@
 //
 // All operands are row-major with explicit leading dimensions, so callers
 // (e.g. KFAC) can compute directly into a sub-block of a larger matrix
-// without materialising intermediates. Kernels are cache-blocked and
-// register-tiled with packed B panels, runtime-dispatched to AVX2+FMA when
-// the CPU supports it (portable baseline otherwise), and row-partitioned
-// across the dosc::nn compute-thread pool for large products.
+// without materialising intermediates. Kernels are register-tiled (4x8 of
+// C) over packed B panels, blocked over k in fixed panels of 256, runtime-
+// dispatched to AVX2+FMA when the CPU supports it (portable baseline
+// otherwise), and row-partitioned across the dosc::nn compute-thread pool
+// for large products.
 //
 // Determinism contract: each output element is reduced over k in ascending
 // order by a single accumulator, and the reduction is never split across
@@ -13,6 +14,17 @@
 // and thread counts. `accumulate == true` adds the fully reduced product to
 // C with one final addition per element (C += A*B), so it equals computing
 // the product separately and adding it.
+//
+// k-panel carry: a reduction longer than one panel (k > 256, in practice
+// the batch dimension of the training products tn and gram) runs its panels
+// in ascending k and carries each element's accumulator through C between
+// them. A stored and reloaded double is unchanged, so the chain of
+// multiply-adds is exactly the unblocked one. Each such panel also packs
+// its A rows into per-thread scratch, so tn's and gram's column-strided A
+// is read once per panel instead of once per column panel of B. Under
+// `accumulate` the panels reduce into per-thread scratch instead (reused
+// across calls), which is then added to C once. Products with k <= 256 run
+// one panel, read A in place and write C once.
 //
 // The *_reference kernels are the seed's naive loops (minus the
 // data-dependent zero-skip branches), compiled at the same ISA level as the

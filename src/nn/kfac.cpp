@@ -92,18 +92,19 @@ void Kfac::step(Mlp& net) {
   // Per-layer natural gradient v_l = A⁻¹ Ḡ_l G⁻¹ with factored damping
   // (pi-splitting, Martens & Grosse 2015). Layers are independent, so the
   // damped solves run on separate compute threads; a throwing solve is
-  // captured and rethrown on the caller after the join.
-  std::vector<std::exception_ptr> errors(layers.size());
+  // captured and rethrown on the caller after the join. Every intermediate
+  // lives in the layer's workspaces: no allocation at steady state.
   parallel_chunks(layers.size(), [&](std::size_t li) {
+    LayerFactors& f = factors_[li];
+    f.error = nullptr;
     try {
       const DenseLayer& layer = layers[li];
-      LayerFactors& f = factors_[li];
       const std::size_t in = layer.fan_in();
       const std::size_t out = layer.fan_out();
 
       // Stack weight and bias gradients into the combined [(in+1) x out]
       // block matching the augmented-input convention.
-      Matrix& grad = f.grad;
+      Matrix& grad = f.work_a;
       grad.ensure_shape(in + 1, out);
       for (std::size_t i = 0; i < in; ++i) {
         const double* src = layer.grad_weights.data() + i * out;
@@ -117,19 +118,22 @@ void Kfac::step(Mlp& net) {
       const double pi = std::sqrt(tr_a / tr_g);
       const double damp = std::sqrt(config_.damping);
 
-      Matrix half = cholesky_solve(f.a, grad, pi * damp);  // A⁻¹ Ḡ
-      f.natural = transpose(cholesky_solve(f.g, transpose(half), damp / pi));  // ... G⁻¹
+      // Each intermediate overwrites a workspace whose contents are dead.
+      cholesky_solve_into(f.work_b, f.a_batch, f.a, grad, pi * damp);  // A⁻¹ Ḡ
+      transpose_into(f.work_a, f.work_b);
+      cholesky_solve_into(f.work_b, f.g_batch, f.g, f.work_a, damp / pi);  // G⁻¹ (A⁻¹ Ḡ)ᵀ
+      transpose_into(f.natural, f.work_b);                                 // A⁻¹ Ḡ G⁻¹
 
       // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
-      const Matrix av = matmul(f.a, f.natural);
-      const Matrix avg = matmul(av, f.g);
-      f.quadratic = dot(f.natural, avg);
+      matmul_into(f.work_a, f.a, f.natural);       // A v
+      matmul_into(f.work_b, f.work_a, f.g);        // A v G
+      f.quadratic = dot(f.natural, f.work_b);
     } catch (...) {
-      errors[li] = std::current_exception();
+      f.error = std::current_exception();
     }
   });
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+  for (const LayerFactors& f : factors_) {
+    if (f.error) std::rethrow_exception(f.error);
   }
 
   // vᵀ F̂ v, accumulated across layers in a fixed order so the trust region

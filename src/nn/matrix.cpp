@@ -1,6 +1,8 @@
 #include "nn/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
@@ -114,11 +116,19 @@ Matrix matmul_nt_reference(const Matrix& a, const Matrix& b) {
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
+  Matrix t;
+  transpose_into(t, a);
+  return t;
+}
+
+void transpose_into(Matrix& t, const Matrix& a) {
+  if (t.data() != nullptr && t.data() == a.data()) {
+    throw std::invalid_argument("transpose_into: t aliases a");
+  }
+  t.ensure_shape(a.cols(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
   }
-  return t;
 }
 
 void add_scaled(Matrix& a, const Matrix& b, double scale) {
@@ -177,39 +187,138 @@ double dot(const Matrix& a, const Matrix& b) noexcept {
 
 namespace {
 
-/// In-place Cholesky factorisation of (m + damping I); returns false if a
-/// non-positive pivot is met.
-bool cholesky_factor(Matrix& m, double damping) {
+/// Cholesky factorisation of (M + damping I) into f, in column (right-
+/// looking) form. Only M's lower triangle is read. f ends with U = Lᵀ in its
+/// upper triangle and L mirrored into its lower, so both substitutions read
+/// a contiguous factor row. Returns false if a non-positive pivot is met.
+///
+/// Every element keeps the chain of the textbook left-looking dot form:
+/// M(i,j) [+ damping], minus L(i,0)L(j,0), minus L(i,1)L(j,1), ... in
+/// ascending k, each product rounded before its subtraction, and an
+/// off-diagonal element finished by one division by the pivot. Here the
+/// chain is applied one k at a time as row axpys over the trailing upper
+/// triangle, which vectorise; the dot form's inner loop is one
+/// latency-bound scalar chain per element. The file is built with
+/// -ffp-contract=off, so no mul/sub pair can fuse into an FMA and change a
+/// rounding.
+bool cholesky_factor(Matrix& f, const Matrix& m, double damping) {
   const std::size_t n = m.rows();
-  for (std::size_t i = 0; i < n; ++i) m(i, i) += damping;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = m(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= m(j, k) * m(j, k);
+  f.ensure_shape(n, n);
+  double* u = f.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* mrow = m.data() + i * n;
+    for (std::size_t j = 0; j <= i; ++j) u[j * n + i] = mrow[j];
+    u[i * n + i] += damping;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    double* uk = u + k * n;
+    const double diag = uk[k];
     if (diag <= 0.0) return false;
-    const double ljj = std::sqrt(diag);
-    m(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = m(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= m(i, k) * m(j, k);
-      m(i, j) = v / ljj;
+    const double ukk = std::sqrt(diag);
+    uk[k] = ukk;
+    for (std::size_t i = k + 1; i < n; ++i) uk[i] /= ukk;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      const double ukj = uk[j];
+      double* __restrict uj = u + j * n;
+      const double* __restrict ukr = uk;
+      for (std::size_t i = j; i < n; ++i) uj[i] -= ukj * ukr[i];
     }
   }
+  for (std::size_t i = 1; i < n; ++i) {
+    for (std::size_t k = 0; k < i; ++k) u[i * n + k] = u[k * n + i];
+  }
   return true;
+}
+
+/// Two doubles: one SSE2 register at the baseline ISA. Loads and stores go
+/// through memcpy, which compiles to unaligned vector moves.
+typedef double Vec2 __attribute__((vector_size(16)));
+
+inline Vec2 load2(const double* p) {
+  Vec2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
+
+/// Forward (L y = b) then backward (Lᵀ x = y) substitution for the W
+/// right-hand-side columns starting at x, in place. The W running values of
+/// a row stay in registers across its whole reduction, so each step loads
+/// one strip of an earlier row instead of re-reading and re-writing the row
+/// being solved. Per element the chain is the row-axpy form's: the
+/// right-hand side, minus L(i,k) * x_k in ascending k, then one division by
+/// the pivot.
+template <std::size_t W>
+void solve_strip(const double* f, std::size_t n, double* x, std::size_t ldx) {
+  static_assert(W % 2 == 0, "odd widths go through solve_column");
+  constexpr std::size_t kVecs = W / 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = f + i * n;
+    double* xi = x + i * ldx;
+    Vec2 acc[kVecs] = {};
+    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = load2(xi + 2 * v);
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = li[k];
+      const double* xk = x + k * ldx;
+      for (std::size_t v = 0; v < kVecs; ++v) acc[v] -= lik * load2(xk + 2 * v);
+    }
+    for (std::size_t v = 0; v < kVecs; ++v) store2(xi + 2 * v, acc[v] / li[i]);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ui = f + i * n;
+    double* xi = x + i * ldx;
+    Vec2 acc[kVecs] = {};
+    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = load2(xi + 2 * v);
+    for (std::size_t k = i + 1; k < n; ++k) {
+      const double uik = ui[k];
+      const double* xk = x + k * ldx;
+      for (std::size_t v = 0; v < kVecs; ++v) acc[v] -= uik * load2(xk + 2 * v);
+    }
+    for (std::size_t v = 0; v < kVecs; ++v) store2(xi + 2 * v, acc[v] / ui[i]);
+  }
+}
+
+/// solve_strip for a single right-hand-side column.
+void solve_column(const double* f, std::size_t n, double* x, std::size_t ldx) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = f + i * n;
+    double acc = x[i * ldx];
+    for (std::size_t k = 0; k < i; ++k) acc -= li[k] * x[k * ldx];
+    x[i * ldx] = acc / li[i];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ui = f + i * n;
+    double acc = x[i * ldx];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= ui[k] * x[k * ldx];
+    x[i * ldx] = acc / ui[i];
+  }
 }
 
 }  // namespace
 
 Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping) {
+  Matrix x;
+  Matrix factor;
+  cholesky_solve_into(x, factor, m, b, damping);
+  return x;
+}
+
+void cholesky_solve_into(Matrix& x, Matrix& factor, const Matrix& m, const Matrix& b,
+                         double damping) {
   if (m.rows() != m.cols()) throw std::invalid_argument("cholesky_solve: M not square");
   if (m.rows() != b.rows()) throw std::invalid_argument("cholesky_solve: shape mismatch");
+  check_no_alias(x, m, b, "cholesky_solve_into: x aliases an operand");
+  check_no_alias(factor, m, b, "cholesky_solve_into: factor aliases an operand");
+  if (x.data() != nullptr && x.data() == factor.data()) {
+    throw std::invalid_argument("cholesky_solve_into: x aliases factor");
+  }
   const std::size_t n = m.rows();
 
-  Matrix l;
   double d = damping;
   bool ok = false;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    l = m;
-    if (cholesky_factor(l, d)) {
+    if (cholesky_factor(factor, m, d)) {
       ok = true;
       break;
     }
@@ -217,33 +326,26 @@ Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping) {
   }
   if (!ok) throw std::runtime_error("cholesky_solve: matrix not positive definite");
 
-  // Solve L y = b (forward), then L^T x = y (backward). All right-hand-side
-  // columns are processed together, row by row: each elimination step is a
-  // contiguous axpy over an entire row, which streams instead of striding
-  // down a column per RHS.
-  Matrix x = b;
   const std::size_t cols = b.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xi = x.data() + i * cols;
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = l(i, k);
-      const double* xk = x.data() + k * cols;
-      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lik * xk[c];
-    }
-    const double diag = l(i, i);
-    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  x.ensure_shape(n, cols);
+  std::copy(b.data(), b.data() + b.size(), x.data());
+  // Strips of 16 columns, then 8/4/2/1 for the remainder: columns are
+  // independent, so the split changes no element's chain.
+  std::size_t c0 = 0;
+  for (; c0 + 16 <= cols; c0 += 16) solve_strip<16>(factor.data(), n, x.data() + c0, cols);
+  if (c0 + 8 <= cols) {
+    solve_strip<8>(factor.data(), n, x.data() + c0, cols);
+    c0 += 8;
   }
-  for (std::size_t i = n; i-- > 0;) {
-    double* xi = x.data() + i * cols;
-    for (std::size_t k = i + 1; k < n; ++k) {
-      const double lki = l(k, i);
-      const double* xk = x.data() + k * cols;
-      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lki * xk[c];
-    }
-    const double diag = l(i, i);
-    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  if (c0 + 4 <= cols) {
+    solve_strip<4>(factor.data(), n, x.data() + c0, cols);
+    c0 += 4;
   }
-  return x;
+  if (c0 + 2 <= cols) {
+    solve_strip<2>(factor.data(), n, x.data() + c0, cols);
+    c0 += 2;
+  }
+  if (c0 < cols) solve_column(factor.data(), n, x.data() + c0, cols);
 }
 
 }  // namespace dosc::nn

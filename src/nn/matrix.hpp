@@ -7,9 +7,10 @@
 // The matmul family runs on the tiled, optionally multi-threaded kernels in
 // nn/gemm.hpp (thread budget: set_compute_threads() / DOSC_THREADS, see
 // nn/parallel.hpp). Results are bit-identical for any thread count. The
-// *_into / *_acc variants write into caller-owned destinations and perform
-// no heap allocation once the destination has capacity — the training step
-// is built exclusively from these.
+// *_into / *_acc variants (matmul, transpose, cholesky_solve) write into
+// caller-owned destinations and perform no heap allocation once the
+// destination has capacity — the training step, K-FAC's natural-gradient
+// solves included, is built exclusively from these.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +79,9 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 Matrix transpose(const Matrix& a);
+/// t = Aᵀ, reshaped in place (no allocation once t has capacity). t must not
+/// alias a.
+void transpose_into(Matrix& t, const Matrix& a);
 
 /// Allocation-free GEMM destinations: c is reshaped (capacity permitting,
 /// without allocating) and overwritten. c must not alias a or b.
@@ -110,9 +114,21 @@ void add_column_sums(Matrix& acc, const Matrix& a);
 double frobenius_norm(const Matrix& a) noexcept;
 double dot(const Matrix& a, const Matrix& b) noexcept;
 
-/// Solve (M + damping * I) X = B for SPD M via Cholesky. M is copied; the
-/// damping is increased automatically (up to a limit) if factorisation
-/// fails. Throws std::runtime_error if M cannot be factorised at all.
+/// Solve (M + damping * I) X = B for SPD M via Cholesky. Only M's lower
+/// triangle is read, and M is not modified; the damping is increased
+/// automatically (up to a limit) if factorisation fails. Throws
+/// std::runtime_error if M cannot be factorised at all.
+///
+/// The result is pinned bit for bit, not merely to a tolerance: each factor
+/// element and each solution element is one mul-then-subtract chain in
+/// ascending k closed by one division (tests/test_matrix.cpp keeps the
+/// scalar dot-form factor and row-axpy solves as the oracle).
 Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping);
+/// As cholesky_solve, into caller-owned destinations: x receives the
+/// solution and `factor` is the n x n workspace the factor is built in.
+/// Both are reshaped in place, so at steady shapes no allocation happens.
+/// Neither may alias m, b or each other.
+void cholesky_solve_into(Matrix& x, Matrix& factor, const Matrix& m, const Matrix& b,
+                         double damping);
 
 }  // namespace dosc::nn

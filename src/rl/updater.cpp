@@ -24,6 +24,27 @@ double clipped_is_weight(double logp_current, double logp_behavior, double clip)
   return std::min(clip, rho);
 }
 
+namespace {
+
+/// opt.step(net). Under ACKTR that is the K-FAC natural-gradient step (the
+/// damped Cholesky solves), traced as `span` and timed into
+/// train.kfac_step_ms, apart from train.kfac_ms's factor refresh.
+void optimizer_step(nn::Optimizer& opt, nn::Mlp& net, bool kfac, const char* span) {
+  if (!kfac) {
+    opt.step(net);
+    return;
+  }
+  DOSC_TRACE_SCOPE("train", span);
+  const util::Timer step_timer;
+  opt.step(net);
+  if (telemetry::enabled()) {
+    telemetry::MetricsRegistry::global().observe("train.kfac_step_ms",
+                                                 step_timer.elapsed_millis());
+  }
+}
+
+}  // namespace
+
 OptimizerKind parse_optimizer_kind(std::string_view name) {
   if (name == "rmsprop") return OptimizerKind::kRmsProp;
   if (name == "adam") return OptimizerKind::kAdam;
@@ -105,7 +126,7 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
                                                    kfac_timer.elapsed_millis());
     }
   }
-  critic_opt_->step(critic);
+  optimizer_step(*critic_opt_, critic, critic_kfac_ != nullptr, "kfac_step_critic");
 
   // ---- advantage normalisation ----
   double adv_mean = 0.0;
@@ -170,7 +191,7 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
                                                    kfac_timer.elapsed_millis());
     }
   }
-  actor_opt_->step(actor);
+  optimizer_step(*actor_opt_, actor, actor_kfac_ != nullptr, "kfac_step_actor");
 
   ++updates_;
   return stats;

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -156,6 +157,87 @@ TEST(Gemm, FlopCounterAdvances) {
   EXPECT_EQ(gemm::flop_count() - flops0, 2ull * 16 * 8 * 24);
   EXPECT_EQ(gemm::call_count() - calls0, 1u);
   EXPECT_TRUE(gemm::isa_name() != nullptr);
+}
+
+// Reductions that straddle the kernels' k-panel: one short of it, exactly
+// one panel, one past it (a one-deep second panel), two panels plus a
+// remainder, and a training-sized batch. Each element's accumulator is
+// carried through C between panels, so every kernel must still equal the
+// unblocked reference bit for bit, at any thread count, and `accumulate`
+// must still add the fully reduced product to C exactly once.
+constexpr std::size_t kPanel = 256;
+const std::size_t kPanelKs[] = {kPanel - 1, kPanel, kPanel + 1, 2 * kPanel + 3, 2400};
+
+/// expected = c0 + product, one addition per element.
+Matrix plus(const Matrix& c0, const Matrix& product) {
+  Matrix expected = c0;
+  for (std::size_t i = 0; i < expected.size(); ++i) expected.data()[i] += product.data()[i];
+  return expected;
+}
+
+TEST(Gemm, KPanelBlockingMatchesReference) {
+  util::Rng rng(49);
+  // m spans several 4-row tiles plus an edge and, at 4 threads, splits into
+  // 3-4 row chunks at every k; n has a partial 8-column panel.
+  const std::size_t m = 133, n = 21;
+  for (const std::size_t k : kPanelKs) {
+    const Matrix a = random_matrix(m, k, rng);     // nn / nt left operand
+    const Matrix at = random_matrix(k, m, rng);    // tn left operand, [k x m]
+    const Matrix b = random_matrix(k, n, rng);     // nn / tn right operand
+    const Matrix bt = random_matrix(n, k, rng);    // nt right operand, [n x k]
+    const Matrix c0 = random_matrix(m, n, rng);    // non-zero C for accumulate
+    const Matrix ref_nn = matmul_reference(a, b);
+    const Matrix ref_tn = matmul_tn_reference(at, b);
+    const Matrix ref_nt = matmul_nt_reference(a, bt);
+    std::vector<double> slab(gemm::packed_b_size(k, n));
+    gemm::pack_b(k, n, b.data(), b.cols(), slab.data());
+
+    for (const std::size_t threads : {1u, 4u}) {
+      ComputeThreadsGuard guard(threads);
+      for (const bool acc : {false, true}) {
+        const auto run = [&](auto&& kernel) {
+          Matrix c = acc ? c0 : Matrix(m, n);
+          kernel(c);
+          return c;
+        };
+        const std::string what = " k=" + std::to_string(k) +
+                                 " threads=" + std::to_string(threads) +
+                                 (acc ? " accumulate" : "");
+        const Matrix got_nn = run([&](Matrix& c) {
+          gemm::nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, acc);
+        });
+        const Matrix got_packed = run([&](Matrix& c) {
+          gemm::nn_packed(m, n, k, a.data(), k, slab.data(), c.data(), n, acc);
+        });
+        const Matrix got_tn = run([&](Matrix& c) {
+          gemm::tn(m, n, k, at.data(), m, b.data(), n, c.data(), n, acc);
+        });
+        const Matrix got_nt = run([&](Matrix& c) {
+          gemm::nt(m, n, k, a.data(), k, bt.data(), k, c.data(), n, acc);
+        });
+        EXPECT_EQ(mismatches(got_nn, acc ? plus(c0, ref_nn) : ref_nn), 0u) << "nn" << what;
+        EXPECT_EQ(mismatches(got_packed, acc ? plus(c0, ref_nn) : ref_nn), 0u)
+            << "nn_packed" << what;
+        EXPECT_EQ(mismatches(got_tn, acc ? plus(c0, ref_tn) : ref_tn), 0u) << "tn" << what;
+        EXPECT_EQ(mismatches(got_nt, acc ? plus(c0, ref_nt) : ref_nt), 0u) << "nt" << what;
+      }
+    }
+  }
+}
+
+TEST(Gemm, GramAcrossKPanelsMatchesReference) {
+  util::Rng rng(50);
+  const std::size_t m = 45;  // a partial panel on the diagonal
+  for (const std::size_t k : kPanelKs) {
+    const Matrix a = random_matrix(k, m, rng);
+    const Matrix expected = matmul_tn_reference(a, a);
+    for (const std::size_t threads : {1u, 4u}) {
+      ComputeThreadsGuard guard(threads);
+      Matrix c(m, m);
+      gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
+      EXPECT_EQ(mismatches(c, expected), 0u) << "gram k=" << k << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Parallel, ChunksCoverEveryIndexExactlyOnce) {

@@ -1,12 +1,102 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace dosc::nn {
 namespace {
+
+// ---- Cholesky oracle --------------------------------------------------
+// The scalar left-looking (dot-form) factor and row-axpy substitutions
+// cholesky_solve used before its column-form factor and register-blocked
+// solves. Kept verbatim as the reference: the optimised solver must
+// reproduce it bit for bit, since the ACKTR step's output is pinned.
+
+bool reference_factor(Matrix& m, double damping) {
+  const std::size_t n = m.rows();
+  for (std::size_t i = 0; i < n; ++i) m(i, i) += damping;
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = m(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= m(j, k) * m(j, k);
+    if (diag <= 0.0) return false;
+    const double ljj = std::sqrt(diag);
+    m(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double v = m(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= m(i, k) * m(j, k);
+      m(i, j) = v / ljj;
+    }
+  }
+  return true;
+}
+
+Matrix reference_cholesky_solve(const Matrix& m, const Matrix& b, double damping) {
+  const std::size_t n = m.rows();
+  Matrix l;
+  double d = damping;
+  bool ok = false;
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    l = m;
+    if (reference_factor(l, d)) {
+      ok = true;
+      break;
+    }
+    d = (d == 0.0) ? 1e-8 : d * 10.0;
+  }
+  if (!ok) throw std::runtime_error("reference_cholesky_solve: not positive definite");
+  Matrix x = b;
+  const std::size_t cols = b.cols();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* xi = x.data() + i * cols;
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = l(i, k);
+      const double* xk = x.data() + k * cols;
+      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lik * xk[c];
+    }
+    const double diag = l(i, i);
+    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double* xi = x.data() + i * cols;
+    for (std::size_t k = i + 1; k < n; ++k) {
+      const double lki = l(k, i);
+      const double* xk = x.data() + k * cols;
+      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lki * xk[c];
+    }
+    const double diag = l(i, i);
+    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  }
+  return x;
+}
+
+std::size_t bit_mismatches(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return a.size() + b.size() + 1;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(double)) != 0) ++bad;
+  }
+  return bad;
+}
+
+Matrix random_normal(std::size_t r, std::size_t c, util::Rng& rng) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.normal(0.0, 1.0);
+  return m;
+}
+
+/// A K-FAC-like covariance: XᵀX / rows over a few more rows than columns.
+Matrix random_spd(std::size_t n, util::Rng& rng) {
+  const std::size_t rows = n + 8;
+  const Matrix x = random_normal(rows, n, rng);
+  Matrix s = matmul_tn(x, x);
+  for (std::size_t i = 0; i < s.size(); ++i) s.data()[i] /= static_cast<double>(rows);
+  return s;
+}
 
 Matrix from_rows(std::initializer_list<std::initializer_list<double>> rows) {
   Matrix m(rows.size(), rows.begin()->size());
@@ -148,6 +238,76 @@ TEST(Cholesky, MultipleRightHandSides) {
   const Matrix back = matmul(m, x);
   for (std::size_t i = 0; i < back.size(); ++i) {
     EXPECT_NEAR(back.data()[i], b.data()[i], 1e-10);
+  }
+}
+
+TEST(Cholesky, BitIdenticalToScalarReference) {
+  util::Rng rng(11);
+  for (const std::size_t n : {1u, 2u, 17u, 64u, 256u, 257u}) {
+    const Matrix m = random_spd(n, rng);
+    for (const std::size_t rhs : {1u, 4u, 17u, 256u}) {
+      const Matrix b = random_normal(n, rhs, rng);
+      EXPECT_EQ(bit_mismatches(cholesky_solve(m, b, 0.01), reference_cholesky_solve(m, b, 0.01)),
+                0u)
+          << "n=" << n << " rhs=" << rhs;
+    }
+  }
+}
+
+TEST(Cholesky, IntoFormMatchesAndReusesWorkspaces) {
+  util::Rng rng(12);
+  Matrix x, factor;
+  // Grow, shrink, regrow: stale workspace contents must not leak into a
+  // later solve.
+  for (const std::size_t n : {64u, 17u, 64u}) {
+    const Matrix m = random_spd(n, rng);
+    const Matrix b = random_normal(n, 33, rng);
+    cholesky_solve_into(x, factor, m, b, 0.01);
+    EXPECT_EQ(bit_mismatches(x, reference_cholesky_solve(m, b, 0.01)), 0u) << "n=" << n;
+  }
+  const Matrix m = random_spd(4, rng);
+  Matrix b = random_normal(4, 2, rng);
+  EXPECT_THROW(cholesky_solve_into(b, factor, m, b, 0.01), std::invalid_argument);
+  Matrix m_copy = m;
+  EXPECT_THROW(cholesky_solve_into(x, m_copy, m_copy, b, 0.01), std::invalid_argument);
+  EXPECT_THROW(cholesky_solve_into(x, x, m, b, 0.01), std::invalid_argument);
+}
+
+TEST(Cholesky, ReadsOnlyTheLowerTriangle) {
+  util::Rng rng(13);
+  const Matrix m = random_spd(40, rng);
+  Matrix garbage_upper = m;
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = i + 1; j < 40; ++j) {
+      garbage_upper(i, j) = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  const Matrix b = random_normal(40, 5, rng);
+  EXPECT_EQ(bit_mismatches(cholesky_solve(garbage_upper, b, 0.01),
+                           reference_cholesky_solve(m, b, 0.01)),
+            0u);
+}
+
+TEST(Cholesky, RetriedDampingIsBitIdenticalToReference) {
+  util::Rng rng(14);
+  const std::size_t n = 64;
+  // A negative leading diagonal: pivot 0 is -1e-3 + damping, which fails at
+  // damping 1e-4 and at 1e-3 (exactly zero), and succeeds at 1e-2. Every
+  // retry must restart from a fresh copy of M.
+  Matrix m = random_spd(n, rng);
+  for (std::size_t i = 0; i < n; ++i) m(i, i) += 1.0;
+  m(0, 0) = -1e-3;
+  for (std::size_t j = 1; j < n; ++j) {
+    m(0, j) *= 1e-3;
+    m(j, 0) *= 1e-3;
+  }
+  Matrix first_attempt = m;
+  ASSERT_FALSE(reference_factor(first_attempt, 1e-4));
+  for (const std::size_t rhs : {1u, 17u}) {
+    const Matrix b = random_normal(n, rhs, rng);
+    EXPECT_EQ(bit_mismatches(cholesky_solve(m, b, 1e-4), reference_cholesky_solve(m, b, 1e-4)),
+              0u)
+        << "rhs=" << rhs;
   }
 }
 

@@ -1,11 +1,12 @@
 // Allocation accounting for the training hot path.
 //
 // The zero-allocation contract: after one warm-up pass has sized every
-// workspace (layer caches, gradient buffers, per-thread GEMM panels, the
-// thread pool itself), repeated Mlp::forward/backward at a steady batch
-// shape perform NO heap allocation. This binary replaces the global
-// operator new/delete with counting versions and asserts the count stays
-// flat across the steady-state region — on any thread count.
+// workspace (layer caches, gradient buffers, per-thread GEMM panels and
+// k-panel scratch, K-FAC's per-layer solve workspaces, the thread pool
+// itself), repeated Mlp::forward/backward and whole ACKTR updates at a
+// steady batch shape perform NO heap allocation. This binary replaces the
+// global operator new/delete with counting versions and asserts the count
+// stays flat across the steady-state region — on any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,8 @@
 
 #include "nn/mlp.hpp"
 #include "nn/parallel.hpp"
+#include "rl/actor_critic.hpp"
+#include "rl/updater.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -86,6 +89,44 @@ std::uint64_t steady_state_allocs(std::size_t threads, std::size_t iterations) {
   return 0;
 }
 
+/// Allocations observed during `iterations` ACKTR updates (critic and actor
+/// forward/backward, K-FAC factor refresh, natural-gradient step) at steady
+/// state. The batch of 600 rows reduces the backward's weight gradients and
+/// the K-FAC factors over three k-panels, so the GEMMs' accumulate scratch
+/// is warmed and then reused too. Same warm-up and retry rule as above.
+std::uint64_t steady_state_update_allocs(std::size_t threads, std::size_t iterations) {
+  ComputeThreadsGuard guard(threads);
+  util::Rng rng(321);
+  rl::ActorCriticConfig net_config;
+  net_config.obs_dim = 20;
+  net_config.num_actions = 5;
+  net_config.hidden = {64, 64};
+  net_config.seed = 3;
+  rl::ActorCritic net(net_config);
+  rl::Batch batch;
+  const std::size_t rows = 600;
+  batch.obs = random_matrix(rows, net_config.obs_dim, rng);
+  batch.actions.resize(rows);
+  batch.returns.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    batch.actions[i] = static_cast<int>(i % net_config.num_actions);
+    batch.returns[i] = rng.normal(0.0, 1.0);
+  }
+  rl::Updater updater(rl::UpdaterConfig{});  // ACKTR
+  for (int round = 0; round < 50; ++round) {
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    updater.update(net, batch);
+    if (g_news.load(std::memory_order_relaxed) == before) break;
+  }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < iterations; ++i) updater.update(net, batch);
+    const std::uint64_t allocs = g_news.load(std::memory_order_relaxed) - before;
+    if (allocs == 0 || attempt == 1) return allocs;
+  }
+  return 0;
+}
+
 TEST(NnAlloc, CountingAllocatorSeesAllocations) {
   const std::uint64_t before = g_news.load(std::memory_order_relaxed);
   // Volatile-sized so the allocation cannot be elided as dead.
@@ -104,6 +145,14 @@ TEST(NnAlloc, ForwardBackwardSteadyStateIsAllocationFreeMultiThread) {
   // all warm up in the first passes; after that the parallel path must be
   // just as allocation-free as the serial one.
   EXPECT_EQ(steady_state_allocs(/*threads=*/4, /*iterations=*/10), 0u);
+}
+
+TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFree) {
+  EXPECT_EQ(steady_state_update_allocs(/*threads=*/1, /*iterations=*/5), 0u);
+}
+
+TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFreeMultiThread) {
+  EXPECT_EQ(steady_state_update_allocs(/*threads=*/4, /*iterations=*/5), 0u);
 }
 
 TEST(NnAlloc, ReshapeAllocatesOnlyWhenGrowing) {
