@@ -3,12 +3,14 @@
 //
 // Four sections, all landing in BENCH_train_async.json ("dosc.bench.v1"):
 //
-//  1. Sync baseline: the synchronous trainer's inner loop (l sequential
-//     episodes -> merge -> update, no eval) timed end to end. Reports
-//     env_steps/s and updates/s — the denominator for every speedup below.
+//  1. Sync baseline: the synchronous trainer's inner loop (l episodes
+//     through one rl::BatchedRollout -> merge -> update, no eval) timed end
+//     to end. Reports env_steps/s and updates/s — the denominator for every
+//     speedup below.
 //  2. Async worker sweep (1/2/4/8 persistent rollout workers): the same
 //     episode workload through rl::AsyncTrainer — lock-free SPSC chunk
-//     queues, epoch-published snapshots, clipped-IS staleness correction.
+//     queues, epoch-published snapshots, clipped-IS staleness correction;
+//     each worker drives its episodes through its own BatchedRollout.
 //     Reports env_steps/s, updates/s, mean snapshot staleness at
 //     consumption, and speedup over the sync baseline.
 //  3. Lockstep parity: core::train_distributed_policy with async{1 worker,
@@ -25,10 +27,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batched_episode.hpp"
@@ -39,7 +41,6 @@
 #include "rl/rollout.hpp"
 #include "rl/updater.hpp"
 #include "sim/scenario.hpp"
-#include "sim/simulator.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -74,19 +75,20 @@ rl::ActorCriticConfig net_config(const sim::Scenario& scenario) {
   return config;
 }
 
-/// One simulator episode through TrainingEnv, seeded on the synchronous
-/// trainer's (iteration, env) grid so sync and async runs consume identical
-/// workloads. Returns the episode reward.
-double run_episode(const sim::Scenario& scenario, const rl::ActorCritic& policy,
-                   rl::TrajectoryBuffer& buffer, std::size_t iteration,
-                   std::size_t env_index, bool record_behavior_logp) {
-  const std::uint64_t es = core::episode_seed(kSeedBase, 0, iteration, env_index);
-  const std::size_t max_degree = scenario.network().max_degree();
-  core::TrainingEnv env(policy, buffer, core::RewardConfig{}, max_degree,
-                        util::Rng(es * 31 + 7), {}, record_behavior_logp);
-  sim::Simulator sim(scenario, es);
-  sim.run(env, &env);
-  return env.episode_reward();
+/// One training episode on the synchronous trainer's (iteration, env) seed
+/// grid, so sync and async runs consume identical workloads.
+std::unique_ptr<core::TrainingEpisode> make_episode(const sim::Scenario& scenario,
+                                                    const rl::ActorCritic& policy,
+                                                    rl::TrajectoryBuffer& buffer,
+                                                    std::size_t episode,
+                                                    bool record_behavior_logp) {
+  const std::uint64_t es = core::episode_seed(kSeedBase, 0, episode / kEpisodesPerUpdate,
+                                              episode % kEpisodesPerUpdate);
+  return std::make_unique<core::TrainingEpisode>(scenario, es, policy, buffer,
+                                                 core::RewardConfig{},
+                                                 scenario.network().max_degree(),
+                                                 core::ObservationMask{},
+                                                 record_behavior_logp);
 }
 
 struct ThroughputResult {
@@ -101,28 +103,40 @@ struct ThroughputResult {
   double updates_per_sec() const { return wall_ms > 0.0 ? 1000.0 * updates / wall_ms : 0.0; }
 };
 
-/// The synchronous trainer's inner loop without eval: l sequential episodes
-/// per update, merged and fed to the Updater — the baseline the async
-/// trainer must beat.
+/// The synchronous trainer's inner loop without eval: l episodes per
+/// update, driven together through one BatchedRollout, merged and fed to
+/// the Updater — the baseline the async trainer must beat.
 ThroughputResult run_sync(const sim::Scenario& scenario) {
   rl::ActorCritic net(net_config(scenario));
   rl::Updater updater{rl::UpdaterConfig{}};
   const std::size_t obs_dim = net.config().obs_dim;
+  rl::BatchedRollout driver(net.actor(), obs_dim);
   std::vector<rl::TrajectoryBuffer> buffers;
   std::vector<rl::Batch> batches(kEpisodesPerUpdate);
   for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) buffers.emplace_back(0.99);
+  std::vector<std::unique_ptr<core::TrainingEpisode>> episodes;
+  std::vector<rl::BatchedEnv*> envs;
   rl::Batch merged;
   ThroughputResult result;
   result.workers = 1;
   result.learner_threads = 1;
   const util::Timer timer;
   for (std::size_t update = 0; update < bench_updates(); ++update) {
+    envs.clear();
     for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) {
-      run_episode(scenario, net, buffers[e], update, e, /*record_behavior_logp=*/false);
+      episodes.push_back(make_episode(scenario, net, buffers[e],
+                                      update * kEpisodesPerUpdate + e,
+                                      /*record_behavior_logp=*/false));
+      envs.push_back(episodes.back().get());
+    }
+    driver.run(envs);
+    for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) {
+      episodes[e]->finish();
       buffers[e].truncate_all();
       buffers[e].drain_into(batches[e], net, obs_dim);
       result.env_steps += batches[e].size();
     }
+    episodes.clear();
     util::Rng merge_rng(core::episode_seed(kSeedBase, 0, update, 777));
     rl::merge_batches_into(merged, batches, obs_dim, 4096, merge_rng);
     updater.update(net, merged);
@@ -131,30 +145,6 @@ ThroughputResult run_sync(const sim::Scenario& scenario) {
   result.wall_ms = timer.elapsed_micros() / 1000.0;
   return result;
 }
-
-/// One async-worker episode environment for the batched mode: the same
-/// TrainingEnv + seed grid as run_episode, driven through the decision-yield
-/// surface instead of sim.run.
-class BenchRolloutEpisode final : public rl::RolloutEpisode {
- public:
-  BenchRolloutEpisode(const sim::Scenario& scenario, std::uint64_t seed,
-                      const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer)
-      : env_(policy, buffer, core::RewardConfig{}, scenario.network().max_degree(),
-             util::Rng(seed * 31 + 7), {}, /*record_behavior_logp=*/true),
-        episode_(scenario, seed, env_, env_, &env_) {}
-
-  bool advance_to_decision() override { return episode_.advance_to_decision(); }
-  void write_observation(std::span<double> out) override { episode_.write_observation(out); }
-  void apply_logits(std::span<const double> logits) override { episode_.apply_logits(logits); }
-  double finish() override {
-    episode_.finish();
-    return env_.episode_reward();
-  }
-
- private:
-  core::TrainingEnv env_;
-  core::YieldingEpisode episode_;
-};
 
 ThroughputResult run_async(const sim::Scenario& scenario, std::size_t workers,
                            std::size_t envs_per_worker = 1) {
@@ -174,21 +164,13 @@ ThroughputResult run_async(const sim::Scenario& scenario, std::size_t workers,
     return core::episode_seed(kSeedBase, 0, update, 777);
   };
   config.envs_per_worker = envs_per_worker;
-  if (envs_per_worker > 1) {
-    config.episode_factory = [&scenario](std::size_t, std::size_t episode,
-                                         const rl::ActorCritic& policy,
-                                         rl::TrajectoryBuffer& buffer) {
-      const std::uint64_t es = core::episode_seed(kSeedBase, 0, episode / kEpisodesPerUpdate,
-                                                  episode % kEpisodesPerUpdate);
-      return std::make_unique<BenchRolloutEpisode>(scenario, es, policy, buffer);
-    };
-  }
-  rl::AsyncTrainer trainer(config, [&scenario](std::size_t, std::size_t episode,
-                                               const rl::ActorCritic& policy,
-                                               rl::TrajectoryBuffer& buffer) {
-    return run_episode(scenario, policy, buffer, episode / kEpisodesPerUpdate,
-                       episode % kEpisodesPerUpdate, /*record_behavior_logp=*/true);
-  });
+  config.episode_factory = [&scenario](std::size_t, std::size_t episode,
+                                       const rl::ActorCritic& policy,
+                                       rl::TrajectoryBuffer& buffer)
+      -> std::unique_ptr<rl::RolloutEpisode> {
+    return make_episode(scenario, policy, buffer, episode, /*record_behavior_logp=*/true);
+  };
+  rl::AsyncTrainer trainer(std::move(config));
   const util::Timer timer;
   const rl::AsyncTrainStats stats = trainer.run(net);
   ThroughputResult result;
@@ -203,8 +185,8 @@ ThroughputResult run_async(const sim::Scenario& scenario, std::size_t workers,
 }
 
 /// Section 3: full train_distributed_policy parity, sync vs lockstep async
-/// (envs_per_worker = 1 is the classic worker; > 1 re-proves that batched
-/// workers leave the lockstep parameter trajectory untouched).
+/// (envs_per_worker = 1 rolls one episode per round; > 1 re-proves that
+/// wider rounds leave the lockstep parameter trajectory untouched).
 bool lockstep_parity(const sim::Scenario& scenario, std::size_t envs_per_worker) {
   core::TrainingConfig config;
   config.hidden = {16, 16};

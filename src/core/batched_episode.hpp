@@ -56,4 +56,32 @@ class YieldingEpisode final : public rl::BatchedEnv {
   bool started_ = false;
 };
 
+/// One training episode: a TrainingEnv that samples from `policy` with the
+/// rng stream `seed * 31 + 7` and records into `buffer`, bundled with the
+/// YieldingEpisode that drives it. The sync trainer, the async trainer's
+/// episode factory and bench_train_async all build their episodes here, so
+/// every path samples the same streams from the same seed grid.
+class TrainingEpisode final : public rl::RolloutEpisode {
+ public:
+  TrainingEpisode(const sim::Scenario& scenario, std::uint64_t seed,
+                  const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
+                  const RewardConfig& reward, std::size_t max_degree,
+                  const ObservationMask& mask = {}, bool record_behavior_logp = false)
+      : env_(policy, buffer, reward, max_degree, util::Rng(seed * 31 + 7), mask,
+             record_behavior_logp),
+        episode_(scenario, seed, env_, env_, &env_) {}
+
+  bool advance_to_decision() override { return episode_.advance_to_decision(); }
+  void write_observation(std::span<double> out) override { episode_.write_observation(out); }
+  void apply_logits(std::span<const double> logits) override { episode_.apply_logits(logits); }
+  double finish() override {
+    episode_.finish();
+    return env_.episode_reward();
+  }
+
+ private:
+  TrainingEnv env_;  // must outlive episode_ (constructed first)
+  YieldingEpisode episode_;
+};
+
 }  // namespace dosc::core

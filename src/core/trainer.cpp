@@ -4,11 +4,11 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "core/batched_episode.hpp"
-#include "nn/parallel.hpp"
 #include "rl/async_trainer.hpp"
 #include "rl/batched_rollout.hpp"
 #include "telemetry/telemetry.hpp"
@@ -75,36 +75,69 @@ class RewardTally final : public sim::FlowObserver {
   double total_ = 0.0;
 };
 
-/// rl::RolloutEpisode for the async trainer's batched worker mode: one
-/// TrainingEnv + YieldingEpisode pair per episode ticket, built from the
-/// same seed grid (and the same rng stream `es * 31 + 7`) as the RolloutFn
-/// below, so the recorded trajectories are bit-identical to the
-/// one-episode-at-a-time loop.
-class AsyncRolloutEpisode final : public rl::RolloutEpisode {
- public:
-  AsyncRolloutEpisode(const sim::Scenario& scenario, std::uint64_t seed,
-                      const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
-                      const RewardConfig& reward, std::size_t max_degree,
-                      const ObservationMask& mask)
-      : env_(policy, buffer, reward, max_degree, util::Rng(seed * 31 + 7), mask,
-             /*record_behavior_logp=*/true),
-        episode_(scenario, seed, env_, env_, &env_) {}
+/// Greedy evaluation outcome of one episode.
+struct EpisodeResult {
+  double success = 0.0;
+  double reward = 0.0;
+  double delay = 0.0;
+  bool has_delay = false;
+};
 
-  bool advance_to_decision() override { return episode_.advance_to_decision(); }
-  void write_observation(std::span<double> out) override {
-    episode_.write_observation(out);
+/// One in-flight slot of evaluate_policy's streaming driver. start() builds
+/// a claimed episode in the slot; the advance_to_decision call that finds
+/// it drained writes the episode's result and frees its simulator (the
+/// driver makes no further call on a drained env), and the next claim
+/// reuses the slot. A worker thus holds at most `batch_envs` simulators,
+/// however many episodes it claims.
+class EvalSlot final : public rl::BatchedEnv {
+ public:
+  EvalSlot(const sim::Scenario& scenario, const rl::ActorCritic& policy,
+           const RewardConfig& reward, std::size_t max_degree, const ObservationMask& mask)
+      : scenario_(scenario), policy_(policy), reward_(reward), max_degree_(max_degree),
+        mask_(mask) {}
+
+  bool busy() const noexcept { return episode_.has_value(); }
+
+  void start(std::uint64_t seed, EpisodeResult& out) {
+    coordinator_.emplace(policy_, max_degree_, /*stochastic=*/false, util::Rng(0), mask_);
+    episode_.emplace(scenario_, seed, *coordinator_, *coordinator_);
+    // The tally needs the simulator reference, which the episode owns; the
+    // observer is consumed lazily at the first advance, so attaching it
+    // after construction is safe.
+    tally_.emplace(reward_, episode_->simulator());
+    episode_->set_observer(&*tally_);
+    out_ = &out;
   }
+
+  bool advance_to_decision() override {
+    if (episode_->advance_to_decision()) return true;
+    const sim::SimMetrics metrics = episode_->finish();
+    out_->success = metrics.success_ratio();
+    out_->reward = tally_->total();
+    out_->has_delay = metrics.e2e_delay.count() > 0;
+    if (out_->has_delay) out_->delay = metrics.e2e_delay.mean();
+    tally_.reset();
+    episode_.reset();
+    coordinator_.reset();
+    return false;
+  }
+  void write_observation(std::span<double> out) override { episode_->write_observation(out); }
   void apply_logits(std::span<const double> logits) override {
-    episode_.apply_logits(logits);
-  }
-  double finish() override {
-    episode_.finish();
-    return env_.episode_reward();
+    episode_->apply_logits(logits);
   }
 
  private:
-  TrainingEnv env_;        // must outlive episode_ (constructed first)
-  YieldingEpisode episode_;
+  const sim::Scenario& scenario_;
+  const rl::ActorCritic& policy_;
+  const RewardConfig& reward_;
+  std::size_t max_degree_;
+  const ObservationMask& mask_;
+  // Declared in dependency order, so destruction runs tally, episode,
+  // coordinator.
+  std::optional<DistributedDrlCoordinator> coordinator_;
+  std::optional<YieldingEpisode> episode_;
+  std::optional<RewardTally> tally_;
+  EpisodeResult* out_ = nullptr;
 };
 
 /// One seed's training in the decoupled async actor/learner mode: the
@@ -132,33 +165,18 @@ void run_async_seed(rl::ActorCritic& net, const TrainingConfig& config,
     return episode_seed(config.seed_base, seed_index, update, 777);
   };
   async_config.envs_per_worker = config.async.envs_per_worker;
-  if (config.async.envs_per_worker > 1) {
-    async_config.episode_factory =
-        [&config, &train_scenario, max_degree, seed_index](
-            std::size_t /*worker*/, std::size_t episode, const rl::ActorCritic& policy,
-            rl::TrajectoryBuffer& buffer) -> std::unique_ptr<rl::RolloutEpisode> {
-      const std::size_t iteration = episode / config.parallel_envs;
-      const std::size_t env_index = episode % config.parallel_envs;
-      const std::uint64_t es =
-          episode_seed(config.seed_base, seed_index, iteration, env_index);
-      return std::make_unique<AsyncRolloutEpisode>(train_scenario, es, policy, buffer,
-                                                   config.reward, max_degree,
-                                                   config.observation_mask);
-    };
-  }
-  rl::RolloutFn rollout = [&config, &train_scenario, max_degree, seed_index](
-                              std::size_t /*worker*/, std::size_t episode,
-                              const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer) {
+  async_config.episode_factory =
+      [&config, &train_scenario, max_degree, seed_index](
+          std::size_t /*worker*/, std::size_t episode, const rl::ActorCritic& policy,
+          rl::TrajectoryBuffer& buffer) -> std::unique_ptr<rl::RolloutEpisode> {
     const std::size_t iteration = episode / config.parallel_envs;
     const std::size_t env_index = episode % config.parallel_envs;
-    const std::uint64_t es = episode_seed(config.seed_base, seed_index, iteration, env_index);
-    TrainingEnv env(policy, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
-                    config.observation_mask, /*record_behavior_logp=*/true);
-    sim::Simulator sim(train_scenario, es);
-    sim.run(env, &env);
-    return env.episode_reward();
+    return std::make_unique<TrainingEpisode>(
+        train_scenario, episode_seed(config.seed_base, seed_index, iteration, env_index),
+        policy, buffer, config.reward, max_degree, config.observation_mask,
+        /*record_behavior_logp=*/true);
   };
-  rl::AsyncTrainer trainer(async_config, std::move(rollout));
+  rl::AsyncTrainer trainer(std::move(async_config));
   rl::AsyncProgressFn on_progress;
   if (progress) {
     on_progress = [&progress, seed_index](const rl::AsyncProgress& p) {
@@ -166,6 +184,91 @@ void run_async_seed(rl::ActorCritic& net, const TrainingConfig& config,
     };
   }
   trainer.run(net, on_progress);
+}
+
+/// One seed's training in the synchronous mode (Alg. 1): per iteration,
+/// the l environments roll out the same policy for one episode each, then
+/// one ACKTR update runs on their merged experience.
+void run_sync_seed(rl::ActorCritic& net, const TrainingConfig& config,
+                   const sim::Scenario& train_scenario, std::size_t max_degree,
+                   std::size_t obs_dim, std::size_t seed_index,
+                   const ProgressCallback& progress) {
+  rl::Updater updater(config.updater);
+  // The l environments advance together on this thread through one driver,
+  // so their decision forwards fuse into one predict_batch (which keeps the
+  // GEMM thread pool); each env has its own rng stream and buffer. Spreading
+  // rollout over cores is the async mode's job (async.num_workers).
+  // Buffers and batches are reused across iterations.
+  rl::BatchedRollout driver(net.actor(), obs_dim);
+  std::vector<rl::TrajectoryBuffer> buffers;
+  for (std::size_t e = 0; e < config.parallel_envs; ++e) buffers.emplace_back(config.gamma);
+  std::vector<rl::Batch> batches(config.parallel_envs);
+  std::vector<double> episode_rewards(config.parallel_envs, 0.0);
+  std::vector<std::unique_ptr<TrainingEpisode>> episodes;
+  std::vector<rl::BatchedEnv*> envs;
+  rl::Batch merged;
+  for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
+    {
+      DOSC_TRACE_SCOPE("train", "rollout");
+      const util::Timer rollout_timer;
+      envs.clear();
+      for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+        episodes.push_back(std::make_unique<TrainingEpisode>(
+            train_scenario, episode_seed(config.seed_base, seed_index, iteration, e), net,
+            buffers[e], config.reward, max_degree, config.observation_mask));
+        envs.push_back(episodes.back().get());
+      }
+      driver.run(envs);
+      std::size_t total_steps = 0;
+      for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+        episode_rewards[e] = episodes[e]->finish();
+        buffers[e].truncate_all();
+        buffers[e].drain_into(batches[e], net, obs_dim);
+        total_steps += batches[e].size();
+      }
+      episodes.clear();  // free the simulators before the update
+      if (telemetry::enabled()) {
+        const double rollout_s = rollout_timer.elapsed_seconds();
+        telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+        registry.observe("train.rollout_ms", rollout_s * 1e3);
+        registry.counter("train.env_steps").add(total_steps);
+        if (rollout_s > 0.0) {
+          registry.observe("train.env_steps_per_s",
+                           static_cast<double>(total_steps) / rollout_s);
+        }
+      }
+    }
+
+    // Merge the env batches; cap the update size with a uniform subsample
+    // so one update's cost stays bounded regardless of episode length.
+    // (rl::merge_batches_into is this trainer's historical inline merge,
+    // hoisted so the async learner shares it bit for bit.)
+    util::Rng sample_rng(episode_seed(config.seed_base, seed_index, iteration, 777));
+    rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
+
+    rl::UpdateStats stats;
+    {
+      DOSC_TRACE_SCOPE("train", "update");
+      const util::Timer update_timer;
+      stats = updater.update(net, merged);
+      if (telemetry::enabled()) {
+        telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+        registry.observe("train.update_ms", update_timer.elapsed_millis());
+        registry.counter("train.updates").add(1);
+        registry.counter("train.iterations").add(1);
+        double reward_sum = 0.0;
+        for (const double r : episode_rewards) reward_sum += r;
+        registry.gauge("train.mean_episode_reward")
+            .set(reward_sum / static_cast<double>(config.parallel_envs));
+      }
+    }
+    if (progress) {
+      double mean_reward = 0.0;
+      for (const double r : episode_rewards) mean_reward += r;
+      mean_reward /= static_cast<double>(config.parallel_envs);
+      progress({seed_index, iteration, mean_reward, stats});
+    }
+  }
 }
 
 }  // namespace
@@ -176,86 +279,42 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
                            std::size_t parallel_episodes, std::size_t batch_envs) {
   const sim::Scenario eval_scenario = scenario.with_end_time(episode_time);
   const std::size_t max_degree = scenario.network().max_degree();
-  struct EpisodeResult {
-    double success = 0.0;
-    double reward = 0.0;
-    double delay = 0.0;
-    bool has_delay = false;
-  };
   std::vector<EpisodeResult> per_episode(episodes);
-  const auto run_episode = [&](std::size_t e) {
-    sim::Simulator sim(eval_scenario, seed_base + e);
-    DistributedDrlCoordinator coordinator(policy, max_degree,
-                                          /*stochastic=*/false, util::Rng(0), mask);
-    RewardTally tally(reward, sim);
-    const sim::SimMetrics metrics = sim.run(coordinator, &tally);
-    EpisodeResult& slot = per_episode[e];
-    slot.success = metrics.success_ratio();
-    slot.reward = tally.total();
-    slot.has_delay = metrics.e2e_delay.count() > 0;
-    if (slot.has_delay) slot.delay = metrics.e2e_delay.mean();
-  };
   if (parallel_episodes == 0) parallel_episodes = std::thread::hardware_concurrency();
-  if (batch_envs == 0) batch_envs = 1;
-  const std::size_t obs_dim = policy.actor().input_size();
-  // Episodes are claimed one at a time off a shared counter. In the classic
-  // path each worker runs its claim to completion; in the batched flavor
-  // each worker streams its claims through a BatchedRollout that keeps
-  // batch_envs episodes in flight, so the achieved GEMM width stays at the
-  // nominal batch across episode boundaries instead of draining into a
-  // narrow tail. Each episode keeps its own simulator/coordinator/tally and
-  // greedy decisions depend only on the episode's own logit row, so results
-  // (and event digests) equal run_episode's bit for bit at any width or
-  // claim interleaving.
+  const std::size_t width = std::max<std::size_t>(1, batch_envs);
+  // Episodes are claimed one at a time off a shared counter. Each worker
+  // streams its claims through one BatchedRollout that keeps `width`
+  // episodes in flight, so the achieved GEMM width stays at the nominal
+  // batch across episode boundaries instead of draining into a narrow tail;
+  // at width 1 every decision takes the per-row GEMV fast path. Each
+  // episode keeps its own simulator/coordinator/tally and greedy decisions
+  // depend only on the episode's own logit row, so results (and event
+  // digests) equal a sequential Simulator::run loop's bit for bit at any
+  // width or claim interleaving.
   std::atomic<std::size_t> next_episode{0};
-  const auto run_episode_stream = [&](rl::BatchedRollout& driver) {
-    std::vector<std::unique_ptr<DistributedDrlCoordinator>> coordinators;
-    std::vector<std::unique_ptr<YieldingEpisode>> stream;
-    std::vector<std::unique_ptr<RewardTally>> tallies;
-    std::vector<std::size_t> claimed;
-    const auto source = [&]() -> rl::BatchedEnv* {
+  const auto run_claims = [&] {
+    std::vector<std::unique_ptr<EvalSlot>> slots;
+    for (std::size_t i = 0; i < width; ++i) {
+      slots.push_back(std::make_unique<EvalSlot>(eval_scenario, policy, reward, max_degree, mask));
+    }
+    const rl::BatchedEnvSource source = [&]() -> rl::BatchedEnv* {
       const std::size_t e = next_episode.fetch_add(1, std::memory_order_relaxed);
       if (e >= episodes) return nullptr;
-      coordinators.push_back(std::make_unique<DistributedDrlCoordinator>(
-          policy, max_degree, /*stochastic=*/false, util::Rng(0), mask));
-      stream.push_back(std::make_unique<YieldingEpisode>(eval_scenario, seed_base + e,
-                                                         *coordinators.back(),
-                                                         *coordinators.back()));
-      // The tally needs the simulator reference, which the episode owns;
-      // the observer is consumed lazily at the first advance, so attaching
-      // it after construction is safe.
-      tallies.push_back(std::make_unique<RewardTally>(reward, stream.back()->simulator()));
-      stream.back()->set_observer(tallies.back().get());
-      claimed.push_back(e);
-      return stream.back().get();
+      // The driver pulls only while fewer than `width` episodes are in
+      // flight, so a free slot exists.
+      EvalSlot& slot = **std::find_if(slots.begin(), slots.end(),
+                                      [](const auto& s) { return !s->busy(); });
+      slot.start(seed_base + e, per_episode[e]);
+      return &slot;
     };
-    driver.run(batch_envs, source);
-    for (std::size_t i = 0; i < claimed.size(); ++i) {
-      const sim::SimMetrics metrics = stream[i]->finish();
-      EpisodeResult& slot = per_episode[claimed[i]];
-      slot.success = metrics.success_ratio();
-      slot.reward = tallies[i]->total();
-      slot.has_delay = metrics.e2e_delay.count() > 0;
-      if (slot.has_delay) slot.delay = metrics.e2e_delay.mean();
-    }
+    rl::BatchedRollout driver(policy.actor(), policy.actor().input_size());
+    driver.run(width, source);
   };
-  const auto run_claims = [&](rl::BatchedRollout* driver) {
-    if (driver != nullptr) {
-      run_episode_stream(*driver);
-      return;
-    }
-    for (std::size_t e = next_episode.fetch_add(1, std::memory_order_relaxed); e < episodes;
-         e = next_episode.fetch_add(1, std::memory_order_relaxed)) {
-      run_episode(e);
-    }
-  };
-  const std::size_t claim_units = (episodes + batch_envs - 1) / batch_envs;
+  const std::size_t claim_units = (episodes + width - 1) / width;
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(parallel_episodes, claim_units));
   if (workers <= 1) {
-    std::unique_ptr<rl::BatchedRollout> driver;
-    if (batch_envs > 1) driver = std::make_unique<rl::BatchedRollout>(policy.actor(), obs_dim);
-    run_claims(driver.get());
+    run_claims();
   } else {
     // Workers fill only their own claims' result slots, so no cross-thread
     // state is touched during a run.
@@ -266,11 +325,7 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
         try {
-          std::unique_ptr<rl::BatchedRollout> driver;
-          if (batch_envs > 1) {
-            driver = std::make_unique<rl::BatchedRollout>(policy.actor(), obs_dim);
-          }
-          run_claims(driver.get());
+          run_claims();
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (!first_error) first_error = std::current_exception();
@@ -322,156 +377,11 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
     net_config.hidden = config.hidden;
     net_config.seed = config.seed_base + seed_index;
     rl::ActorCritic net(net_config);
-    rl::Updater updater(config.updater);
-
+    // Evaluation and seed selection below are shared by both modes.
     if (config.async.enabled) {
-      // Decoupled actor/learner: persistent rollout workers and a learner
-      // thread replace the per-iteration fork/join loop below (which the
-      // sync_iterations guard then skips). Evaluation and seed selection
-      // are shared by both modes.
-      run_async_seed(net, config, train_scenario, max_degree, obs_dim, seed_index,
-                     progress);
-    }
-    const std::size_t sync_iterations = config.async.enabled ? 0 : config.iterations;
-    for (std::size_t iteration = 0; iteration < sync_iterations; ++iteration) {
-      // A3C-style: l workers roll out the *same* policy snapshot in
-      // parallel; their experience is merged into one synchronous update.
-      const std::vector<double> snapshot = net.get_parameters();
-      std::vector<rl::Batch> batches(config.parallel_envs);
-      std::vector<double> episode_rewards(config.parallel_envs, 0.0);
-      std::vector<std::exception_ptr> errors(config.parallel_envs);
-
-      auto worker = [&](std::size_t env_index) {
-        try {
-          DOSC_TRACE_SCOPE("train", "rollout");
-          const util::Timer rollout_timer;
-          rl::ActorCritic local(net_config);
-          local.set_parameters(snapshot);
-          rl::TrajectoryBuffer buffer(config.gamma);
-          const std::uint64_t es =
-              episode_seed(config.seed_base, seed_index, iteration, env_index);
-          TrainingEnv env(local, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
-                          config.observation_mask);
-          sim::Simulator sim(train_scenario, es);
-          sim.run(env, &env);
-          buffer.truncate_all();
-          batches[env_index] = buffer.drain(local, obs_dim);
-          episode_rewards[env_index] = env.episode_reward();
-          if (telemetry::enabled()) {
-            // Recorded locally, merged here from the worker thread: the
-            // registry histograms are the cross-thread merge point.
-            const double rollout_s = rollout_timer.elapsed_seconds();
-            telemetry::Histogram local_hist(telemetry::latency_histogram_config());
-            local_hist.add(rollout_s * 1e3);
-            telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
-            registry.merge_histogram("train.rollout_ms", local_hist);
-            registry.counter("train.env_steps").add(batches[env_index].size());
-            if (rollout_s > 0.0) {
-              registry.observe("train.env_steps_per_s",
-                               static_cast<double>(batches[env_index].size()) / rollout_s);
-            }
-          }
-        } catch (...) {
-          errors[env_index] = std::current_exception();
-        }
-      };
-
-      if (config.batched_rollout) {
-        // Batched alternative to the l rollout threads: all l environments
-        // advance concurrently on this thread and their decision forwards
-        // fuse into one predict_batch (which keeps the GEMM thread pool).
-        // Each env still has its own rng/buffer and the forward pass is
-        // deterministic at any thread count, so the batches — and the
-        // parameter trajectory — are bit-identical to the threaded path.
-        DOSC_TRACE_SCOPE("train", "rollout");
-        const util::Timer rollout_timer;
-        std::vector<rl::TrajectoryBuffer> buffers;
-        std::vector<std::unique_ptr<TrainingEnv>> train_envs;
-        std::vector<std::unique_ptr<YieldingEpisode>> eps;
-        std::vector<rl::BatchedEnv*> env_ptrs;
-        for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-          buffers.emplace_back(config.gamma);
-        }
-        for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-          const std::uint64_t es = episode_seed(config.seed_base, seed_index, iteration, e);
-          train_envs.push_back(std::make_unique<TrainingEnv>(
-              net, buffers[e], config.reward, max_degree, util::Rng(es * 31 + 7),
-              config.observation_mask));
-          eps.push_back(std::make_unique<YieldingEpisode>(
-              train_scenario, es, *train_envs[e], *train_envs[e], train_envs[e].get()));
-          env_ptrs.push_back(eps[e].get());
-        }
-        rl::BatchedRollout driver(net.actor(), obs_dim);
-        driver.run(env_ptrs);
-        std::size_t total_steps = 0;
-        for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-          eps[e]->finish();
-          buffers[e].truncate_all();
-          batches[e] = buffers[e].drain(net, obs_dim);
-          episode_rewards[e] = train_envs[e]->episode_reward();
-          total_steps += batches[e].size();
-        }
-        if (telemetry::enabled()) {
-          const double rollout_s = rollout_timer.elapsed_seconds();
-          telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
-          registry.observe("train.rollout_ms", rollout_s * 1e3);
-          registry.counter("train.env_steps").add(total_steps);
-          if (rollout_s > 0.0) {
-            registry.observe("train.env_steps_per_s",
-                             static_cast<double>(total_steps) / rollout_s);
-          }
-        }
-      } else {
-        // The l rollout workers own the machine for this phase: any batch
-        // linear algebra they trigger runs inline instead of competing with
-        // them for cores. The synchronous update below (after the join) gets
-        // the full compute-thread budget back.
-        nn::ComputeThreadsGuard rollout_guard(1);
-        if (config.parallel_envs == 1) {
-          worker(0);
-        } else {
-          std::vector<std::thread> threads;
-          threads.reserve(config.parallel_envs);
-          for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-            threads.emplace_back(worker, e);
-          }
-          for (std::thread& t : threads) t.join();
-        }
-      }
-      for (const std::exception_ptr& err : errors) {
-        if (err) std::rethrow_exception(err);
-      }
-
-      // Merge worker batches; cap the update size with a uniform subsample
-      // so one update's cost stays bounded regardless of episode length.
-      // (rl::merge_batches_into is this trainer's historical inline merge,
-      // hoisted so the async learner shares it bit for bit.)
-      util::Rng sample_rng(episode_seed(config.seed_base, seed_index, iteration, 777));
-      rl::Batch merged;
-      rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
-
-      rl::UpdateStats stats;
-      {
-        DOSC_TRACE_SCOPE("train", "update");
-        const util::Timer update_timer;
-        stats = updater.update(net, merged);
-        if (telemetry::enabled()) {
-          telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
-          registry.observe("train.update_ms", update_timer.elapsed_millis());
-          registry.counter("train.updates").add(1);
-          registry.counter("train.iterations").add(1);
-          double reward_sum = 0.0;
-          for (const double r : episode_rewards) reward_sum += r;
-          registry.gauge("train.mean_episode_reward")
-              .set(reward_sum / static_cast<double>(config.parallel_envs));
-        }
-      }
-      if (progress) {
-        double mean_reward = 0.0;
-        for (const double r : episode_rewards) mean_reward += r;
-        mean_reward /= static_cast<double>(config.parallel_envs);
-        progress({seed_index, iteration, mean_reward, stats});
-      }
+      run_async_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
+    } else {
+      run_sync_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
     }
 
     // Greedy evaluation; the best seed's network is deployed (Alg. 1 l.13).

@@ -3,10 +3,12 @@
 // One logically centralized actor-critic is trained from the experience of
 // *all* agents: every decision at every node lands in a shared trajectory
 // buffer, so nodes that see few flows still contribute to — and benefit
-// from — the shared policy. Training runs l parallel environment copies per
-// iteration (A3C-style workers with a synchronous ACKTR update) and k
-// independent seeds; the seed with the best greedy evaluation is selected
-// and its network is what gets copied to every node for inference.
+// from — the shared policy. Training runs l environment copies per
+// iteration (A3C-style data from l envs, one synchronous ACKTR update) and
+// k independent seeds; the seed with the best greedy evaluation is selected
+// and its network is what gets copied to every node for inference. Every
+// episode — training and evaluation, sync and async — is driven by
+// rl::BatchedRollout.
 #pragma once
 
 #include <functional>
@@ -34,10 +36,10 @@ struct AsyncTrainingConfig {
   /// Learner GEMM threads; 0 = hardware threads minus workers (>= 1). See
   /// rl::resolve_thread_budget for the oversubscription guard.
   std::size_t learner_threads = 0;
-  /// Environments each worker drives concurrently through the batched
-  /// rollout driver (rl::BatchedRollout): decision forwards across the B
-  /// in-flight episodes fuse into one GEMM, and a worker's update window
-  /// merges more episodes per gate pass. 1 = classic one-episode loop.
+  /// Most environments each worker drives concurrently through its
+  /// rl::BatchedRollout: decision forwards across the B in-flight episodes
+  /// fuse into one GEMM, and a worker's update window merges more episodes
+  /// per gate pass. 1 = one episode at a time, per-row GEMV forwards.
   /// Lockstep parity (1 worker, max_staleness 0) is preserved for any B.
   std::size_t envs_per_worker = 1;
 };
@@ -49,7 +51,11 @@ struct TrainingConfig {
   ObservationMask observation_mask;     ///< ablations only; default: all parts on
   double gamma = 0.99;             ///< paper: discount factor 0.99
   std::size_t num_seeds = 3;       ///< paper: k = 10 training seeds
-  std::size_t parallel_envs = 4;   ///< paper: l = 4 parallel environments
+  /// paper: l = 4 parallel environments. The l episodes of an iteration
+  /// advance together on the calling thread through one rl::BatchedRollout
+  /// (their decision forwards fuse into one GEMM); use async.num_workers to
+  /// spread rollout over cores.
+  std::size_t parallel_envs = 4;
   std::size_t iterations = 150;    ///< updates per seed (l episodes each)
   double train_episode_time = 1000.0;  ///< T of each training episode (ms)
   /// Updates use at most this many experiences (uniform row subsample);
@@ -60,16 +66,14 @@ struct TrainingConfig {
   /// Concurrent eval episodes (0 = one per hardware thread). Any value
   /// yields bit-identical evaluation results; see evaluate_policy.
   std::size_t eval_parallel = 1;
-  /// Episodes each eval worker drives concurrently through the batched
-  /// rollout driver (fused policy forwards). Any value yields bit-identical
-  /// results; see evaluate_policy.
+  /// Episodes each eval worker keeps in flight in its rl::BatchedRollout
+  /// (fused policy forwards; 1 = per-row GEMV). A worker holds at most this
+  /// many simulators. Any value yields bit-identical results; see
+  /// evaluate_policy.
   std::size_t eval_batch = 1;
-  /// Roll the l parallel training environments out through one batched
-  /// driver on the calling thread instead of l rollout threads. The merged
-  /// batches — and the parameter trajectory — are bit-identical to the
-  /// threaded path (the forward pass is deterministic at any thread count
-  /// and each env keeps its own rng/buffer); preferable when l small
-  /// forwards per decision underutilize the cores the threads occupy.
+  /// Ignored: the l training environments always roll out through one
+  /// batched driver. Kept only because the benchmark harness still assigns
+  /// it; due for removal with the next benchmark change.
   bool batched_rollout = false;
   std::uint64_t seed_base = 1;
   bool verbose = false;
@@ -114,16 +118,17 @@ struct EvalResult {
   double mean_reward = 0.0;
   double mean_e2e_delay = 0.0;
 };
-/// `parallel_episodes` runs that many episodes concurrently (0 = one worker
-/// per hardware thread). The episodes are fully independent — each gets its
-/// own Simulator seeded seed_base + e and its own coordinator — and the
-/// per-episode stats are merged in ascending episode order after all
-/// workers join, so the result is bit-identical for every parallelism
-/// level, including the sequential default. `batch_envs` > 1 additionally
-/// drives that many episodes concurrently *within* each worker through
-/// rl::BatchedRollout, fusing their greedy policy forwards into one GEMM;
+/// `parallel_episodes` worker threads claim episodes concurrently (0 = one
+/// worker per hardware thread). The episodes are fully independent — each
+/// gets its own Simulator seeded seed_base + e and its own coordinator —
+/// and the per-episode stats are merged in ascending episode order after
+/// all workers join, so the result is bit-identical for every parallelism
+/// level, including the sequential default. Each worker streams its claims
+/// through one rl::BatchedRollout with `batch_envs` episodes in flight,
+/// fusing their greedy policy forwards into one GEMM (1 = per-row GEMV);
 /// the greedy decision per row depends only on that row's logits, so this
-/// too is bit-identical to the sequential default at any batch size.
+/// too is bit-identical at any batch size. A drained episode frees its
+/// simulator at once: a worker holds at most `batch_envs` simulators.
 EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic& policy,
                            const RewardConfig& reward, std::size_t episodes,
                            double episode_time, std::uint64_t seed_base,

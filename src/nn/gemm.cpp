@@ -98,36 +98,26 @@ void record(std::size_t m, std::size_t n, std::size_t k) {
   }
 }
 
-std::vector<double>& b_panel_buffer() {
-  thread_local std::vector<double> buf;
-  return buf;
-}
-
+/// nt's materialised B^T. Filled by the calling thread before the tiled
+/// product opens its parallel region, so its size follows that thread's own
+/// calls only.
 std::vector<double>& transpose_buffer() {
   thread_local std::vector<double> buf;
   return buf;
 }
 
-std::vector<double>& a_panel_buffer() {
-  thread_local std::vector<double> buf;
-  return buf;
-}
-
-std::vector<double>& accumulate_buffer() {
-  thread_local std::vector<double> buf;
-  return buf;
-}
-
-/// `buf` grown to at least `size` doubles.
-double* grown(std::vector<double>& buf, std::size_t size) {
-  if (buf.size() < size) buf.resize(size);
-  return buf.data();
-}
+/// detail::thread_scratch slots of the tiled driver, fetched inside chunk
+/// bodies only. Every pool participant's buffers are grown to each slot's
+/// high water mark before a job starts, so a thread meeting a shape for the
+/// first time (row chunks and K-FAC layer tasks are claimed off an atomic
+/// ticket) finds its buffers already sized.
+enum ScratchSlot : std::size_t { kBPanel, kAPanel, kAccumulate };
+static_assert(kAccumulate < detail::kScratchSlots);
 
 /// The calling thread's packed-panel buffer, grown to one k-panel of B.
 double* b_panel_scratch(std::size_t k) {
   const std::size_t need = std::min(k, gemm_baseline::kKc) * gemm_baseline::kNr;
-  return grown(b_panel_buffer(), std::max<std::size_t>(need, 64));
+  return detail::thread_scratch(kBPanel, std::max<std::size_t>(need, 64));
 }
 
 /// The calling thread's buffer for one k-panel of `rows` rows of A, needed
@@ -135,14 +125,14 @@ double* b_panel_scratch(std::size_t k) {
 double* a_panel_scratch(std::size_t rows, std::size_t k) {
   if (k <= gemm_baseline::kKc) return nullptr;
   const std::size_t tiles = (rows + gemm_baseline::kMr - 1) / gemm_baseline::kMr;
-  return grown(a_panel_buffer(), tiles * gemm_baseline::kMr * gemm_baseline::kKc);
+  return detail::thread_scratch(kAPanel, tiles * gemm_baseline::kMr * gemm_baseline::kKc);
 }
 
 /// The calling thread's accumulate buffer for rows x n of C, needed only
 /// when a product adds into C over more than one k-panel (gemm_blocked).
 double* accumulate_scratch(std::size_t rows, std::size_t n, std::size_t k, bool accumulate) {
   if (!accumulate || k <= gemm_baseline::kKc) return nullptr;
-  return grown(accumulate_buffer(), rows * n);
+  return detail::thread_scratch(kAccumulate, rows * n);
 }
 
 /// Chunks are sized so each holds at least ~256k multiply-adds: smaller

@@ -1,9 +1,11 @@
 #include "nn/parallel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -32,12 +34,37 @@ std::atomic<std::size_t>& thread_budget() {
   return budget;
 }
 
-thread_local bool t_on_worker = false;
+/// Set on pool workers for their lifetime and on a submitting thread while
+/// it drains its own job: parallel regions opened from there run inline.
+thread_local bool t_in_region = false;
+
+using ScratchSet = std::array<std::vector<double>, detail::kScratchSlots>;
+
+/// Largest size any thread has asked thread_scratch for, per slot.
+std::array<std::atomic<std::size_t>, detail::kScratchSlots> g_scratch_high_water{};
+
+/// Pool workers point this at their pool-owned set; other threads use
+/// t_own_scratch.
+thread_local ScratchSet* t_scratch = nullptr;
+thread_local ScratchSet t_own_scratch;
+
+ScratchSet& current_scratch() noexcept {
+  return t_scratch != nullptr ? *t_scratch : t_own_scratch;
+}
+
+void grow_to_high_water(ScratchSet& set) {
+  for (std::size_t slot = 0; slot < set.size(); ++slot) {
+    const std::size_t need = g_scratch_high_water[slot].load(std::memory_order_relaxed);
+    if (set[slot].size() < need) set[slot].resize(need);
+  }
+}
 
 /// Persistent fork/join pool. Workers sleep between jobs; one job (a set of
 /// chunks) runs at a time, serialised by `caller_mutex_`. Chunks are claimed
 /// with an atomic ticket so load-imbalance self-levels; results cannot depend
-/// on the claim order because callers only submit chunk-independent work.
+/// on the claim order because callers only submit chunk-independent work,
+/// and neither can allocations: every participant's scratch is grown to the
+/// high water mark before the job starts.
 class Pool {
  public:
   ~Pool() {
@@ -58,6 +85,12 @@ class Pool {
     const std::size_t helpers =
         std::min(budget > 0 ? budget - 1 : 0, num_chunks > 0 ? num_chunks - 1 : 0);
     ensure_workers(helpers);
+    // No worker is inside drain() here (the previous job waited for all of
+    // them to leave), so their scratch can be grown from this thread; the
+    // job publication below orders it before their next use. Which workers
+    // join is a race, so every worker is grown.
+    grow_to_high_water(current_scratch());
+    for (const std::unique_ptr<ScratchSet>& set : worker_scratch_) grow_to_high_water(*set);
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -72,7 +105,9 @@ class Pool {
     }
     work_cv_.notify_all();
 
+    t_in_region = true;
     drain();  // the caller is always one of the executing threads
+    t_in_region = false;
 
     // Wait until every chunk has *completed* and every admitted worker has
     // left drain(). The second condition stops a slow worker from claiming a
@@ -88,7 +123,12 @@ class Pool {
   void ensure_workers(std::size_t count) {
     std::lock_guard<std::mutex> lock(mutex_);
     while (workers_.size() < count) {
-      workers_.emplace_back([this] { worker_loop(); });
+      worker_scratch_.push_back(std::make_unique<ScratchSet>());
+      ScratchSet* scratch = worker_scratch_.back().get();
+      workers_.emplace_back([this, scratch] {
+        t_scratch = scratch;
+        worker_loop();
+      });
     }
   }
 
@@ -102,7 +142,7 @@ class Pool {
   }
 
   void worker_loop() {
-    t_on_worker = true;
+    t_in_region = true;
     std::uint64_t seen_generation = 0;
     while (true) {
       {
@@ -129,6 +169,8 @@ class Pool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
+  /// One per worker, same index; grown only between jobs (try_run).
+  std::vector<std::unique_ptr<ScratchSet>> worker_scratch_;
   detail::ChunkFn fn_ = nullptr;
   void* ctx_ = nullptr;
   std::size_t total_chunks_ = 0;
@@ -160,12 +202,25 @@ std::size_t compute_threads() noexcept {
 
 namespace detail {
 
-bool on_worker_thread() noexcept { return t_on_worker; }
+bool in_parallel_region() noexcept { return t_in_region; }
+
+double* thread_scratch(std::size_t slot, std::size_t size) {
+  std::vector<double>& buf = current_scratch()[slot];
+  if (buf.size() < size) {
+    buf.resize(size);
+    std::atomic<std::size_t>& high = g_scratch_high_water[slot];
+    std::size_t seen = high.load(std::memory_order_relaxed);
+    while (seen < size &&
+           !high.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  return buf.data();
+}
 
 void run_chunks(std::size_t num_chunks, ChunkFn fn, void* ctx) {
   if (num_chunks == 0) return;
   const std::size_t budget = compute_threads();
-  if (num_chunks == 1 || budget <= 1 || t_on_worker ||
+  if (num_chunks == 1 || budget <= 1 || t_in_region ||
       !pool().try_run(num_chunks, fn, ctx, budget)) {
     for (std::size_t i = 0; i < num_chunks; ++i) fn(ctx, i);
   }

@@ -9,9 +9,18 @@
 //
 // The pool is a lazily started set of persistent workers shared process-wide.
 // A caller that cannot take the pool (it is busy with another caller, or the
-// caller *is* a pool worker — e.g. a threaded KFAC layer update invoking a
-// GEMM) runs its chunks inline on its own thread; nesting therefore cannot
-// deadlock and concurrent callers (shared const Mlp::predict) stay safe.
+// caller is already inside a parallel region — a pool worker, or the
+// submitting thread running its share of chunks, e.g. a threaded KFAC layer
+// update invoking a GEMM) runs its chunks inline on its own thread; nesting
+// therefore cannot deadlock and concurrent callers (shared const
+// Mlp::predict) stay safe.
+//
+// Kernel scratch (detail::thread_scratch) is sized independently of which
+// thread claims which chunk: the pool owns its workers' buffers, and a job's
+// submitting thread grows them — and its own — to the largest size any
+// thread has asked for before it wakes the workers. Once every shape of a
+// workload has run once, no thread allocates again, whatever the claim
+// order.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +66,20 @@ using ChunkFn = void (*)(void* ctx, std::size_t chunk_index);
 /// has warmed up.
 void run_chunks(std::size_t num_chunks, ChunkFn fn, void* ctx);
 
-/// True when the calling thread is a pool worker (nested regions inline).
-bool on_worker_thread() noexcept;
+/// True inside a parallel region: on a pool worker, or on a submitting
+/// thread while it runs its job's chunks. Nested regions then run inline.
+bool in_parallel_region() noexcept;
+
+/// Number of per-thread scratch buffers thread_scratch serves.
+inline constexpr std::size_t kScratchSlots = 3;
+
+/// The calling thread's scratch buffer `slot` (< kScratchSlots), grown to
+/// at least `size` doubles. Growing raises the slot's process-wide high
+/// water mark, to which every participant's buffer is grown when a pool job
+/// starts. Fetch it inside a chunk body (or outside any region) and do not
+/// hold it across opening a parallel region: the submitting thread's own
+/// buffers may grow then.
+double* thread_scratch(std::size_t slot, std::size_t size);
 
 }  // namespace detail
 
@@ -67,7 +88,7 @@ bool on_worker_thread() noexcept;
 /// synchronisation.
 template <typename Fn>
 void parallel_chunks(std::size_t num_chunks, Fn&& fn) {
-  if (num_chunks <= 1 || compute_threads() <= 1 || detail::on_worker_thread()) {
+  if (num_chunks <= 1 || compute_threads() <= 1 || detail::in_parallel_region()) {
     for (std::size_t i = 0; i < num_chunks; ++i) fn(i);
     return;
   }

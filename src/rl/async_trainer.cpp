@@ -57,20 +57,15 @@ std::uint64_t default_merge_seed(std::size_t update) noexcept {
 
 }  // namespace
 
-AsyncTrainer::AsyncTrainer(AsyncTrainerConfig config, RolloutFn rollout)
-    : config_(std::move(config)), rollout_(std::move(rollout)) {
+AsyncTrainer::AsyncTrainer(AsyncTrainerConfig config) : config_(std::move(config)) {
   if (config_.obs_dim == 0) {
     throw std::invalid_argument("AsyncTrainer: obs_dim must be set");
   }
   if (config_.episodes_per_update == 0) {
     throw std::invalid_argument("AsyncTrainer: episodes_per_update must be > 0");
   }
-  if (!rollout_) {
-    throw std::invalid_argument("AsyncTrainer: rollout callback required");
-  }
-  if (config_.envs_per_worker > 1 && !config_.episode_factory) {
-    throw std::invalid_argument(
-        "AsyncTrainer: envs_per_worker > 1 requires episode_factory");
+  if (!config_.episode_factory) {
+    throw std::invalid_argument("AsyncTrainer: episode_factory required");
   }
 }
 
@@ -81,8 +76,9 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
   const std::size_t per_update = config_.episodes_per_update;
   const std::size_t total_episodes = config_.updates * per_update;
 
-  // Workers run scalar row inference only; the GEMM pool belongs to the
-  // learner for the whole run — the budgets partition, never overlap.
+  // Workers run their rounds' decision forwards on their own threads; the
+  // GEMM pool belongs to the learner for the whole run — the budgets
+  // partition, never overlap.
   nn::ComputeThreadsGuard learner_guard(budget.learner_threads);
 
   util::EpochPublished<PolicySnapshot> store;
@@ -119,37 +115,28 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
   }
 
   const std::size_t envs_per_worker = std::max<std::size_t>(1, config_.envs_per_worker);
-  // Round accounting for the batched mode: episodes delivered per
-  // staleness-gate pass, reported as AsyncTrainStats::mean_envs_per_round.
-  std::atomic<std::size_t> batched_rounds{0};
-  std::atomic<std::size_t> batched_episodes{0};
+  // Round accounting: episodes delivered per staleness-gate pass, reported
+  // as AsyncTrainStats::mean_envs_per_round.
+  std::atomic<std::size_t> claim_rounds{0};
+  std::atomic<std::size_t> claimed_episodes{0};
 
   auto worker_fn = [&](std::size_t w) {
     try {
+      // One trajectory buffer per in-flight episode, a reused driver, and
+      // the per-round ticket / environment lists.
       ActorCritic local(net.config());
-      TrajectoryBuffer buffer(config_.gamma);
-      if (config_.reserve_flows > 0 && config_.reserve_steps_per_flow > 0) {
-        buffer.reserve(config_.reserve_flows, config_.reserve_steps_per_flow,
-                       config_.obs_dim);
-      }
-      // Batched-rollout state (envs_per_worker > 1): one trajectory buffer
-      // per in-flight episode, a reused driver, and the per-round ticket /
-      // environment lists.
+      BatchedRollout driver(local.actor(), config_.obs_dim);
       std::vector<TrajectoryBuffer> buffers;
-      std::unique_ptr<BatchedRollout> driver;
+      for (std::size_t i = 0; i < envs_per_worker; ++i) {
+        buffers.emplace_back(config_.gamma);
+        if (config_.reserve_flows > 0 && config_.reserve_steps_per_flow > 0) {
+          buffers.back().reserve(config_.reserve_flows, config_.reserve_steps_per_flow,
+                                 config_.obs_dim);
+        }
+      }
       std::vector<std::size_t> tickets;
       std::vector<std::unique_ptr<RolloutEpisode>> round_envs;
       std::vector<BatchedEnv*> env_ptrs;
-      if (envs_per_worker > 1) {
-        driver = std::make_unique<BatchedRollout>(local.actor(), config_.obs_dim);
-        for (std::size_t i = 0; i < envs_per_worker; ++i) {
-          buffers.emplace_back(config_.gamma);
-          if (config_.reserve_flows > 0 && config_.reserve_steps_per_flow > 0) {
-            buffers.back().reserve(config_.reserve_flows, config_.reserve_steps_per_flow,
-                                   config_.obs_dim);
-          }
-        }
-      }
       std::uint64_t applied_version = 0;
       bool have_params = false;
       for (;;) {
@@ -183,35 +170,12 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
           }
           version_used = snapshot->version;
         }
-        if (envs_per_worker <= 1) {
-          const double episode_reward = rollout_(w, episode, local, buffer);
-          buffer.truncate_all();
-          Chunk chunk;
-          recycle_queues[w]->try_pop(chunk);  // reuse returned storage if any
-          buffer.drain_into(chunk.batch, local, config_.obs_dim,
-                            /*with_behavior_logp=*/true);
-          chunk.version = version_used;
-          chunk.episode_reward = episode_reward;
-          chunk.episode = episode;
-          chunk.worker = w;
-          bool queue_waited = false;
-          while (!work_queues[w]->try_push(chunk)) {
-            if (stop.load(std::memory_order_acquire)) return;
-            queue_waited = true;
-            std::this_thread::yield();
-          }
-          if (telemetry::enabled()) {
-            registry.counter("train.async.episodes").add(1);
-            if (queue_waited) registry.counter("train.async.queue_full_waits").add(1);
-          }
-          continue;
-        }
-        // Batched round: the blocking gate above covered only the first
-        // ticket; further tickets are claimed opportunistically, and only
-        // while their own gate already passes. Blocking for a later
-        // ticket's gate while holding earlier unrolled tickets would
-        // deadlock the lockstep configuration (the learner needs exactly
-        // those chunks to publish the version being waited for).
+        // The blocking gate above covered only the round's first ticket;
+        // further tickets are claimed opportunistically, and only while
+        // their own gate already passes. Blocking for a later ticket's gate
+        // while holding earlier unrolled tickets would deadlock the
+        // lockstep configuration (the learner needs exactly those chunks to
+        // publish the version being waited for).
         tickets.clear();
         tickets.push_back(episode);
         while (tickets.size() < envs_per_worker) {
@@ -228,8 +192,8 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
             tickets.push_back(next_ticket);
           }
         }
-        batched_rounds.fetch_add(1, std::memory_order_relaxed);
-        batched_episodes.fetch_add(tickets.size(), std::memory_order_relaxed);
+        claim_rounds.fetch_add(1, std::memory_order_relaxed);
+        claimed_episodes.fetch_add(tickets.size(), std::memory_order_relaxed);
         round_envs.clear();
         env_ptrs.clear();
         for (std::size_t i = 0; i < tickets.size(); ++i) {
@@ -237,14 +201,14 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
               config_.episode_factory(w, tickets[i], local, buffers[i]));
           env_ptrs.push_back(round_envs[i].get());
         }
-        driver->run(env_ptrs);
+        driver.run(env_ptrs);
         // Push in ticket order: a single worker's FIFO then carries the
-        // synchronous env order, exactly like the one-episode loop.
+        // synchronous env order at every width.
         for (std::size_t i = 0; i < tickets.size(); ++i) {
           const double episode_reward = round_envs[i]->finish();
           buffers[i].truncate_all();
           Chunk chunk;
-          recycle_queues[w]->try_pop(chunk);
+          recycle_queues[w]->try_pop(chunk);  // reuse returned storage if any
           buffers[i].drain_into(chunk.batch, local, config_.obs_dim,
                                 /*with_behavior_logp=*/true);
           chunk.version = version_used;
@@ -407,9 +371,9 @@ AsyncTrainStats AsyncTrainer::run(ActorCritic& net, const AsyncProgressFn& progr
   }
   totals.mean_staleness =
       totals.episodes > 0 ? staleness_total / static_cast<double>(totals.episodes) : 0.0;
-  const std::size_t rounds = batched_rounds.load(std::memory_order_relaxed);
+  const std::size_t rounds = claim_rounds.load(std::memory_order_relaxed);
   totals.mean_envs_per_round =
-      rounds > 0 ? static_cast<double>(batched_episodes.load(std::memory_order_relaxed)) /
+      rounds > 0 ? static_cast<double>(claimed_episodes.load(std::memory_order_relaxed)) /
                        static_cast<double>(rounds)
                  : 0.0;
   return totals;

@@ -1,17 +1,19 @@
 // Decoupled asynchronous actor/learner training (SURREAL-style).
 //
-// The synchronous trainer alternates phases: l rollout workers run an
-// episode each, join, then one update runs on the merged batch while every
-// worker sits idle. This module removes the barrier. N persistent rollout
-// workers each own a policy replica and a pooled TrajectoryBuffer, run
-// episodes continuously, and push completed trajectory chunks through
-// per-worker bounded lock-free SPSC queues. A learner thread drains the
-// queues, batches `episodes_per_update` chunks per step, and runs the same
-// zero-alloc Updater — with clipped-IS (V-trace-style) staleness correction
-// keyed on the per-snapshot policy version, so experience collected under
-// an older policy still yields an unbiased-enough gradient. Updated
-// parameters are published wait-free through util::EpochPublished; workers
-// pick up the freshest snapshot at the next episode boundary.
+// The synchronous trainer alternates phases: its l environments roll out
+// one episode each, then one update runs on the merged batch while rollout
+// sits idle. This module removes the barrier. N persistent rollout workers
+// each own a policy replica, a BatchedRollout driver and one pooled
+// TrajectoryBuffer per in-flight episode; they claim episode tickets in
+// rounds of up to envs_per_worker, run them continuously, and push
+// completed trajectory chunks through per-worker bounded lock-free SPSC
+// queues. A learner thread drains the queues, batches `episodes_per_update`
+// chunks per step, and runs the same zero-alloc Updater — with clipped-IS
+// (V-trace-style) staleness correction keyed on the per-snapshot policy
+// version, so experience collected under an older policy still yields an
+// unbiased-enough gradient. Updated parameters are published wait-free
+// through util::EpochPublished; workers pick up the freshest snapshot at
+// the next round boundary.
 //
 // Off-policy pacing: a worker may start an episode only when
 //   published_version >= episode_index / l - max_staleness,
@@ -26,9 +28,10 @@
 // depends on completion timing and runs are not bit-reproducible; each
 // episode's own simulation stays seed-deterministic.
 //
-// Threading contract: workers do scalar row inference only; the learner
-// owns the GEMM compute-thread budget for the whole run (see
-// resolve_thread_budget), so the two sides never compete for cores.
+// Threading contract: workers' decision forwards are one row, or one small
+// fused batch per round; the learner owns the GEMM compute-thread budget
+// for the whole run (see resolve_thread_budget), so the two sides
+// partition the machine instead of competing for cores.
 #pragma once
 
 #include <cstdint>
@@ -51,29 +54,12 @@ struct PolicySnapshot {
   std::uint64_t version = 0;
 };
 
-/// Runs one episode with `policy`, recording decisions and rewards into
-/// `buffer` (behavior log-probs included), and returns the episode's total
-/// shaped reward. `worker` is the worker index, `episode` a globally unique
+/// Creates the environment for one episode ticket, sampling from `policy`
+/// and recording decisions and rewards (behavior log-probs included) into
+/// `buffer`. `worker` is the worker index, `episode` a globally unique
 /// episode ticket issued in increasing order; derive the episode seed from
-/// them. The environment (simulator) lives entirely behind this callback,
-/// which keeps the async trainer independent of the simulation layer.
-using RolloutFn = std::function<double(std::size_t worker, std::size_t episode,
-                                       const ActorCritic& policy, TrajectoryBuffer& buffer)>;
-
-/// One episode's environment in the batched-rollout worker mode
-/// (envs_per_worker > 1): a yieldable BatchedEnv plus the end-of-episode
-/// readout. finish() fires the episode-end callbacks and returns the
-/// episode's total shaped reward; call it once, after advance_to_decision
-/// returned false.
-class RolloutEpisode : public BatchedEnv {
- public:
-  virtual double finish() = 0;
-};
-
-/// Creates the environment for one episode ticket, recording decisions and
-/// rewards (behavior log-probs included) into `buffer`. Same contract as
-/// RolloutFn with the episode loop inverted; the simulator stays behind the
-/// callback, keeping this layer simulation-free.
+/// them. The simulator stays behind the callback, keeping this layer
+/// simulation-free; the worker drives the episode through BatchedRollout.
 using EpisodeFactory = std::function<std::unique_ptr<RolloutEpisode>(
     std::size_t worker, std::size_t episode, const ActorCritic& policy,
     TrajectoryBuffer& buffer)>;
@@ -109,16 +95,17 @@ struct AsyncTrainerConfig {
   /// configuration reproduces it exactly. Default: a fixed hash of the
   /// update index.
   std::function<std::uint64_t(std::size_t update)> merge_seed;
-  /// Environments each worker drives concurrently through BatchedRollout
-  /// (fused decision forwards, one trajectory buffer per in-flight episode).
-  /// 1 keeps the classic one-episode-at-a-time loop byte for byte. A worker
-  /// blocks on the staleness gate only for its first ticket of a round and
-  /// claims the rest opportunistically (gate already passed), so pacing
-  /// cannot deadlock; in lockstep (max_staleness 0) a whole update window's
+  /// Most tickets a worker claims per round; the round's episodes run
+  /// concurrently through one BatchedRollout (fused decision forwards, one
+  /// trajectory buffer per in-flight episode). At 1 a round holds one
+  /// ticket and every decision takes the per-row GEMV path. A worker blocks
+  /// on the staleness gate only for its first ticket of a round and claims
+  /// the rest opportunistically (gate already passed), so pacing cannot
+  /// deadlock; in lockstep (max_staleness 0) a whole update window's
   /// tickets pass together and the window composition — and the parameter
-  /// trajectory — matches the sequential worker exactly.
+  /// trajectory — is the same at every width.
   std::size_t envs_per_worker = 1;
-  /// Required when envs_per_worker > 1; ignored otherwise.
+  /// Required: builds every episode the workers roll out.
   EpisodeFactory episode_factory;
 };
 
@@ -137,9 +124,9 @@ struct AsyncTrainStats {
   double mean_staleness = 0.0;    ///< over all consumed chunks
   std::size_t workers = 0;        ///< resolved thread budget actually used
   std::size_t learner_threads = 0;
-  /// Batched worker mode only (envs_per_worker > 1): episodes rolled per
-  /// claim round, averaged over all rounds — how many episodes a worker
-  /// delivered per staleness-gate pass. 0 in the classic one-episode mode.
+  /// Episodes rolled per claim round, averaged over all rounds — how many
+  /// episodes a worker delivered per staleness-gate pass. Between 1 and
+  /// envs_per_worker; exactly 1 at envs_per_worker 1.
   double mean_envs_per_round = 0.0;
 };
 
@@ -160,7 +147,9 @@ ThreadBudget resolve_thread_budget(std::size_t requested_workers,
 
 class AsyncTrainer {
  public:
-  AsyncTrainer(AsyncTrainerConfig config, RolloutFn rollout);
+  /// Throws std::invalid_argument when obs_dim, episodes_per_update or
+  /// episode_factory is missing.
+  explicit AsyncTrainer(AsyncTrainerConfig config);
 
   /// Runs the full async training loop on `net` (updated in place),
   /// blocking until `config.updates` learner steps have been applied.
@@ -173,7 +162,6 @@ class AsyncTrainer {
 
  private:
   AsyncTrainerConfig config_;
-  RolloutFn rollout_;
 };
 
 }  // namespace dosc::rl

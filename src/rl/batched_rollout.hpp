@@ -32,6 +32,11 @@ namespace dosc::rl {
 /// One concurrently driven episode, as seen by BatchedRollout. Implemented
 /// outside rl (core's YieldingEpisode wraps sim::Simulator) so this layer
 /// stays simulator-free.
+///
+/// Drain contract: once advance_to_decision() has returned false, the
+/// driver makes no further call on that env. An env may therefore release
+/// its episode's state (simulator, buffers) inside that final call, and a
+/// streaming source may hand the same object out again for a new episode.
 class BatchedEnv {
  public:
   virtual ~BatchedEnv() = default;
@@ -43,6 +48,15 @@ class BatchedEnv {
   /// Select and apply the pending decision's action from the actor's logit
   /// row; the environment samples with its own Rng stream.
   virtual void apply_logits(std::span<const double> logits) = 0;
+};
+
+/// A BatchedEnv plus its end-of-episode readout, for callers that collect
+/// one result per episode (the trainers). finish() fires the episode-end
+/// callbacks and returns the episode's total shaped reward; call it once,
+/// after advance_to_decision returned false.
+class RolloutEpisode : public BatchedEnv {
+ public:
+  virtual double finish() = 0;
 };
 
 struct BatchedRolloutStats {

@@ -7,8 +7,13 @@
 // plus the thread-budget resolver's unit cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -61,28 +66,82 @@ TEST(ThreadBudget, PartitionsTheMachineWithoutOverlap) {
   EXPECT_EQ(rl::resolve_thread_budget(1, 0, 1).learner_threads, 1u);
 }
 
+/// Simulator-free episode: 3 flows x 2 decisions each. Observations are a
+/// deterministic function of (episode, flow, step); actions are sampled
+/// from the driver's logit row with the episode's own rng; action 0 earns
+/// +1 and anything else -0.5.
+class SyntheticEpisode final : public rl::RolloutEpisode {
+ public:
+  static constexpr std::size_t kFlows = 3;
+  static constexpr std::size_t kSteps = 2;
+
+  SyntheticEpisode(std::size_t episode, rl::TrajectoryBuffer& buffer)
+      : episode_(episode), buffer_(buffer), rng_(episode + 1) {}
+
+  bool advance_to_decision() override { return decision_ < kFlows * kSteps; }
+  void write_observation(std::span<double> out) override {
+    obs_[0] = static_cast<double>(flow()) * 0.3;
+    obs_[1] = static_cast<double>(decision_ % kSteps) * 0.5;
+    obs_[2] = static_cast<double>(episode_ % 7) * 0.1;
+    std::copy(obs_.begin(), obs_.end(), out.begin());
+  }
+  void apply_logits(std::span<const double> logits) override {
+    double logp = 0.0;
+    const int action = rl::ActorCritic::sample_action_from_logits(logits, rng_, &logp);
+    const std::uint64_t key = episode_ * 64 + flow();
+    buffer_.record_decision(key, obs_, action, logp);
+    const double reward = (action == 0) ? 1.0 : -0.5;
+    buffer_.record_reward(key, reward);
+    total_ += reward;
+    if (decision_ % kSteps == kSteps - 1) buffer_.finish(key);
+    ++decision_;
+  }
+  double finish() override { return total_; }
+
+ private:
+  std::uint64_t flow() const noexcept { return decision_ / kSteps; }
+
+  std::size_t episode_;
+  rl::TrajectoryBuffer& buffer_;
+  util::Rng rng_;
+  std::array<double, 3> obs_{};
+  std::size_t decision_ = 0;
+  double total_ = 0.0;
+};
+
+rl::EpisodeFactory synthetic_factory() {
+  return [](std::size_t, std::size_t episode, const rl::ActorCritic&,
+            rl::TrajectoryBuffer& buffer) -> std::unique_ptr<rl::RolloutEpisode> {
+    return std::make_unique<SyntheticEpisode>(episode, buffer);
+  };
+}
+
 TEST(AsyncTrainer, ValidatesConfig) {
   rl::AsyncTrainerConfig config;
+  config.episode_factory = synthetic_factory();
   config.obs_dim = 0;
-  EXPECT_THROW(
-      rl::AsyncTrainer(config, [](std::size_t, std::size_t, const rl::ActorCritic&,
-                                  rl::TrajectoryBuffer&) { return 0.0; }),
-      std::invalid_argument);
+  EXPECT_THROW(rl::AsyncTrainer{config}, std::invalid_argument);
   config.obs_dim = 3;
-  EXPECT_THROW(rl::AsyncTrainer(config, nullptr), std::invalid_argument);
+  EXPECT_NO_THROW(rl::AsyncTrainer{config});
+  config.episode_factory = nullptr;
+  try {
+    rl::AsyncTrainer trainer(config);
+    ADD_FAILURE() << "a missing episode_factory must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("episode_factory"), std::string::npos) << e.what();
+  }
+  config.episode_factory = synthetic_factory();
   config.episodes_per_update = 0;
-  EXPECT_THROW(
-      rl::AsyncTrainer(config, [](std::size_t, std::size_t, const rl::ActorCritic&,
-                                  rl::TrajectoryBuffer&) { return 0.0; }),
-      std::invalid_argument);
+  EXPECT_THROW(rl::AsyncTrainer{config}, std::invalid_argument);
 }
 
 TEST(AsyncTrainer, SyntheticRolloutRunsToCompletion) {
   // Environment-free harness: each episode records a deterministic little
-  // trajectory set sampled from the current policy. Pins the plumbing —
-  // every configured update runs, every episode is consumed, progress
-  // reports arrive in order, staleness stays within the pacing bound's
-  // steady-state envelope.
+  // trajectory set sampled from the current policy through the workers'
+  // BatchedRollout. Pins the plumbing — every configured update runs, every
+  // episode is consumed, progress reports arrive in order, staleness stays
+  // within the pacing bound's steady-state envelope, and at one env per
+  // worker every claim round holds exactly one episode.
   rl::ActorCriticConfig net_config;
   net_config.obs_dim = 3;
   net_config.num_actions = 2;
@@ -100,31 +159,9 @@ TEST(AsyncTrainer, SyntheticRolloutRunsToCompletion) {
   config.gamma = 0.9;
   config.updater.optimizer = rl::OptimizerKind::kSgd;
   config.updater.learning_rate = 0.01;
+  config.episode_factory = synthetic_factory();
 
-  rl::RolloutFn rollout = [](std::size_t, std::size_t episode,
-                             const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer) {
-    util::Rng rng(episode + 1);
-    std::vector<double> obs(3, 0.0);
-    double total = 0.0;
-    for (std::uint64_t flow = 0; flow < 3; ++flow) {
-      const std::uint64_t key = episode * 64 + flow;
-      for (int step = 0; step < 2; ++step) {
-        obs[0] = static_cast<double>(flow) * 0.3;
-        obs[1] = static_cast<double>(step) * 0.5;
-        obs[2] = static_cast<double>(episode % 7) * 0.1;
-        double logp = 0.0;
-        const int action = policy.sample_action(obs, rng, &logp);
-        buffer.record_decision(key, obs, action, logp);
-        const double reward = (action == 0) ? 1.0 : -0.5;
-        buffer.record_reward(key, reward);
-        total += reward;
-      }
-      buffer.finish(key);
-    }
-    return total;
-  };
-
-  rl::AsyncTrainer trainer(config, rollout);
+  rl::AsyncTrainer trainer(config);
   std::vector<rl::AsyncProgress> reports;
   const rl::AsyncTrainStats stats =
       trainer.run(net, [&](const rl::AsyncProgress& p) { reports.push_back(p); });
@@ -135,6 +172,7 @@ TEST(AsyncTrainer, SyntheticRolloutRunsToCompletion) {
   EXPECT_GE(stats.mean_staleness, 0.0);
   EXPECT_GE(stats.workers, 1u);
   EXPECT_GE(stats.learner_threads, 1u);
+  EXPECT_EQ(stats.mean_envs_per_round, 1.0);
   ASSERT_EQ(reports.size(), 6u);
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].update, i);

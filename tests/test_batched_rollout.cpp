@@ -10,10 +10,12 @@
 // merge-order invariance around empties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "core/trainer.hpp"
 #include "net/topology_zoo.hpp"
 #include "rl/batched_rollout.hpp"
+#include "rl/updater.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -385,32 +388,60 @@ sim::Scenario tiny_training_scenario() {
   return test::tiny_scenario(test::line3(), test::one_component_catalog(), options);
 }
 
-TEST(Trainer, BatchedSyncRolloutBitIdenticalToThreadedWorkers) {
-  // The sync trainer's batched mode drives the l envs through one fused
-  // driver on the calling thread; each env keeps its own rng/buffer and the
-  // forward is deterministic at any thread count, so the parameter
-  // trajectory must match the threaded per-env path bit for bit.
+TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
+  // The sync trainer drives its l envs through one BatchedRollout. Replay
+  // its seed grid here one episode at a time through Simulator::run (the
+  // per-decision Coordinator path), merge and update exactly as Alg. 1 does:
+  // the trained parameters must match the trainer's bit for bit, at l = 1
+  // (every round one GEMV row) and at l = 3.
   const sim::Scenario scenario = tiny_training_scenario();
-  const core::TrainingConfig threaded = tiny_training_config();
-  core::TrainingConfig batched = tiny_training_config();
-  batched.batched_rollout = true;
+  for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
+    core::TrainingConfig config = tiny_training_config();
+    config.parallel_envs = envs;
+    const core::TrainedPolicy trained = core::train_distributed_policy(scenario, config);
 
-  const core::TrainedPolicy a = core::train_distributed_policy(scenario, threaded);
-  const core::TrainedPolicy b = core::train_distributed_policy(scenario, batched);
-  ASSERT_EQ(a.parameters.size(), b.parameters.size());
-  for (std::size_t i = 0; i < a.parameters.size(); ++i) {
-    ASSERT_EQ(a.parameters[i], b.parameters[i]) << "parameter " << i << " diverged";
+    const std::size_t max_degree = scenario.network().max_degree();
+    const std::size_t obs_dim = core::observation_dim(max_degree);
+    rl::ActorCriticConfig net_config;
+    net_config.obs_dim = obs_dim;
+    net_config.num_actions = max_degree + 1;
+    net_config.hidden = config.hidden;
+    net_config.seed = config.seed_base;  // seed index 0
+    rl::ActorCritic net(net_config);
+    rl::Updater updater(config.updater);
+    const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
+    for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
+      std::vector<rl::Batch> batches;
+      for (std::size_t e = 0; e < envs; ++e) {
+        const std::uint64_t es = core::episode_seed(config.seed_base, 0, iteration, e);
+        rl::TrajectoryBuffer buffer(config.gamma);
+        core::TrainingEnv env(net, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
+                              config.observation_mask);
+        sim::Simulator sim(train_scenario, es);
+        sim.run(env, &env);
+        buffer.truncate_all();
+        batches.push_back(buffer.drain(net, obs_dim));
+      }
+      util::Rng sample_rng(core::episode_seed(config.seed_base, 0, iteration, 777));
+      rl::Batch merged;
+      rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
+      updater.update(net, merged);
+    }
+
+    const std::vector<double> expected = net.get_parameters();
+    ASSERT_EQ(trained.parameters.size(), expected.size()) << "l=" << envs;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(trained.parameters[i], expected[i]) << "l=" << envs << " parameter " << i;
+    }
   }
-  EXPECT_DOUBLE_EQ(a.eval_success_ratio, b.eval_success_ratio);
-  EXPECT_DOUBLE_EQ(a.eval_reward, b.eval_reward);
 }
 
 TEST(AsyncTrainer, BatchedWorkerLockstepBitIdenticalToSequentialWorker) {
-  // The async acceptance anchor extended to batched workers: in lockstep
+  // The async acceptance anchor extended to wide rounds: in lockstep
   // (1 worker, staleness 0) a whole update window's tickets pass the gate
-  // together, so the batched worker claims exactly one window per round and
+  // together, so a 4-env worker claims exactly one window per round and
   // the window composition — and the trained parameters — must match the
-  // one-episode-at-a-time worker bit for bit.
+  // one-episode-per-round worker bit for bit.
   const sim::Scenario scenario = tiny_training_scenario();
   core::TrainingConfig sequential = tiny_training_config();
   sequential.async.enabled = true;
@@ -517,6 +548,83 @@ TEST(MergeBatches, EmptyBatchesDoNotPerturbTheMerge) {
 
   expect_same(merge(dense, 100), merge(sparse, 100));  // below the cap
   expect_same(merge(dense, 5), merge(sparse, 5));      // reservoir path
+}
+
+// ---- the drain contract (rl::BatchedEnv) ----
+
+/// Scripted env with a fixed number of decision points that fails the test
+/// on any call after its advance_to_decision has returned false.
+class DrainCheckingEnv final : public rl::BatchedEnv {
+ public:
+  explicit DrainCheckingEnv(std::size_t decisions) : remaining_(decisions) {}
+
+  bool advance_to_decision() override {
+    check("advance_to_decision");
+    if (remaining_ == 0) {
+      drained_ = true;
+      return false;
+    }
+    return true;
+  }
+  void write_observation(std::span<double> out) override {
+    check("write_observation");
+    std::fill(out.begin(), out.end(), 0.25 * static_cast<double>(remaining_));
+  }
+  void apply_logits(std::span<const double>) override {
+    check("apply_logits");
+    --remaining_;
+    ++applied_;
+  }
+
+  bool drained() const noexcept { return drained_; }
+  std::size_t applied() const noexcept { return applied_; }
+
+ private:
+  void check(const char* call) {
+    if (drained_) ADD_FAILURE() << call << " called after the env drained";
+  }
+
+  std::size_t remaining_;
+  std::size_t applied_ = 0;
+  bool drained_ = false;
+};
+
+TEST(BatchedRollout, NoCallReachesAnEnvAfterItDrains) {
+  // Episodes of uneven length, zero-decision ones included, so envs drain
+  // at the refill, mid-round and in the last round. evaluate_policy's slots
+  // free their simulator inside the draining call and rely on this.
+  const rl::ActorCritic net = tiny_net();
+  const std::vector<std::size_t> lengths{0, 4, 1, 6, 0, 2, 5, 3, 1};
+  std::size_t total = 0;
+  for (const std::size_t n : lengths) total += n;
+
+  std::vector<std::unique_ptr<DrainCheckingEnv>> fixed;
+  std::vector<rl::BatchedEnv*> ptrs;
+  for (const std::size_t n : lengths) {
+    fixed.push_back(std::make_unique<DrainCheckingEnv>(n));
+    ptrs.push_back(fixed.back().get());
+  }
+  rl::BatchedRollout driver(net.actor(), 3);
+  EXPECT_EQ(driver.run(ptrs).decisions, total);
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    EXPECT_TRUE(fixed[i]->drained()) << "env " << i;
+    EXPECT_EQ(fixed[i]->applied(), lengths[i]) << "env " << i;
+  }
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+    std::vector<std::unique_ptr<DrainCheckingEnv>> streamed;
+    const rl::BatchedEnvSource source = [&]() -> rl::BatchedEnv* {
+      if (streamed.size() == lengths.size()) return nullptr;
+      streamed.push_back(std::make_unique<DrainCheckingEnv>(lengths[streamed.size()]));
+      return streamed.back().get();
+    };
+    EXPECT_EQ(driver.run(width, source).decisions, total) << "width " << width;
+    ASSERT_EQ(streamed.size(), lengths.size());
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      EXPECT_TRUE(streamed[i]->drained()) << "width " << width << " env " << i;
+      EXPECT_EQ(streamed[i]->applied(), lengths[i]) << "width " << width << " env " << i;
+    }
+  }
 }
 
 }  // namespace

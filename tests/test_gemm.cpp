@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -275,6 +276,53 @@ TEST(Parallel, GuardRestoresThreadCount) {
     EXPECT_EQ(compute_threads(), 2u);
   }
   EXPECT_EQ(compute_threads(), before);
+}
+
+TEST(Parallel, NestedRegionsRunInlineOnEveryParticipant) {
+  // A region opened from inside a chunk — on a pool worker or on the
+  // submitting thread draining its own job — runs inline on that thread
+  // instead of re-entering the pool.
+  ComputeThreadsGuard guard(4);
+  EXPECT_FALSE(detail::in_parallel_region());
+  std::vector<std::atomic<int>> in_region(16);
+  std::vector<std::atomic<int>> same_thread(16);
+  parallel_chunks(16, [&](std::size_t i) {
+    in_region[i].store(detail::in_parallel_region() ? 1 : 0);
+    const std::thread::id outer = std::this_thread::get_id();
+    int inline_chunks = 0;
+    parallel_chunks(5, [&](std::size_t) {
+      if (std::this_thread::get_id() == outer) ++inline_chunks;
+    });
+    same_thread[i].store(inline_chunks);
+  });
+  EXPECT_FALSE(detail::in_parallel_region());
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(in_region[i].load(), 1) << "chunk " << i;
+    EXPECT_EQ(same_thread[i].load(), 5) << "chunk " << i;
+  }
+}
+
+TEST(Parallel, ScratchIsGrownForEveryParticipantBeforeAJob) {
+  // One chunk of the first job asks for a large scratch buffer. In the
+  // second job every participant — whichever chunks it claims — must find
+  // its buffer already that large: asking for it returns the same storage
+  // as asking for one double.
+  ComputeThreadsGuard guard(4);
+  constexpr std::size_t kLarge = std::size_t{1} << 17;
+  for (std::size_t slot = 0; slot < detail::kScratchSlots; ++slot) {
+    parallel_chunks(8, [&](std::size_t i) {
+      detail::thread_scratch(slot, i == 5 ? kLarge : 1);
+    });
+    std::vector<std::atomic<int>> stable(32);
+    parallel_chunks(32, [&](std::size_t i) {
+      const double* small = detail::thread_scratch(slot, 1);
+      const double* large = detail::thread_scratch(slot, kLarge);
+      stable[i].store(small == large ? 1 : 0);
+    });
+    for (std::size_t i = 0; i < 32; ++i) {
+      EXPECT_EQ(stable[i].load(), 1) << "slot " << slot << " chunk " << i;
+    }
+  }
 }
 
 }  // namespace
