@@ -5,13 +5,11 @@
 //   dosc_cli train <scenario.json> <policy.json> [--iterations N] [--seeds K]
 //   dosc_cli eval  <scenario.json> <algo> [--policy policy.json]
 //                  [--episodes N] [--time MS] [--episodes-parallel W]
-//                  [--partitions K] [--audit] [--stats]
+//                  [--audit] [--stats]
 //                  algo: dist|gcasp|sp  (--stats prints event-engine
 //                  counters per episode: queue peak, pool sizes, recycling;
 //                  --episodes-parallel runs W independent episodes
-//                  concurrently, 0 = hardware threads, output unchanged;
-//                  --partitions K shards each episode across K LPs with the
-//                  conservative parallel simulator, one coordinator per LP)
+//                  concurrently, 0 = hardware threads, output unchanged)
 //   dosc_cli fuzz  [--seeds N] [--time MS]       differential fuzzing
 //   dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]
 //                  regenerate the seeded scenario corpus library into <dir>
@@ -27,8 +25,10 @@
 //   dosc_cli init-policy <scenario.json> <policy.json> [--hidden N] [--seed S]
 //                  write an untrained policy snapshot (smoke tests, CI)
 //
-// Unknown subcommands and unknown per-subcommand flags exit non-zero with
-// this usage text.
+// Unknown subcommands, unknown per-subcommand flags and bad flag values
+// (cli_flags.hpp: numbers must parse whole and be finite, counts must be
+// in range, and --episodes/--iterations/--seeds/--requests must be >= 1)
+// exit 2 with this usage text.
 //
 // Global flags (any subcommand, default off):
 //   --log-level <trace|debug|info|warn|error|off>
@@ -43,7 +43,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -58,13 +57,13 @@
 #include "check/differential.hpp"
 #include "check/digest.hpp"
 #include "check/fuzzer.hpp"
+#include "cli_flags.hpp"
 #include "core/policy_io.hpp"
 #include "core/trainer.hpp"
 #include "net/topology_io.hpp"
 #include "net/topology_zoo.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
-#include "sim/parallel.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -82,7 +81,7 @@ int usage() {
                "  dosc_cli train <scenario.json> <policy.json> [--iterations N] [--seeds K]\n"
                "  dosc_cli eval <scenario.json> <dist|gcasp|sp> [--policy p.json]\n"
                "                [--episodes N] [--time MS] [--episodes-parallel W]\n"
-               "                [--partitions K] [--audit] [--stats]\n"
+               "                [--audit] [--stats]\n"
                "  dosc_cli fuzz [--seeds N] [--time MS]\n"
                "  dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]\n"
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
@@ -134,19 +133,25 @@ GlobalOptions strip_global_flags(int& argc, char** argv) {
   return options;
 }
 
-/// Value of "--flag" in argv, or fallback.
-double flag(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
 const char* flag_str(int argc, char** argv, const char* name, const char* fallback) {
   for (int i = 0; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
   }
   return fallback;
+}
+
+/// Finite real value of "--flag" in argv, or fallback (cli::parse_real).
+double real_flag(int argc, char** argv, const char* name, double fallback) {
+  const char* token = flag_str(argc, argv, name, nullptr);
+  return token == nullptr ? fallback : cli::parse_real(name, token);
+}
+
+/// Integer value of "--flag" in argv, at least `min`, or fallback
+/// (cli::parse_count).
+template <typename T>
+T count_flag(int argc, char** argv, const char* name, T fallback, T min = 0) {
+  const char* token = flag_str(argc, argv, name, nullptr);
+  return token == nullptr ? fallback : cli::parse_count<T>(name, token, min);
 }
 
 bool has_flag(int argc, char** argv, const char* name) {
@@ -201,11 +206,11 @@ int cmd_topology(int argc, char** argv) {
 
 int cmd_train(int argc, char** argv) {
   if (argc < 4 || !check_flags(argc, argv, {"--iterations", "--seeds"})) return usage();
-  const sim::Scenario scenario = load_scenario(argv[2]);
   core::TrainingConfig config;
-  config.iterations = static_cast<std::size_t>(flag(argc, argv, "--iterations", 150));
-  config.num_seeds = static_cast<std::size_t>(flag(argc, argv, "--seeds", 1));
+  config.iterations = count_flag<std::size_t>(argc, argv, "--iterations", 150, 1);
+  config.num_seeds = count_flag<std::size_t>(argc, argv, "--seeds", 1, 1);
   config.updater.lr_decay_updates = config.iterations;
+  const sim::Scenario scenario = load_scenario(argv[2]);
   std::printf("training on '%s' (%zu seeds x %zu iterations)...\n",
               scenario.config().name.c_str(), config.num_seeds, config.iterations);
   const core::TrainedPolicy policy = core::train_distributed_policy(
@@ -222,36 +227,26 @@ int cmd_train(int argc, char** argv) {
 
 int cmd_eval(int argc, char** argv) {
   if (argc < 4 ||
-      !check_flags(argc, argv,
-                   {"--policy", "--episodes", "--time", "--episodes-parallel", "--partitions"},
+      !check_flags(argc, argv, {"--policy", "--episodes", "--time", "--episodes-parallel"},
                    {"--audit", "--stats"})) {
     return usage();
   }
-  const sim::Scenario scenario = load_scenario(argv[2]);
   const std::string algo = argv[3];
-  const std::size_t episodes = static_cast<std::size_t>(flag(argc, argv, "--episodes", 5));
-  const double time = flag(argc, argv, "--time", 5000.0);
+  const std::size_t episodes = count_flag<std::size_t>(argc, argv, "--episodes", 5, 1);
+  const double time = real_flag(argc, argv, "--time", 5000.0);
   const bool audit = has_flag(argc, argv, "--audit");
   const bool stats = has_flag(argc, argv, "--stats");
   // Concurrent independent episodes (0 = one per hardware thread). Episode
   // seeds are fixed (424242 + e) and results are collected per episode and
   // merged/printed in episode order, so the output is identical to the
   // sequential run at any parallelism level.
-  std::size_t parallel =
-      static_cast<std::size_t>(flag(argc, argv, "--episodes-parallel", 1));
+  std::size_t parallel = count_flag<std::size_t>(argc, argv, "--episodes-parallel", 1);
   if (parallel == 0) parallel = std::thread::hardware_concurrency();
-  // Shard each episode across K LPs (conservative PDES, sim/parallel.hpp).
-  const std::uint32_t partitions =
-      static_cast<std::uint32_t>(flag(argc, argv, "--partitions", 1));
-  if (partitions == 0) {
-    std::fprintf(stderr, "eval: --partitions must be >= 1\n");
-    return 2;
-  }
+  if (algo != "dist" && algo != "gcasp" && algo != "sp") return usage();
+  const sim::Scenario scenario = load_scenario(argv[2]);
   const sim::Scenario eval = scenario.with_end_time(time);
 
-  const core::TrainedPolicy* policy = nullptr;
   const rl::ActorCritic* net = nullptr;
-  static std::optional<core::TrainedPolicy> policy_storage;
   static std::optional<rl::ActorCritic> net_storage;
   if (algo == "dist") {
     const char* policy_path = flag_str(argc, argv, "--policy", nullptr);
@@ -259,14 +254,9 @@ int cmd_eval(int argc, char** argv) {
       std::fprintf(stderr, "eval dist requires --policy <file>\n");
       return 2;
     }
-    policy_storage = core::load_policy(policy_path);
-    net_storage = policy_storage->instantiate();
-    policy = &*policy_storage;
+    net_storage = core::load_policy(policy_path).instantiate();
     net = &*net_storage;
-  } else if (algo != "gcasp" && algo != "sp") {
-    return usage();
   }
-  (void)policy;
 
   struct EpisodeOut {
     double success = 0.0;
@@ -279,76 +269,6 @@ int cmd_eval(int argc, char** argv) {
   };
   std::vector<EpisodeOut> results(episodes);
   const auto run_episode = [&](std::size_t e) {
-    if (partitions > 1) {
-      sim::ParallelSimulator psim(eval, 424242 + e, partitions);
-      const std::uint32_t lps = psim.num_lps();
-      std::vector<std::optional<rl::ActorCritic>> lp_nets(lps);
-      std::vector<std::unique_ptr<sim::Coordinator>> lp_coords;
-      for (std::uint32_t p = 0; p < lps; ++p) {
-        if (algo == "dist") {
-          lp_nets[p] = policy->instantiate();
-          lp_coords.push_back(std::make_unique<core::DistributedDrlCoordinator>(
-              *lp_nets[p], scenario.network().max_degree()));
-        } else if (algo == "gcasp") {
-          lp_coords.push_back(std::make_unique<baselines::GcaspCoordinator>());
-        } else {
-          lp_coords.push_back(std::make_unique<baselines::ShortestPathCoordinator>());
-        }
-      }
-      check::AuditorOptions audit_options;
-      audit_options.partitioned = true;
-      std::vector<check::InvariantAuditor> auditors(lps,
-                                                    check::InvariantAuditor(audit_options));
-      std::vector<check::EventDigest> digests(
-          lps, check::EventDigest(check::EventDigest::Mode::kPartitionLocal));
-      std::vector<check::HookChain> chains(lps);
-      std::vector<sim::Coordinator*> coord_ptrs;
-      std::vector<sim::FlowObserver*> observers;
-      for (std::uint32_t p = 0; p < lps; ++p) {
-        psim.lp(p).enable_decision_timing(telemetry::enabled());
-        if (audit) {
-          chains[p].add(&auditors[p]);
-          chains[p].add(&digests[p]);
-          psim.lp(p).set_audit_hook(&chains[p]);
-          observers.push_back(&auditors[p]);
-        }
-        coord_ptrs.push_back(lp_coords[p].get());
-      }
-      const sim::SimMetrics m = psim.run(coord_ptrs, observers);
-      EpisodeOut& out = results[e];
-      out.success = m.success_ratio();
-      out.has_delay = m.e2e_delay.count() > 0;
-      if (out.has_delay) out.delay = m.e2e_delay.mean();
-      if (audit) {
-        // Order-sensitive combination of the per-LP partition digests: a
-        // stable episode fingerprint for a fixed (seed, K).
-        std::uint64_t combined = 0;
-        std::ostringstream report;
-        for (std::uint32_t p = 0; p < lps; ++p) {
-          combined = check::mix64(combined ^ digests[p].digest());
-          out.violations += auditors[p].total_violations();
-          if (p > 0) report << "; ";
-          report << "lp" << p << ": " << auditors[p].report();
-        }
-        out.digest = combined;
-        out.audit_report = report.str();
-      }
-      if (stats) {
-        sim::Simulator::EngineStats& agg = out.engine;
-        for (std::uint32_t p = 0; p < lps; ++p) {
-          const sim::Simulator::EngineStats s = psim.lp(p).engine_stats();
-          agg.peak_event_heap += s.peak_event_heap;
-          agg.peak_live_flows += s.peak_live_flows;
-          agg.flow_slots += s.flow_slots;
-          agg.hold_slots += s.hold_slots;
-          agg.flows_recycled += s.flows_recycled;
-          agg.holds_recycled += s.holds_recycled;
-          agg.events_skipped += s.events_skipped;
-          agg.heap_compactions += s.heap_compactions;
-        }
-      }
-      return;
-    }
     sim::Simulator sim(eval, 424242 + e);
     // With telemetry on, time every decision so the snapshot's
     // sim.decision_us histogram is populated.
@@ -445,11 +365,11 @@ int cmd_eval(int argc, char** argv) {
 
 int cmd_fuzz(int argc, char** argv) {
   if (!check_flags(argc, argv, {"--seeds", "--time"})) return usage();
-  std::size_t seeds = static_cast<std::size_t>(flag(argc, argv, "--seeds", 25));
+  std::size_t seeds = count_flag<std::size_t>(argc, argv, "--seeds", 25, 1);
   if (const char* env = std::getenv("DOSC_FUZZ_SEEDS")) {
-    seeds = static_cast<std::size_t>(std::atoll(env));
+    seeds = cli::parse_count<std::size_t>("DOSC_FUZZ_SEEDS", env, 1);
   }
-  const double time = flag(argc, argv, "--time", 0.0);  // 0 = fuzzer's choice
+  const double time = real_flag(argc, argv, "--time", 0.0);  // 0 = fuzzer's choice
 
   const check::ScenarioFuzzer fuzzer;
   std::size_t failed = 0;
@@ -480,7 +400,7 @@ int cmd_gen_corpus(int argc, char** argv) {
   const char* only = flag_str(argc, argv, "--entry", nullptr);
   // Audited replays are capped so `--audit` stays CI-sized even for the
   // wan-500 entries; the cap only shortens the episode, never lengthens it.
-  const double audit_time = flag(argc, argv, "--time", 2000.0);
+  const double audit_time = real_flag(argc, argv, "--time", 2000.0);
 
   if (!verify) std::filesystem::create_directories(dir);
   std::size_t drifted = 0;
@@ -556,8 +476,8 @@ int cmd_gen_corpus(int argc, char** argv) {
 int cmd_trace(int argc, char** argv) {
   if (argc < 3 || !check_flags(argc, argv, {"--seed", "--horizon"})) return usage();
   traffic::DiurnalTraceConfig config;
-  config.seed = static_cast<std::uint64_t>(flag(argc, argv, "--seed", 42));
-  config.horizon = flag(argc, argv, "--horizon", 20000.0);
+  config.seed = count_flag<std::uint64_t>(argc, argv, "--seed", 42);
+  config.horizon = real_flag(argc, argv, "--horizon", 20000.0);
   const traffic::RateTrace trace = traffic::make_diurnal_trace(config);
   trace.save(argv[2]);
   std::printf("wrote %zu-segment diurnal trace (horizon %.0f ms) to %s\n",
@@ -566,27 +486,7 @@ int cmd_trace(int argc, char** argv) {
 }
 
 int cmd_serve(int argc, char** argv) {
-  if (argc < 4 ||
-      !check_flags(argc, argv,
-                   {"--port", "--threads", "--max-batch", "--wait-us", "--gemm-threshold",
-                    "--reload-ms", "--duration"},
-                   {"--force-gemv"})) {
-    return usage();
-  }
-  serve::DaemonOptions options;
-  options.scenario_path = argv[2];
-  options.policy_path = argv[3];
-  options.server.port = static_cast<std::uint16_t>(flag(argc, argv, "--port", 0));
-  options.server.threads = static_cast<std::size_t>(flag(argc, argv, "--threads", 1));
-  options.server.batcher.max_batch =
-      static_cast<std::size_t>(flag(argc, argv, "--max-batch", 32));
-  options.server.batcher.wait_budget_us =
-      static_cast<std::uint64_t>(flag(argc, argv, "--wait-us", 50));
-  options.server.batcher.gemm_threshold = flag(argc, argv, "--gemm-threshold", 2.0);
-  options.server.force_gemv = has_flag(argc, argv, "--force-gemv");
-  options.reload_ms = static_cast<std::uint64_t>(flag(argc, argv, "--reload-ms", 1000));
-  options.duration_s = flag(argc, argv, "--duration", 0.0);
-  return serve::run_daemon(options);
+  return serve::run_daemon(cli::parse_daemon_args(argc, argv, 2));
 }
 
 int cmd_load(int argc, char** argv) {
@@ -595,18 +495,18 @@ int cmd_load(int argc, char** argv) {
                    {"--port", "--address", "--rate", "--requests", "--seed", "--drain-ms"})) {
     return usage();
   }
-  const sim::Scenario scenario = load_scenario(argv[2]);
   serve::LoadConfig config;
-  config.port = static_cast<std::uint16_t>(flag(argc, argv, "--port", 0));
+  config.port = count_flag<std::uint16_t>(argc, argv, "--port", 0);
   if (config.port == 0) {
     std::fprintf(stderr, "load requires --port <server port>\n");
     return 2;
   }
   config.address = flag_str(argc, argv, "--address", "127.0.0.1");
-  config.rate = flag(argc, argv, "--rate", 50000.0);
-  config.seed = static_cast<std::uint64_t>(flag(argc, argv, "--seed", 1));
-  config.drain_timeout_ms = static_cast<int>(flag(argc, argv, "--drain-ms", 500));
-  const std::size_t count = static_cast<std::size_t>(flag(argc, argv, "--requests", 100000));
+  config.rate = real_flag(argc, argv, "--rate", 50000.0);
+  config.seed = count_flag<std::uint64_t>(argc, argv, "--seed", 1);
+  config.drain_timeout_ms = count_flag<int>(argc, argv, "--drain-ms", 500);
+  const std::size_t count = count_flag<std::size_t>(argc, argv, "--requests", 100000, 1);
+  const sim::Scenario scenario = load_scenario(argv[2]);
 
   const std::vector<serve::wire::Request> requests =
       serve::make_request_mix(scenario, count, config.seed);
@@ -633,9 +533,9 @@ int cmd_load(int argc, char** argv) {
 
 int cmd_init_policy(int argc, char** argv) {
   if (argc < 4 || !check_flags(argc, argv, {"--hidden", "--seed"})) return usage();
+  const std::size_t hidden = count_flag<std::size_t>(argc, argv, "--hidden", 64);
+  const std::uint64_t seed = count_flag<std::uint64_t>(argc, argv, "--seed", 7);
   const sim::Scenario scenario = load_scenario(argv[2]);
-  const std::size_t hidden = static_cast<std::size_t>(flag(argc, argv, "--hidden", 64));
-  const std::uint64_t seed = static_cast<std::uint64_t>(flag(argc, argv, "--seed", 7));
   const core::TrainedPolicy policy = serve::make_untrained_policy(scenario, hidden, seed);
   core::save_policy(policy, argv[3]);
   std::printf("wrote untrained policy for '%s' (%zu params, degree %zu) to %s\n",
@@ -677,6 +577,9 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
+  } catch (const cli::FlagError& e) {
+    std::fprintf(stderr, "dosc_cli %s: %s\n", command.c_str(), e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -5,66 +5,27 @@
 // Serves placement decisions over UDP (wire format in src/serve/wire.hpp,
 // DESIGN.md §10). Prints "PORT <n>" on stdout once listening. Reloads the
 // policy snapshot when the file changes (see --reload-ms); SIGINT/SIGTERM
-// shut it down cleanly with a final stats line.
+// shut it down cleanly with a final stats line. The flags are shared with
+// `dosc_cli serve` (cli_flags.hpp); a bad flag exits 2 before any file is
+// opened.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
+#include <exception>
 
+#include "cli_flags.hpp"
 #include "serve/daemon.hpp"
-
-namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: dosc_serve <scenario.json> <policy.json> [flags]\n"
-               "  --port P           UDP port (default 0 = ephemeral, printed as PORT <n>)\n"
-               "  --threads N        worker threads sharing the socket (default 1)\n"
-               "  --max-batch B      max requests per forward pass (default 32)\n"
-               "  --wait-us U        straggler wait budget when loaded (default 50)\n"
-               "  --gemm-threshold X EWMA batch size that enables waiting (default 2.0)\n"
-               "  --force-gemv       decide every request on the batch-1 GEMV path\n"
-               "  --reload-ms MS     policy file change poll interval, 0 = off (default 1000)\n"
-               "  --duration S       exit after S seconds, 0 = until signal (default 0)\n");
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   dosc::serve::DaemonOptions options;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    const auto next = [&]() -> const char* { return argv[++i]; };
-    if (std::strcmp(arg, "--port") == 0 && has_value) {
-      options.server.port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (std::strcmp(arg, "--threads") == 0 && has_value) {
-      options.server.threads = static_cast<std::size_t>(std::atoll(next()));
-    } else if (std::strcmp(arg, "--max-batch") == 0 && has_value) {
-      options.server.batcher.max_batch = static_cast<std::size_t>(std::atoll(next()));
-    } else if (std::strcmp(arg, "--wait-us") == 0 && has_value) {
-      options.server.batcher.wait_budget_us = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (std::strcmp(arg, "--gemm-threshold") == 0 && has_value) {
-      options.server.batcher.gemm_threshold = std::atof(next());
-    } else if (std::strcmp(arg, "--force-gemv") == 0) {
-      options.server.force_gemv = true;
-    } else if (std::strcmp(arg, "--reload-ms") == 0 && has_value) {
-      options.reload_ms = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (std::strcmp(arg, "--duration") == 0 && has_value) {
-      options.duration_s = std::atof(next());
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg);
-      return usage();
-    } else {
-      positional.emplace_back(arg);
+  try {
+    options = dosc::cli::parse_daemon_args(argc, argv, 1);
+  } catch (const dosc::cli::FlagError& e) {
+    std::fprintf(stderr, "dosc_serve: %s\nusage: dosc_serve <scenario.json> <policy.json> [flags]\n",
+                 e.what());
+    for (const dosc::cli::DaemonFlag& flag : dosc::cli::kDaemonFlags) {
+      std::fprintf(stderr, "  %s\n", flag.help);
     }
+    return 2;
   }
-  if (positional.size() != 2) return usage();
-  options.scenario_path = positional[0];
-  options.policy_path = positional[1];
   try {
     return dosc::serve::run_daemon(options);
   } catch (const std::exception& e) {

@@ -32,7 +32,7 @@ void InvariantAuditor::on_episode_start(const sim::Simulator& sim) {
   last_seq_ = 0;
   saw_event_ = false;
   const std::size_t state_cells = sim.network().num_nodes() + sim.network().num_links();
-  sampled_ = options_.partitioned || state_cells > options_.full_sweep_cells ||
+  sampled_ = state_cells > options_.full_sweep_cells ||
              instances_.size() > options_.full_sweep_cells;
 }
 
@@ -63,20 +63,13 @@ void InvariantAuditor::check_capacities(const sim::Simulator& sim, double time) 
 }
 
 void InvariantAuditor::check_conservation(const sim::Simulator& sim, double time) {
-  // Transfer-aware balance: every flow this engine ever saw (stamped here or
-  // migrated in) is settled here, migrated out, or still in flight. With no
-  // partitioning both transfer counters are zero and this is the sequential
-  // conservation law.
   const sim::SimMetrics& m = sim.metrics();
-  const std::uint64_t seen = m.generated + sim.transferred_in();
-  const std::uint64_t accounted =
-      m.succeeded + m.dropped + sim.num_active_flows() + sim.transferred_out();
-  if (seen != accounted) {
+  const std::uint64_t accounted = m.succeeded + m.dropped + sim.num_active_flows();
+  if (m.generated != accounted) {
     fail(time, "flow conservation broken: generated " + std::to_string(m.generated) +
-                   " + in " + std::to_string(sim.transferred_in()) + " != succeeded " +
-                   std::to_string(m.succeeded) + " + dropped " + std::to_string(m.dropped) +
-                   " + in-flight " + std::to_string(sim.num_active_flows()) + " + out " +
-                   std::to_string(sim.transferred_out()));
+                   " != succeeded " + std::to_string(m.succeeded) + " + dropped " +
+                   std::to_string(m.dropped) + " + in-flight " +
+                   std::to_string(sim.num_active_flows()));
   }
 }
 
@@ -304,9 +297,7 @@ void InvariantAuditor::on_completed(const sim::Flow& flow, double time) {
                    " smaller than its processing+link+park components " +
                    std::to_string(track.proc_sum + track.link_sum + track.park_sum));
   }
-  // A migrated flow accumulated part of its components (and startup cap) at
-  // another LP's auditor, so only the lower bound holds per-LP.
-  if (!options_.partitioned && waiting > track.startup_cap + options_.eps) {
+  if (waiting > track.startup_cap + options_.eps) {
     fail(time, "flow " + std::to_string(flow.id) + " has " + std::to_string(waiting) +
                    " ms unaccounted waiting (> startup bound " +
                    std::to_string(track.startup_cap) + ")");

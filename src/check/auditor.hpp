@@ -65,15 +65,6 @@ struct AuditorOptions {
   std::size_t full_sweep_cells = 4096;
   /// Sampled mode: full-state sweep period in events.
   std::size_t sample_stride = 64;
-  /// Auditing one LP of a partitioned (ParallelSimulator) run. Forces
-  /// sampled mode — halo mirrors are refreshed between windows without a
-  /// local event, so instance-change attribution would blame the wrong
-  /// event — and relaxes the delay decomposition's upper bound: a migrated
-  /// flow accumulated part of its components at another LP's auditor, so
-  /// only waiting >= 0 remains checkable. Flow conservation uses the
-  /// transfer-aware balance (see check_conservation), which reduces to the
-  /// sequential law when nothing migrates.
-  bool partitioned = false;
 };
 
 class InvariantAuditor final : public sim::AuditHook, public sim::FlowObserver {

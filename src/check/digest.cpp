@@ -2,22 +2,9 @@
 
 #include <bit>
 
-#include "sim/scenario.hpp"
-#include "sim/simulator.hpp"
-
 namespace dosc::check {
 
 void EventDigest::on_event(const sim::Simulator&, const sim::SimEvent& event) {
-  if (mode_ == Mode::kPartitionLocal) {
-    if (event.kind == sim::EventKind::kHoldRelease) return;
-    absorb(static_cast<std::uint64_t>(event.kind) + 1);
-    absorb(std::bit_cast<std::uint64_t>(event.time));
-    absorb(events_);  // per-partition dispatch ordinal, not the global seq
-    absorb(event.flow);
-    absorb((static_cast<std::uint64_t>(event.a) << 32) | event.b);
-    ++events_;
-    return;
-  }
   absorb(static_cast<std::uint64_t>(event.kind) + 1);
   absorb(std::bit_cast<std::uint64_t>(event.time));
   absorb(event.seq);
@@ -29,48 +16,6 @@ void EventDigest::on_event(const sim::Simulator&, const sim::SimEvent& event) {
 void EventDigest::reset() noexcept {
   hash_ = kSeed;
   events_ = 0;
-}
-
-PartitionedEventDigest::PartitionedEventDigest(const sim::Partition& partition)
-    : partition_(&partition),
-      digests_(partition.num_parts(), EventDigest(EventDigest::Mode::kPartitionLocal)) {}
-
-void PartitionedEventDigest::on_event(const sim::Simulator& sim, const sim::SimEvent& event) {
-  const sim::Partition& part = *partition_;
-  std::uint32_t dest = 0;
-  switch (event.kind) {
-    case sim::EventKind::kTrafficArrival:
-      dest = part.part_of(sim.scenario().config().ingress.at(event.a));
-      break;
-    case sim::EventKind::kFlowArrival:
-    case sim::EventKind::kProcessingDone:
-      dest = part.part_of(static_cast<net::NodeId>(event.a));
-      flow_loc_[event.flow] = dest;
-      break;
-    case sim::EventKind::kFlowExpiry: {
-      auto it = flow_loc_.find(event.flow);
-      if (it != flow_loc_.end()) {
-        dest = it->second;
-        flow_loc_.erase(it);
-      }
-      break;
-    }
-    case sim::EventKind::kInstanceIdle:
-      dest = part.part_of(
-          static_cast<net::NodeId>(event.a / static_cast<std::uint32_t>(sim.catalog().num_components())));
-      break;
-    case sim::EventKind::kPeriodic:
-      dest = 0;  // every LP ticks, but only LP 0's tick is a "real" event
-      break;
-    case sim::EventKind::kFailureStart:
-    case sim::EventKind::kFailureEnd:
-      dest = event.a == 0 ? part.part_of(static_cast<net::NodeId>(event.b))
-                          : part.link_owner(event.b);
-      break;
-    case sim::EventKind::kHoldRelease:
-      return;  // excluded from partition digests (see EventDigest::Mode)
-  }
-  digests_.at(dest).on_event(sim, event);
 }
 
 }  // namespace dosc::check

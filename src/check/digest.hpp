@@ -15,11 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/audit.hpp"
-#include "sim/partition.hpp"
 
 namespace dosc::check {
 
@@ -36,23 +33,6 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 
 class EventDigest final : public sim::AuditHook {
  public:
-  /// kFull — the classic golden digest: absorbs (kind, time, seq, flow,
-  /// a, b) of every dispatched event.
-  ///
-  /// kPartitionLocal — the digest of one partition's event stream, equal
-  /// between a sharded LP and the sequential engine's events routed to that
-  /// partition (PartitionedEventDigest below). Two fields of the full mode
-  /// cannot match across engines and are replaced: the global `seq` becomes
-  /// the per-partition dispatch ordinal, and kHoldRelease events are
-  /// excluded entirely — their a-field is a pool slot (engine-internal) and
-  /// a retroactively released hold fires its timer as a stale skip on one
-  /// side but not the other. Everything observable (which events, their
-  /// times, flows, targets, relative order) is still pinned.
-  enum class Mode { kFull, kPartitionLocal };
-
-  EventDigest() = default;
-  explicit EventDigest(Mode mode) : mode_(mode) {}
-
   /// Does NOT reset on episode start: one digest can cover a multi-episode
   /// stream. Use reset() or a fresh instance for per-episode digests.
   void on_event(const sim::Simulator& /*sim*/, const sim::SimEvent& event) override;
@@ -67,30 +47,6 @@ class EventDigest final : public sim::AuditHook {
   static constexpr std::uint64_t kSeed = 0x0D05CD16E57ULL;  // "dosc digest"
   std::uint64_t hash_ = kSeed;
   std::uint64_t events_ = 0;
-  Mode mode_ = Mode::kFull;
-};
-
-/// Sequential-side reference for per-partition digests: installed on a
-/// *sequential* engine, routes every dispatched event to the partition that
-/// would own it in a K-way sharded run and feeds K kPartitionLocal digests.
-/// A ParallelSimulator run with a kPartitionLocal digest per LP must match
-/// digest-for-digest — the PDES exactness check.
-class PartitionedEventDigest final : public sim::AuditHook {
- public:
-  explicit PartitionedEventDigest(const sim::Partition& partition);
-
-  void on_event(const sim::Simulator& sim, const sim::SimEvent& event) override;
-
-  std::uint32_t num_parts() const noexcept { return static_cast<std::uint32_t>(digests_.size()); }
-  std::uint64_t digest(std::uint32_t p) const { return digests_.at(p).digest(); }
-  std::uint64_t events(std::uint32_t p) const { return digests_.at(p).events(); }
-
- private:
-  const sim::Partition* partition_;
-  std::vector<EventDigest> digests_;
-  /// Partition of each live flow's last dispatched kFlowArrival — where its
-  /// record lives in the sharded run, hence where its expiry dispatches.
-  std::unordered_map<sim::FlowId, std::uint32_t> flow_loc_;
 };
 
 }  // namespace dosc::check

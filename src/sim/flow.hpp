@@ -35,15 +35,6 @@ inline constexpr std::size_t kNumDropReasons = 6;
 
 const char* drop_reason_name(DropReason reason) noexcept;
 
-/// Reference to a resource hold owned by another logical process. Used only
-/// by partitioned (multi-LP) runs — see sim/parallel.hpp: a flow that
-/// migrated over a cut link keeps references to the holds still draining at
-/// the engines it left, so dropping it can release them retroactively.
-struct RemoteHoldRef {
-  std::uint32_t lp = 0;
-  std::uint64_t handle = 0;
-};
-
 /// Small-buffer list of generation-tagged resource-hold handles. A flow's
 /// simultaneously active holds (one node hold while processing, plus the
 /// links its tail is still draining through) almost always fit the inline
@@ -127,11 +118,6 @@ struct Flow {
   /// removal), or kNoInstance.
   static constexpr std::uint32_t kNoInstance = 0xFFFFFFFF;
   std::uint32_t processing_instance = kNoInstance;
-  /// Holds this flow still owns at other logical processes (partitioned
-  /// runs only; empty and untouched in sequential runs). Kept outside
-  /// HoldList: these handles belong to *another* engine's pool and must
-  /// never be released locally. Capacity persists across pool recycling.
-  std::vector<RemoteHoldRef> remote_holds;
 
   /// Remaining time to the deadline at time t: tau_f^t = tau_f - (t - t_in).
   double remaining_deadline(double t) const noexcept {

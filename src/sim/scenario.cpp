@@ -1,5 +1,6 @@
 #include "sim/scenario.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "net/topology_io.hpp"
@@ -159,7 +160,9 @@ void Scenario::validate() const {
       throw std::invalid_argument("Scenario: invalid flow template parameters");
     }
   }
-  if (config_.end_time <= 0.0 || config_.park_step <= 0.0) {
+  // NaN fails `x > 0`; an infinite horizon would never stop traffic.
+  const auto positive_finite = [](double x) { return x > 0.0 && std::isfinite(x); };
+  if (!positive_finite(config_.end_time) || !positive_finite(config_.park_step)) {
     throw std::invalid_argument("Scenario: invalid end_time/park_step");
   }
   if (config_.node_cap_hi < config_.node_cap_lo || config_.link_cap_hi < config_.link_cap_lo) {

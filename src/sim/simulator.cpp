@@ -98,18 +98,6 @@ Simulator::Simulator(const Scenario& scenario, std::uint64_t seed)
   buckets_.resize(kNumBuckets);
 }
 
-Simulator::Simulator(const Scenario& scenario, std::uint64_t seed,
-                     const Partition& partition, std::uint32_t part,
-                     const TrafficTrace& trace)
-    : Simulator(scenario, seed) {
-  // The delegated constructor consumed the same RNG draws as a sequential
-  // engine (capacity fork first), so per-seed capacities are identical; the
-  // master stream is otherwise unused — traffic replays from the trace.
-  partition_ = &partition;
-  part_id_ = part;
-  trace_ = &trace;
-}
-
 double Simulator::component_demand(const Flow& flow) const {
   if (fully_processed(flow)) return 0.0;
   return catalog().component(requested_component(flow)).resource(flow.rate);
@@ -273,7 +261,6 @@ Flow& Simulator::emplace_flow() {
   flow.alive = true;
   flow.chain_pos = 0;
   flow.holds.clear();
-  flow.remote_holds.clear();  // keeps capacity; empty outside partition mode
   flow.processing_instance = Flow::kNoInstance;
   flow.pool_handle = make_handle(slot, s.generation);
   s.pending_events = 0;
@@ -363,60 +350,23 @@ void Simulator::start(Coordinator& coordinator, FlowObserver* observer) {
 
   // Seed the event queue: first arrival per ingress, plus periodic callbacks
   // for coordinators that use them (the centralized baseline's monitoring).
-  if (partitioned()) {
-    // Trace replay, restricted to the ingresses this partition owns; the
-    // remaining chains are dispatched (and digested) by their owners.
-    trace_pos_.assign(config.ingress.size(), 0);
-    for (std::size_t i = 0; i < config.ingress.size(); ++i) {
-      if (partition_->part_of(config.ingress[i]) != part_id_) continue;
-      schedule(trace_->chain(i).front().time, EventKind::kTrafficArrival, 0,
-               static_cast<std::uint32_t>(i));
-    }
-  } else {
-    for (std::size_t i = 0; i < config.ingress.size(); ++i) {
-      const double dt = arrivals_[i]->next_interarrival(0.0, ingress_rngs_[i]);
-      schedule(dt, EventKind::kTrafficArrival, 0, static_cast<std::uint32_t>(i));
-    }
+  for (std::size_t i = 0; i < config.ingress.size(); ++i) {
+    const double dt = arrivals_[i]->next_interarrival(0.0, ingress_rngs_[i]);
+    schedule(dt, EventKind::kTrafficArrival, 0, static_cast<std::uint32_t>(i));
   }
   // Only seed the periodic callback if it can fire within the horizon; a
   // coordinator whose interval exceeds end_time gets zero on_periodic calls.
-  // In a sharded run LP 0 dispatches the real (counted, digested) periodic
-  // event; every other LP advances the same schedule as shadows so its own
-  // coordinator's on_periodic still fires.
   periodic_ = coordinator.periodic_interval();
   if (periodic_ > 0.0 && periodic_ <= config.end_time) {
-    const std::uint32_t a = (partitioned() && part_id_ != 0) ? 2u : 0u;
-    schedule(periodic_, EventKind::kPeriodic, 0, a);
+    schedule(periodic_, EventKind::kPeriodic);
   }
   for (const FailureEvent& failure : config.failures) {
     const std::uint32_t kind = (failure.kind == FailureEvent::Kind::kNode) ? 0 : 1;
-    std::uint32_t a = kind;
-    if (partitioned()) {
-      if (failure.kind == FailureEvent::Kind::kNode) {
-        // A node belongs to exactly one LP; other LPs see the failure only
-        // through their halo mirror.
-        if (partition_->part_of(failure.id) != part_id_) continue;
-      } else {
-        const net::Link& link = network_.link(failure.id);
-        const std::uint32_t pa = partition_->part_of(link.a);
-        const std::uint32_t pb = partition_->part_of(link.b);
-        if (part_id_ != pa && part_id_ != pb) continue;  // not our ledger
-        // Both endpoints' LPs gate forward() on link_down_, so the
-        // non-owning side of a cut link applies the flip as a shadow.
-        if (partition_->link_owner(failure.id) != part_id_) a = kind | 2u;
-      }
-    }
-    schedule(failure.start, EventKind::kFailureStart, 0, a, failure.id);
+    schedule(failure.start, EventKind::kFailureStart, 0, kind, failure.id);
     if (failure.duration > 0.0) {
-      schedule(failure.start + failure.duration, EventKind::kFailureEnd, 0, a, failure.id);
+      schedule(failure.start + failure.duration, EventKind::kFailureEnd, 0, kind, failure.id);
     }
   }
-}
-
-double Simulator::next_event_time() {
-  if (queued_ == 0) return std::numeric_limits<double>::infinity();
-  if (near_.empty()) queue_advance();
-  return near_[0].time;
 }
 
 void Simulator::advance_until(double limit) {
@@ -448,13 +398,6 @@ void Simulator::advance_until(double limit) {
     }
 
     time_ = event.time;
-    if (is_shadow(event)) {
-      // Another LP's event mirrored here: apply the effect, but do not
-      // count, audit, or digest it — the owner dispatches the real one.
-      dispatch_shadow(event);
-      maybe_compact_heap();
-      continue;
-    }
     ++events_by_kind_[static_cast<std::size_t>(event.kind)];
     if (audit_hook_ != nullptr) audit_hook_->on_event(*this, event);
 
@@ -495,39 +438,6 @@ SimMetrics Simulator::finish() {
   return metrics_;
 }
 
-bool Simulator::is_shadow(const Event& event) const noexcept {
-  if (partition_ == nullptr) return false;
-  switch (event.kind) {
-    case EventKind::kPeriodic:
-    case EventKind::kFailureStart:
-    case EventKind::kFailureEnd:
-      return (event.a & 2u) != 0;
-    default:
-      return false;
-  }
-}
-
-void Simulator::dispatch_shadow(const Event& event) {
-  switch (event.kind) {
-    case EventKind::kPeriodic:
-      coordinator_->on_periodic(*this, time_);
-      if (time_ + periodic_ <= scenario_.config().end_time) {
-        schedule(time_ + periodic_, EventKind::kPeriodic, 0, 2);
-      }
-      break;
-    // Shadow failures are always cut links (a == 3): mirror the flip on the
-    // local link ledger so forward() admission matches the owner's view.
-    case EventKind::kFailureStart:
-      link_down_[event.b] = 1;
-      break;
-    case EventKind::kFailureEnd:
-      link_down_[event.b] = 0;
-      break;
-    default:
-      break;
-  }
-}
-
 void Simulator::dispatch_event(const Event& event) {
   switch (event.kind) {
     case EventKind::kTrafficArrival: handle_traffic_arrival(event); break;
@@ -558,24 +468,10 @@ void Simulator::dispatch_event(const Event& event) {
 
 void Simulator::handle_traffic_arrival(const Event& event) {
   const ScenarioConfig& config = scenario_.config();
-  const std::uint32_t ingress_index = event.a;
-
-  if (partitioned()) {
-    // Trace replay: flow id and template come from the pregenerated chain
-    // (same stream as the sequential engine's live draws). A sentinel
-    // record is the chain's dispatched-but-unstamped horizon event.
-    const std::vector<TraceEntry>& chain = trace_->chain(ingress_index);
-    const TraceEntry& rec = chain[trace_pos_[ingress_index]];
-    if (rec.flow_id == 0) return;  // generation horizon reached
-    ++trace_pos_[ingress_index];
-    stamp_flow(rec.flow_id, config.flows[rec.template_index], config.ingress[ingress_index]);
-    // Next arrival at this ingress (every non-sentinel record has a successor).
-    schedule(chain[trace_pos_[ingress_index]].time, EventKind::kTrafficArrival, 0,
-             ingress_index);
-    return;
-  }
-
   if (time_ > config.end_time) return;  // generation horizon reached
+
+  const std::uint32_t ingress_index = event.a;
+  const net::NodeId ingress = config.ingress[ingress_index];
 
   // Stamp a flow from a (weighted) template. The cumulative table was built
   // at construction; degenerate all-zero weights fall back to the last
@@ -595,19 +491,13 @@ void Simulator::handle_traffic_arrival(const Event& event) {
       template_index = template_cumulative_.size() - 1;
     }
   }
-  stamp_flow(next_flow_id_++, config.flows[template_index], config.ingress[ingress_index]);
+  const FlowTemplate& tmpl = config.flows[template_index];
 
-  // Next arrival at this ingress.
-  const double dt = arrivals_[ingress_index]->next_interarrival(time_, ingress_rngs_[ingress_index]);
-  schedule(time_ + dt, EventKind::kTrafficArrival, 0, ingress_index);
-}
-
-void Simulator::stamp_flow(FlowId id, const FlowTemplate& tmpl, net::NodeId ingress) {
   Flow& flow = emplace_flow();
-  flow.id = id;
+  flow.id = next_flow_id_++;
   flow.service = tmpl.service;
   flow.ingress = ingress;
-  flow.egress = scenario_.config().egress;
+  flow.egress = config.egress;
   flow.rate = tmpl.rate;
   flow.duration = tmpl.duration;
   flow.arrival_time = time_;
@@ -617,6 +507,10 @@ void Simulator::stamp_flow(FlowId id, const FlowTemplate& tmpl, net::NodeId ingr
 
   schedule_flow_event(time_, EventKind::kFlowArrival, flow, ingress);
   schedule_flow_event(time_ + flow.deadline, EventKind::kFlowExpiry, flow);
+
+  // Next arrival at this ingress.
+  const double dt = arrivals_[ingress_index]->next_interarrival(time_, ingress_rngs_[ingress_index]);
+  schedule(time_ + dt, EventKind::kTrafficArrival, 0, ingress_index);
 }
 
 void Simulator::handle_flow_arrival(const Event& event) {
@@ -725,96 +619,7 @@ void Simulator::forward(Flow& flow, net::NodeId node, const net::Neighbor& neigh
   }
   acquire(/*is_node=*/false, neighbor.link, flow.rate, time_ + link.delay + flow.duration, flow);
   if (observer_ != nullptr) observer_->on_forwarded(flow, node, neighbor.link, time_);
-  if (partitioned() && partition_->part_of(neighbor.node) != part_id_) {
-    // Cut link: the destination node belongs to another LP. Local admission
-    // and the local link hold above are identical to the sequential engine;
-    // only the arrival event moves.
-    migrate(flow, neighbor.node, time_ + link.delay);
-    return;
-  }
   schedule_flow_event(time_ + link.delay, EventKind::kFlowArrival, flow, neighbor.node);
-}
-
-void Simulator::migrate(Flow& flow, net::NodeId dest, double arrival) {
-  if (arrival >= flow.expiry_time()) {
-    // The flow expires in flight: the sequential engine dispatches the
-    // expiry (scheduled at stamping, so it wins the time tie) before the
-    // destination arrival, which then skips as stale. Keep the flow here —
-    // its queued expiry fires at this LP and the destination never hears
-    // of it, exactly as sequential never digests that arrival.
-    return;
-  }
-  FlowTransfer msg;
-  msg.id = flow.id;
-  msg.service = flow.service;
-  msg.chain_pos = flow.chain_pos;
-  msg.ingress = flow.ingress;
-  msg.egress = flow.egress;
-  msg.rate = flow.rate;
-  msg.duration = flow.duration;
-  msg.arrival_time = flow.arrival_time;
-  msg.deadline = flow.deadline;
-  msg.from_node = flow.current_node;
-  msg.dest_node = dest;
-  msg.dest_time = arrival;
-  // The flow's still-draining holds stay behind on their scheduled timers;
-  // the destination records them so a later drop can release them early.
-  flow.holds.remove_dead([this](std::uint64_t h) { return hold_is_live(h); });
-  msg.holds.reserve(flow.holds.size() + flow.remote_holds.size());
-  for (std::size_t i = 0; i < flow.holds.size(); ++i) {
-    msg.holds.push_back({part_id_, flow.holds[i]});
-  }
-  msg.holds.insert(msg.holds.end(), flow.remote_holds.begin(), flow.remote_holds.end());
-  outgoing_transfers_.push_back(std::move(msg));
-  ++transferred_out_;
-  // Not a drop and not a completion: the record just leaves this pool.
-  erase_flow(flow);
-}
-
-void Simulator::inject_flow(const FlowTransfer& msg) {
-  Flow& flow = emplace_flow();
-  flow.id = msg.id;
-  flow.service = msg.service;
-  flow.chain_pos = msg.chain_pos;
-  flow.ingress = msg.ingress;
-  flow.egress = msg.egress;
-  flow.rate = msg.rate;
-  flow.duration = msg.duration;
-  flow.arrival_time = msg.arrival_time;
-  flow.deadline = msg.deadline;
-  flow.current_node = msg.from_node;
-  // A flow can migrate back to an LP it previously left; refs to holds in
-  // our own pool become local holds again (released at drop time exactly
-  // like the sequential engine, instead of lagging a window as a remote
-  // release). Stale handles — holds whose timer fired while the flow was
-  // away — are harmless: release is generation-checked.
-  for (const RemoteHoldRef& rh : msg.holds) {
-    if (rh.lp == part_id_) {
-      flow.holds.push_back(rh.handle);
-    } else {
-      flow.remote_holds.push_back(rh);
-    }
-  }
-  ++transferred_in_;
-  // Expiry before arrival, mirroring stamping order in the sequential
-  // engine: on any later time tie the expiry's smaller seq wins there too.
-  schedule_flow_event(flow.expiry_time(), EventKind::kFlowExpiry, flow);
-  schedule_flow_event(msg.dest_time, EventKind::kFlowArrival, flow, msg.dest_node);
-}
-
-void Simulator::apply_remote_release(std::uint64_t handle) {
-  // The hold's scheduled kHoldRelease timer is still queued; releasing now
-  // makes it stale (generation bump), which the pop-time filter absorbs.
-  if (release_hold(handle)) ++stale_in_heap_;
-}
-
-void Simulator::set_halo_node(net::NodeId v, double used, bool down) {
-  node_used_[v] = used;
-  node_down_[v] = down ? 1 : 0;
-}
-
-void Simulator::set_halo_instance(net::NodeId v, ComponentId c, bool exists) {
-  instances_[instance_index(v, c)].exists = exists;
 }
 
 void Simulator::park(Flow& flow, net::NodeId node) {
@@ -960,12 +765,6 @@ void Simulator::drop(Flow& flow, DropReason reason) {
   // feed stale_in_heap_.
   for (std::size_t i = 0; i < flow.holds.size(); ++i) {
     if (release_hold(flow.holds[i])) ++stale_in_heap_;
-  }
-  // Holds left at other LPs release retroactively: the refs travel to their
-  // owners at the next window barrier. Idempotent there (generation tags),
-  // so a hold whose timer already fired is a no-op.
-  for (const RemoteHoldRef& rh : flow.remote_holds) {
-    outgoing_releases_.push_back(rh);
   }
   if (flow.processing_instance != Flow::kNoInstance) {
     on_instance_maybe_idle(flow.processing_instance);

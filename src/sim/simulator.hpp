@@ -33,7 +33,6 @@
 #include "sim/coordinator.hpp"
 #include "sim/flow.hpp"
 #include "sim/metrics.hpp"
-#include "sim/partition.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -43,27 +42,18 @@ class Simulator {
  public:
   Simulator(const Scenario& scenario, std::uint64_t seed);
 
-  /// Partition-mode constructor: this engine is logical process `part` of a
-  /// K-way sharded episode (driven by ParallelSimulator, sim/parallel.hpp).
-  /// Traffic is replayed from the pregenerated trace — the identical stream
-  /// the seed-driven sequential engine draws — restricted to the ingresses
-  /// this partition owns. `partition` and `trace` must outlive the engine.
-  Simulator(const Scenario& scenario, std::uint64_t seed, const Partition& partition,
-            std::uint32_t part, const TrafficTrace& trace);
-
   /// Run the episode to completion. Must be called at most once.
   /// Equivalent to start(); advance_until(+inf); finish().
   SimMetrics run(Coordinator& coordinator, FlowObserver* observer = nullptr);
 
-  // --- stepwise driving (window-barrier synchronization; run() wraps it) ---
+  // --- stepwise driving: run() wraps these, the perfbench sim workload
+  // calls advance_until in 10 ms chunks, and advance_to_decision (below)
+  // is built on it ---
   /// Seed the event queue and fire the episode-start callbacks. Must be
   /// called at most once, before advance_until/finish.
   void start(Coordinator& coordinator, FlowObserver* observer = nullptr);
   /// Dispatch every queued event with time strictly below `limit`.
   void advance_until(double limit);
-  /// Time of the earliest queued event; +inf when drained. May advance the
-  /// calendar ring cursor (hence not const); dispatches nothing.
-  double next_event_time();
   /// Fire the episode-end callbacks, flush telemetry, return the metrics.
   SimMetrics finish();
 
@@ -91,28 +81,6 @@ class Simulator {
   net::NodeId pending_node() const noexcept { return pending_node_; }
   /// Apply the caller's action for the pending decision and clear it.
   void resume_with_action(int action);
-
-  // --- partition-mode surface (empty / zero in sequential mode) ---
-  std::uint32_t part_id() const noexcept { return part_id_; }
-  /// Flows this engine handed to / admitted from neighbouring LPs.
-  std::uint64_t transferred_out() const noexcept { return transferred_out_; }
-  std::uint64_t transferred_in() const noexcept { return transferred_in_; }
-  /// Flows that migrated over a cut link this window, and early releases of
-  /// holds owned by other LPs (their flow dropped after migrating away).
-  /// The driver drains both at the window barrier.
-  std::vector<FlowTransfer>& outgoing_transfers() noexcept { return outgoing_transfers_; }
-  std::vector<RemoteHoldRef>& outgoing_releases() noexcept { return outgoing_releases_; }
-  /// Admit a flow migrating in over a cut link (barrier phase only; its
-  /// events land at or after the next window's start by the lookahead rule).
-  void inject_flow(const FlowTransfer& msg);
-  /// Retroactively release a local hold of a flow dropped at another LP.
-  /// Idempotent: the handle's generation tag makes a duplicate a no-op.
-  void apply_remote_release(std::uint64_t handle);
-  /// Refresh the read-only mirror of a remote (halo) node: used capacity,
-  /// failure flag, and component-instance existence. Mirrors feed boundary
-  /// observations/decisions; they are never authoritative.
-  void set_halo_node(net::NodeId v, double used, bool down);
-  void set_halo_instance(net::NodeId v, ComponentId c, bool exists);
 
   /// Time every coordinator decision (and periodic rule refresh) into
   /// SimMetrics::decision_time / rule_update_time. One timing point for all
@@ -332,9 +300,6 @@ class Simulator {
   /// Dispatch one live event to its handler.
   void dispatch_event(const Event& event);
   void handle_traffic_arrival(const Event& event);
-  /// Stamp a flow at `ingress` from a template and schedule its arrival,
-  /// expiry, and (sequential mode) the ingress's next traffic arrival.
-  void stamp_flow(FlowId id, const FlowTemplate& tmpl, net::NodeId ingress);
   void handle_flow_arrival(const Event& event);
   void handle_processing_done(const Event& event);
   void handle_instance_idle(const Event& event);
@@ -344,15 +309,6 @@ class Simulator {
   void apply_action(Flow& flow, net::NodeId node, int action);
   void process_locally(Flow& flow, net::NodeId node);
   void forward(Flow& flow, net::NodeId node, const net::Neighbor& neighbor);
-  /// Hand a flow crossing a cut link to the destination LP (partition mode;
-  /// called by forward() after the local link admission + hold).
-  void migrate(Flow& flow, net::NodeId dest, double arrival);
-  bool partitioned() const noexcept { return partition_ != nullptr; }
-  /// Shadow events replicate another LP's state changes (cut-link failures)
-  /// or schedule (periodic callbacks on LPs != 0) without being counted,
-  /// audited, or digested — the owning LP dispatches the real event.
-  bool is_shadow(const Event& event) const noexcept;
-  void dispatch_shadow(const Event& event);
   void park(Flow& flow, net::NodeId node);
   void drop(Flow& flow, DropReason reason);
   void complete(Flow& flow);
@@ -447,16 +403,6 @@ class Simulator {
 
   /// Coordinator periodic interval, hoisted at start() (0 = none).
   double periodic_ = 0.0;
-
-  // --- partition mode (all null/empty for a sequential engine) ---
-  const Partition* partition_ = nullptr;
-  std::uint32_t part_id_ = 0;
-  const TrafficTrace* trace_ = nullptr;
-  std::vector<std::size_t> trace_pos_;  ///< per-ingress trace cursor
-  std::vector<FlowTransfer> outgoing_transfers_;
-  std::vector<RemoteHoldRef> outgoing_releases_;
-  std::uint64_t transferred_out_ = 0;
-  std::uint64_t transferred_in_ = 0;
 };
 
 }  // namespace dosc::sim

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/shortest_path.hpp"
 #include "core/trainer.hpp"
 #include "sim/scenario.hpp"
@@ -86,6 +88,23 @@ TEST(Scenario, ValidationErrors) {
   bad_caps.egress = 2;
   bad_caps.node_cap_hi = -1.0;
   EXPECT_THROW(Scenario(bad_caps, catalog, test::line3()), std::invalid_argument);
+
+  // A NaN horizon passes `end_time <= 0` and +inf never stops traffic;
+  // both, and -inf, must be rejected, as must a non-finite park step.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    ScenarioConfig bad_end;
+    bad_end.ingress = {0};
+    bad_end.egress = 2;
+    bad_end.end_time = bad;
+    EXPECT_THROW(Scenario(bad_end, catalog, test::line3()), std::invalid_argument) << bad;
+    ScenarioConfig bad_park;
+    bad_park.ingress = {0};
+    bad_park.egress = 2;
+    bad_park.park_step = bad;
+    EXPECT_THROW(Scenario(bad_park, catalog, test::line3()), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Scenario, JsonRoundTrip) {

@@ -1,9 +1,15 @@
 // Flow-lifecycle semantics of the discrete-event simulator, verified on
 // hand-computable scenarios: delays, drops (all four reasons), resource
 // holds and early release on expiry, instance startup/idle-timeout,
-// parking, determinism, and periodic callbacks.
+// parking, determinism, periodic callbacks, and chunked (stepwise) driving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
+#include "baselines/shortest_path.hpp"
+#include "check/digest.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 
@@ -356,6 +362,98 @@ TEST(Simulator, PeriodicBeyondHorizonNeverFires) {
   sim.run(coordinator);
   EXPECT_EQ(coordinator.calls, 0u);
   EXPECT_EQ(sim.events_by_kind()[static_cast<std::size_t>(EventKind::kPeriodic)], 0u);
+}
+
+TEST(Simulator, ChunkedAdvanceMatchesRun) {
+  // start + advance_until(limit)... + finish must dispatch exactly run()'s
+  // event stream. Pass 1 drives 10 ms chunks. Pass 2 puts every limit on a
+  // failure start/end or periodic-callback time, where `next event time >=
+  // limit` decides which chunk dispatches the event: it must wait for the
+  // next chunk, so time() stays strictly below each limit.
+  class PeriodicCoordinator final : public Coordinator {
+   public:
+    int decide(const Simulator&, const Flow&, net::NodeId) override { return 0; }
+    double periodic_interval() const override { return 12.5; }
+    void on_periodic(const Simulator&, double time) override { times.push_back(time); }
+    std::vector<double> times;
+  };
+  const Scenario base = make_base_scenario(3);
+  ScenarioConfig config = base.config();
+  config.end_time = 1000.0;
+  config.failures = {{FailureEvent::Kind::kNode, 8, 303.5, 151.25},  // Indianapolis
+                     {FailureEvent::Kind::kLink, 8, 612.25, 0.0}};    // KansasCity-Indianapolis
+  const Scenario scenario(config, base.catalog(), base.network());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  struct Outcome {
+    std::uint64_t digest = 0;
+    std::uint64_t events = 0;
+    std::array<std::uint64_t, kNumEventKinds> by_kind{};
+    SimMetrics metrics;
+    std::vector<double> periodic_times;
+  };
+  // An empty `limits` runs the episode with run().
+  const auto drive = [&](bool periodic, const std::vector<double>& limits) {
+    Simulator sim(scenario, 11);
+    check::EventDigest digest;
+    sim.set_audit_hook(&digest);
+    baselines::ShortestPathCoordinator sp;
+    PeriodicCoordinator ticker;
+    Coordinator& coordinator = periodic ? static_cast<Coordinator&>(ticker) : sp;
+    Outcome out;
+    if (limits.empty()) {
+      out.metrics = sim.run(coordinator);
+    } else {
+      sim.start(coordinator);
+      for (const double limit : limits) {
+        sim.advance_until(limit);
+        EXPECT_LT(sim.time(), limit) << "an event at or after " << limit << " was dispatched";
+      }
+      sim.advance_until(kInf);
+      out.metrics = sim.finish();
+    }
+    out.digest = digest.digest();
+    out.events = digest.events();
+    out.by_kind = sim.events_by_kind();
+    out.periodic_times = ticker.times;
+    return out;
+  };
+
+  std::vector<double> grid;
+  for (double t = 10.0; t <= config.end_time + 200.0; t += 10.0) grid.push_back(t);
+  std::vector<double> on_events{303.5, 303.5 + 151.25, 612.25};
+  std::vector<double> with_ticks = on_events;
+  for (double t = 12.5; t <= config.end_time; t += 12.5) with_ticks.push_back(t);
+  std::sort(with_ticks.begin(), with_ticks.end());
+
+  for (const bool periodic : {false, true}) {
+    SCOPED_TRACE(periodic ? "periodic coordinator" : "sp");
+    const Outcome whole = drive(periodic, {});
+    const auto& failed = whole.metrics.drops_by_reason;
+    ASSERT_EQ(whole.by_kind[static_cast<std::size_t>(EventKind::kFailureStart)], 2u);
+    ASSERT_EQ(whole.by_kind[static_cast<std::size_t>(EventKind::kFailureEnd)], 1u);
+    if (periodic) {
+      ASSERT_EQ(whole.periodic_times.size(), 80u);
+    } else {
+      // The failures sit on sp's paths, so they drop traffic.
+      EXPECT_GT(failed[static_cast<std::size_t>(DropReason::kNodeFailed)], 0u);
+      EXPECT_GT(failed[static_cast<std::size_t>(DropReason::kLinkFailed)], 0u);
+    }
+    for (const std::vector<double>* limits : {&grid, periodic ? &with_ticks : &on_events}) {
+      const Outcome chunked = drive(periodic, *limits);
+      EXPECT_EQ(chunked.digest, whole.digest);
+      EXPECT_EQ(chunked.events, whole.events);
+      EXPECT_EQ(chunked.by_kind, whole.by_kind);
+      EXPECT_EQ(chunked.periodic_times, whole.periodic_times);
+      EXPECT_EQ(chunked.metrics.generated, whole.metrics.generated);
+      EXPECT_EQ(chunked.metrics.succeeded, whole.metrics.succeeded);
+      EXPECT_EQ(chunked.metrics.dropped, whole.metrics.dropped);
+      EXPECT_EQ(chunked.metrics.decisions, whole.metrics.decisions);
+      EXPECT_EQ(chunked.metrics.drops_by_reason, whole.metrics.drops_by_reason);
+      EXPECT_EQ(chunked.metrics.e2e_delay.count(), whole.metrics.e2e_delay.count());
+      EXPECT_EQ(chunked.metrics.e2e_delay.mean(), whole.metrics.e2e_delay.mean());
+    }
+  }
 }
 
 TEST(Simulator, ComponentDemandAndProgress) {
