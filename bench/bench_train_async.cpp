@@ -1,7 +1,7 @@
 // Training throughput benchmark: decoupled async actor/learner vs the
 // synchronous barrier trainer.
 //
-// Four sections, all landing in BENCH_train_async.json ("dosc.bench.v1"):
+// Three sections, all landing in BENCH_train_async.json ("dosc.bench.v1"):
 //
 //  1. Sync baseline: the synchronous trainer's inner loop (l episodes
 //     through one rl::BatchedRollout -> merge -> update, no eval) timed end
@@ -13,14 +13,14 @@
 //     each worker drives its episodes through its own BatchedRollout.
 //     Reports env_steps/s, updates/s, mean snapshot staleness at
 //     consumption, and speedup over the sync baseline.
-//  3. Lockstep parity: core::train_distributed_policy with async{1 worker,
-//     max_staleness 0} against the plain synchronous path — trained
-//     parameters must match bit for bit (the test-suite anchor, re-proved
-//     here on the benchmark workload).
-//  4. Thread budget: what resolve_thread_budget hands each sweep point on
+//  3. Thread budget: what resolve_thread_budget hands each sweep point on
 //     this machine, so the JSON records whether workers were oversubscribed
 //     (on a 1-core container the 8-worker point measures scheduling
 //     overhead, not scale-out — see EXPERIMENTS.md).
+//
+// Lockstep bit-parity with the synchronous trainer is pinned in ctest
+// (AsyncTrainer.LockstepOneWorkerIsBitIdenticalToSyncTrainer and
+// AsyncTrainer.BatchedWorkerLockstepBitIdenticalToSequentialWorker).
 //
 // DOSC_BENCH_SMOKE=1 (CI) shortens horizons but exercises every section.
 #include <cstdint>
@@ -184,33 +184,6 @@ ThroughputResult run_async(const sim::Scenario& scenario, std::size_t workers,
   return result;
 }
 
-/// Section 3: full train_distributed_policy parity, sync vs lockstep async
-/// (envs_per_worker = 1 rolls one episode per round; > 1 re-proves that
-/// wider rounds leave the lockstep parameter trajectory untouched).
-bool lockstep_parity(const sim::Scenario& scenario, std::size_t envs_per_worker) {
-  core::TrainingConfig config;
-  config.hidden = {16, 16};
-  config.num_seeds = 1;
-  config.parallel_envs = 2;
-  config.iterations = smoke() ? 3 : 6;
-  config.train_episode_time = 300.0;
-  config.eval_episodes = 1;
-  config.eval_episode_time = 300.0;
-  core::TrainingConfig async_config = config;
-  async_config.async.enabled = true;
-  async_config.async.num_workers = 1;
-  async_config.async.max_staleness = 0;
-  async_config.async.envs_per_worker = envs_per_worker;
-  const core::TrainedPolicy sync_policy = core::train_distributed_policy(scenario, config);
-  const core::TrainedPolicy async_policy =
-      core::train_distributed_policy(scenario, async_config);
-  if (sync_policy.parameters.size() != async_policy.parameters.size()) return false;
-  for (std::size_t i = 0; i < sync_policy.parameters.size(); ++i) {
-    if (sync_policy.parameters[i] != async_policy.parameters[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -300,24 +273,6 @@ int main() {
     }));
   }
 
-  // ---- Section 3: lockstep bit-parity ----------------------------------
-  const bool parity = lockstep_parity(scenario, /*envs_per_worker=*/1);
-  std::printf("lockstep parity (1 worker, staleness 0 vs sync): %s\n",
-              parity ? "IDENTICAL" : "DIVERGED");
-  entries.push_back(util::Json(util::Json::Object{
-      {"kind", util::Json(std::string("lockstep_parity"))},
-      {"envs_per_worker", util::Json(std::size_t{1})},
-      {"parameters_bit_identical", util::Json(parity)},
-  }));
-  const bool batched_parity = lockstep_parity(scenario, /*envs_per_worker=*/4);
-  std::printf("lockstep parity (batched worker, B=4 vs sync): %s\n",
-              batched_parity ? "IDENTICAL" : "DIVERGED");
-  entries.push_back(util::Json(util::Json::Object{
-      {"kind", util::Json(std::string("lockstep_parity"))},
-      {"envs_per_worker", util::Json(std::size_t{4})},
-      {"parameters_bit_identical", util::Json(batched_parity)},
-  }));
-
   const util::Json doc(util::Json::Object{
       {"schema", util::Json("dosc.bench.v1")},
       {"benchmark", util::Json("train_async")},
@@ -328,5 +283,5 @@ int main() {
   const std::string path = "BENCH_train_async.json";
   doc.save_file(path, 2);
   std::printf("wrote %s\n", path.c_str());
-  return (parity && batched_parity) ? 0 : 1;
+  return 0;
 }

@@ -35,11 +35,12 @@
 namespace dosc {
 namespace {
 
-rl::ActorCritic make_policy(const sim::Scenario& scenario, std::uint64_t seed = 42) {
+rl::ActorCritic make_policy(const sim::Scenario& scenario, std::uint64_t seed = 42,
+                            std::size_t hidden = 16) {
   rl::ActorCriticConfig config;
   config.obs_dim = core::observation_dim(scenario.network().max_degree());
   config.num_actions = scenario.network().max_degree() + 1;
-  config.hidden = {16, 16};
+  config.hidden = {hidden, hidden};
   config.seed = seed;
   return rl::ActorCritic(config);
 }
@@ -99,22 +100,22 @@ TEST(BatchedRollout, ValidatesActorShape) {
                std::invalid_argument);
 }
 
-TEST(BatchedRollout, GreedyEpisodesBitIdenticalAcrossTopologiesAndWidths) {
-  // The tentpole exactness gate: all four Table-I topologies plus the
-  // fat-tree/WAN corpus entries, at B in {1, 4, 16}. Every batched episode
-  // must match its sequential twin digest-for-digest; B = 1 additionally
-  // must take the GEMV path on every round.
-  std::vector<std::string> scenarios = net::topology_names();
-  scenarios.push_back("corpus:ft_k4_steady");
-  scenarios.push_back("corpus:wan_100_steady");
+/// Drives greedy episodes of each named scenario (a topology, or
+/// "corpus:<entry>") through the batched driver at B in {1, 4, 16} under a
+/// 2 x `hidden` net. Every batched episode must match its sequential twin
+/// digest-for-digest; B = 1 additionally must take the GEMV path on every
+/// round.
+void expect_batched_greedy_matches_sequential(const std::vector<std::string>& scenarios,
+                                              std::size_t hidden) {
   for (const std::string& name : scenarios) {
     const bool corpus = name.rfind("corpus:", 0) == 0;
     const sim::Scenario scenario =
         corpus ? check::CorpusGenerator::make(name.substr(7)).with_end_time(150.0)
                : sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, name,
                                          300.0);
-    const rl::ActorCritic policy = make_policy(scenario);
+    const rl::ActorCritic policy = make_policy(scenario, 42, hidden);
     const std::size_t obs_dim = policy.config().obs_dim;
+    const std::string label = name + " 2x" + std::to_string(hidden);
     for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
       std::vector<EpisodeFingerprint> expected;
       for (std::size_t e = 0; e < width; ++e) {
@@ -135,22 +136,34 @@ TEST(BatchedRollout, GreedyEpisodesBitIdenticalAcrossTopologiesAndWidths) {
       }
       rl::BatchedRollout driver(policy.actor(), obs_dim);
       const rl::BatchedRolloutStats stats = driver.run(envs);
-      EXPECT_GT(stats.decisions, 0u) << name;
-      EXPECT_LE(stats.max_rows, width) << name;
+      EXPECT_GT(stats.decisions, 0u) << label;
+      EXPECT_LE(stats.max_rows, width) << label;
       if (width == 1) {
         // Single env: every round is a single row and must take the GEMV
         // (predict_row) path — the exact sequential fast path.
-        EXPECT_EQ(stats.gemv_rounds, stats.rounds) << name;
-        EXPECT_EQ(stats.max_rows, 1u) << name;
+        EXPECT_EQ(stats.gemv_rounds, stats.rounds) << label;
+        EXPECT_EQ(stats.max_rows, 1u) << label;
       }
       for (std::size_t e = 0; e < width; ++e) {
         const sim::SimMetrics metrics = episodes[e]->finish();
         expect_equal(fingerprint(digests[e].digest(), digests[e].events(), metrics),
                      expected[e],
-                     name + " B=" + std::to_string(width) + " episode " + std::to_string(e));
+                     label + " B=" + std::to_string(width) + " episode " + std::to_string(e));
       }
     }
   }
+}
+
+TEST(BatchedRollout, GreedyEpisodesBitIdenticalAcrossTopologiesAndWidths) {
+  // The exactness gate: all four Table-I topologies plus the
+  // fat-tree/WAN corpus entries at 2x16, then Abilene at the paper's 2x256
+  // net (Sec. V-A2), the width perfbench times. Only Abilene runs at 2x256:
+  // all six scenarios at that width take ~100 s under ASan.
+  std::vector<std::string> scenarios = net::topology_names();
+  scenarios.push_back("corpus:ft_k4_steady");
+  scenarios.push_back("corpus:wan_100_steady");
+  expect_batched_greedy_matches_sequential(scenarios, 16);
+  expect_batched_greedy_matches_sequential({"abilene"}, 256);
 }
 
 TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {

@@ -51,8 +51,8 @@ sim::Scenario golden_scenario() {
 }
 
 GoldenRun run_audited(const sim::Scenario& scenario, sim::Coordinator& coordinator,
-                      const char* name) {
-  sim::Simulator sim(scenario, kSeed);
+                      const char* name, std::uint64_t seed = kSeed) {
+  sim::Simulator sim(scenario, seed);
   InvariantAuditor auditor;
   EventDigest digest;
   HookChain hooks{&auditor, &digest};
@@ -74,11 +74,11 @@ GoldenRun run_audited(const sim::Scenario& scenario, sim::Coordinator& coordinat
 
 bool exact_nn_pins() { return std::string(nn::gemm::isa_name()) == "avx2+fma"; }
 
-rl::ActorCritic dist_policy(const sim::Scenario& scenario) {
+rl::ActorCritic dist_policy(const sim::Scenario& scenario, std::size_t hidden = 32) {
   rl::ActorCriticConfig config;
   config.obs_dim = core::observation_dim(scenario.network().max_degree());
   config.num_actions = scenario.network().max_degree() + 1;
-  config.hidden = {32, 32};
+  config.hidden = {hidden, hidden};
   config.seed = 42;
   return rl::ActorCritic(config);
 }
@@ -175,6 +175,22 @@ TEST(Golden, ShortestPathNodeFailureCasualtyOrder) {
   EXPECT_EQ(run.digest, 0x642c35486f336aa8ULL);
 }
 
+/// Runs one episode under the decision fast path and under the frozen
+/// legacy pipeline with the same policy and seed; the event digests and
+/// outcomes must be identical. Returns the fast path's run.
+GoldenRun expect_fast_matches_legacy(const sim::Scenario& scenario, const rl::ActorCritic& policy,
+                                     std::uint64_t seed) {
+  core::DistributedDrlCoordinator fast(policy, scenario.network().max_degree());
+  const GoldenRun fast_run = run_audited(scenario, fast, "dist_fast", seed);
+  core::LegacyDistributedDrlCoordinator legacy(policy, scenario.network().max_degree());
+  const GoldenRun legacy_run = run_audited(scenario, legacy, "dist_legacy", seed);
+  EXPECT_EQ(fast_run.digest, legacy_run.digest) << "seed " << seed;
+  EXPECT_EQ(fast_run.events, legacy_run.events) << "seed " << seed;
+  EXPECT_EQ(fast_run.metrics.succeeded, legacy_run.metrics.succeeded) << "seed " << seed;
+  EXPECT_EQ(fast_run.metrics.dropped, legacy_run.metrics.dropped) << "seed " << seed;
+  return fast_run;
+}
+
 TEST(Golden, FastPathMatchesLegacyDecisionStream) {
   // The decision fast path (packed gemv forward, bound observation tables,
   // fused decide) against the frozen pre-PR pipeline
@@ -182,24 +198,25 @@ TEST(Golden, FastPathMatchesLegacyDecisionStream) {
   // decision stream, and therefore the full event digest and SimMetrics,
   // must be identical. The legacy forward accumulates bias-first with
   // zero-input skipping, so the two logit vectors differ in final ulps;
-  // this pin asserts those ulps never flip an argmax on the golden episode.
+  // this pin asserts those ulps never flip an argmax on the golden episode,
+  // nor at the paper's 2x256 net (Sec. V-A2) on three 500 ms Abilene
+  // episodes.
   // Gated on the avx2+fma dispatch like the other NN pins: on the baseline
   // ISA both paths still agree (same madd), but the episode differs from
   // the pinned one.
   if (!exact_nn_pins()) GTEST_SKIP() << "NN goldens pinned for avx2+fma";
   const sim::Scenario scenario = golden_scenario();
-  const rl::ActorCritic policy = dist_policy(scenario);
-  core::DistributedDrlCoordinator fast(policy, scenario.network().max_degree());
-  const GoldenRun fast_run = run_audited(scenario, fast, "dist_fast");
-  core::LegacyDistributedDrlCoordinator legacy(policy, scenario.network().max_degree());
-  const GoldenRun legacy_run = run_audited(scenario, legacy, "dist_legacy");
-  EXPECT_EQ(fast_run.digest, legacy_run.digest);
-  EXPECT_EQ(fast_run.events, legacy_run.events);
-  EXPECT_EQ(fast_run.metrics.succeeded, legacy_run.metrics.succeeded);
-  EXPECT_EQ(fast_run.metrics.dropped, legacy_run.metrics.dropped);
+  const GoldenRun fast_run = expect_fast_matches_legacy(scenario, dist_policy(scenario), kSeed);
   // And both equal the pinned digest of Golden.DistributedDrlAbilene, so
   // the fast path is pinned transitively too.
   EXPECT_EQ(fast_run.digest, 0x4a23a9d2824a7557ULL);
+
+  const sim::Scenario paper_net_scenario =
+      sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, "abilene", 500.0);
+  const rl::ActorCritic paper_net = dist_policy(paper_net_scenario, 256);
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    expect_fast_matches_legacy(paper_net_scenario, paper_net, seed);
+  }
 }
 
 // --- corpus goldens ---------------------------------------------------------

@@ -46,7 +46,9 @@ TEST(Simulator, HappyPathDelaysAddUp) {
   ASSERT_EQ(observer.count(RecordingObserver::Event::Kind::kCompleted), 1u);
   // Completion fires at arrival (10) + 9.
   for (const auto& e : observer.events) {
-    if (e.kind == RecordingObserver::Event::Kind::kCompleted) EXPECT_DOUBLE_EQ(e.time, 19.0);
+    if (e.kind == RecordingObserver::Event::Kind::kCompleted) {
+      EXPECT_DOUBLE_EQ(e.time, 19.0);
+    }
   }
   EXPECT_EQ(observer.count(RecordingObserver::Event::Kind::kProcessed), 1u);
   EXPECT_EQ(observer.count(RecordingObserver::Event::Kind::kForwarded), 2u);
