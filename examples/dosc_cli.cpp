@@ -62,6 +62,7 @@
 #include "core/trainer.hpp"
 #include "net/topology_io.hpp"
 #include "net/topology_zoo.hpp"
+#include "nn/gemm.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
 #include "sim/scenario.hpp"
@@ -211,8 +212,11 @@ int cmd_train(int argc, char** argv) {
   config.num_seeds = count_flag<std::size_t>(argc, argv, "--seeds", 1, 1);
   config.updater.lr_decay_updates = config.iterations;
   const sim::Scenario scenario = load_scenario(argv[2]);
-  std::printf("training on '%s' (%zu seeds x %zu iterations)...\n",
-              scenario.config().name.c_str(), config.num_seeds, config.iterations);
+  // The GEMM tier sets the speed of the update, not its result: printed so
+  // a training time can be traced to the kernels that produced it.
+  std::printf("training on '%s' (%zu seeds x %zu iterations, gemm %s)...\n",
+              scenario.config().name.c_str(), config.num_seeds, config.iterations,
+              nn::gemm::tile_name());
   const core::TrainedPolicy policy = core::train_distributed_policy(
       scenario, config, [](const core::TrainingProgress& p) {
         if (p.iteration % 25 == 0) {

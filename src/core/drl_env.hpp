@@ -148,8 +148,8 @@ class DistributedDrlCoordinator final : public sim::Coordinator,
 
 /// The seed's per-decision pipeline — unbound (graph-walking) observation
 /// build plus the scalar predict_row loop — frozen as an executable
-/// reference point. bench_decide's interleaved A/B runs measure the fast
-/// path's speedup against it, and the golden guard asserts both pipelines
+/// reference point: the golden guard
+/// (Golden.FastPathMatchesLegacyDecisionStream) asserts both pipelines
 /// produce the same greedy decision stream. Not for production use.
 class LegacyDistributedDrlCoordinator final : public sim::Coordinator {
  public:

@@ -2,39 +2,57 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "nn/parallel.hpp"
 #include "telemetry/registry.hpp"
 
-// Kernel bodies are included once per ISA level. The baseline instantiation
-// uses whatever the project-wide flags allow; the AVX2+FMA instantiation is
-// compiled with a function-level target override and selected at runtime via
-// cpuid, so the shipped binary stays portable while hot loops use FMA.
+// Kernel bodies are included once per tier. The baseline instantiation uses
+// whatever the project-wide flags allow; the AVX2+FMA (4x8 tile) and AVX-512
+// (4x16 tile) instantiations are compiled with function-level target
+// overrides and selected at runtime via cpuid, so the shipped binary stays
+// portable while hot loops use FMA at the widest vector the CPU has.
 #define DOSC_GEMM_NAMESPACE gemm_baseline
 #include "nn/gemm_kernels.inc"
 #undef DOSC_GEMM_NAMESPACE
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define DOSC_GEMM_HAVE_AVX2 1
+#define DOSC_GEMM_HAVE_X86_TIERS 1
+#define DOSC_GEMM_FMA 1
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 #define DOSC_GEMM_NAMESPACE gemm_avx2
-#define DOSC_GEMM_FMA 1
 #include "nn/gemm_kernels.inc"
-#undef DOSC_GEMM_FMA
 #undef DOSC_GEMM_NAMESPACE
 #pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma,prefer-vector-width=512")
+#define DOSC_GEMM_NAMESPACE gemm_avx512
+#define DOSC_GEMM_TILE_PANELS 2
+#include "nn/gemm_kernels.inc"
+#undef DOSC_GEMM_TILE_PANELS
+#undef DOSC_GEMM_NAMESPACE
+#pragma GCC pop_options
+#undef DOSC_GEMM_FMA
 #endif
 
 namespace dosc::nn::gemm {
 
-// packed_b_size() and the per-thread panel buffers quote the baseline tile
-// and k-panel sizes for every dispatch level.
-#ifdef DOSC_GEMM_HAVE_AVX2
+// packed_b_size() and the per-thread panel buffers quote the baseline panel
+// width, tile height and k-panel depth for every tier; a tier's tile spans at
+// most kMaxTilePanels packed panels.
+constexpr std::size_t kMaxTilePanels = 2;
+static_assert(gemm_baseline::kPanels <= kMaxTilePanels);
+#ifdef DOSC_GEMM_HAVE_X86_TIERS
 static_assert(gemm_avx2::kNr == gemm_baseline::kNr);
 static_assert(gemm_avx2::kMr == gemm_baseline::kMr);
 static_assert(gemm_avx2::kKc == gemm_baseline::kKc);
+static_assert(gemm_avx512::kNr == gemm_baseline::kNr);
+static_assert(gemm_avx512::kMr == gemm_baseline::kMr);
+static_assert(gemm_avx512::kKc == gemm_baseline::kKc);
+static_assert(gemm_avx512::kPanels <= kMaxTilePanels);
 #endif
 
 namespace {
@@ -54,6 +72,8 @@ using PackedRowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n,
 using PackBFn = void (*)(std::size_t kc, std::size_t n, const double* b, std::size_t ldb,
                          double* bp);
 
+using detail::Tier;
+
 struct KernelSet {
   RowsFn rows;
   PackedRowsFn rows_packed;
@@ -61,25 +81,49 @@ struct KernelSet {
   RefFn ref_nn;
   RefFn ref_tn;
   RefFn ref_nt;
-  std::size_t mr;
-  const char* isa;
+  Tier tier;
+  const char* isa;   ///< rounding family, see isa_name()
+  const char* tile;  ///< see tile_name()
 };
 
-const KernelSet& kernels() {
-  static const KernelSet set = [] {
-#ifdef DOSC_GEMM_HAVE_AVX2
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return KernelSet{&gemm_avx2::gemm_rows, &gemm_avx2::gemm_rows_packed,
-                       &gemm_avx2::pack_b_slab, &gemm_avx2::ref_nn, &gemm_avx2::ref_tn,
-                       &gemm_avx2::ref_nt, gemm_avx2::kMr, "avx2+fma"};
-    }
+/// The kernels of `tier`, or null when this build lacks the tier or this CPU
+/// cannot run it. Each check covers every feature the tier's
+/// #pragma GCC target enables.
+const KernelSet* tier_kernels(Tier tier) noexcept {
+  static constexpr KernelSet baseline{
+      &gemm_baseline::gemm_rows, &gemm_baseline::gemm_rows_packed,
+      &gemm_baseline::pack_b_slab, &gemm_baseline::ref_nn, &gemm_baseline::ref_tn,
+      &gemm_baseline::ref_nt, Tier::kBaseline, "baseline", "4x8 baseline"};
+  if (tier == Tier::kBaseline) return &baseline;
+#ifdef DOSC_GEMM_HAVE_X86_TIERS
+  static constexpr KernelSet avx2{
+      &gemm_avx2::gemm_rows, &gemm_avx2::gemm_rows_packed, &gemm_avx2::pack_b_slab,
+      &gemm_avx2::ref_nn, &gemm_avx2::ref_tn, &gemm_avx2::ref_nt, Tier::kAvx2,
+      "avx2+fma", "4x8 avx2+fma"};
+  static constexpr KernelSet avx512{
+      &gemm_avx512::gemm_rows, &gemm_avx512::gemm_rows_packed, &gemm_avx512::pack_b_slab,
+      &gemm_avx512::ref_nn, &gemm_avx512::ref_tn, &gemm_avx512::ref_nt, Tier::kAvx512,
+      "avx2+fma", "4x16 avx512"};
+  const bool fma = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  if (tier == Tier::kAvx2 && fma) return &avx2;
+  if (tier == Tier::kAvx512 && fma && __builtin_cpu_supports("avx512f")) return &avx512;
 #endif
-    return KernelSet{&gemm_baseline::gemm_rows, &gemm_baseline::gemm_rows_packed,
-                     &gemm_baseline::pack_b_slab, &gemm_baseline::ref_nn, &gemm_baseline::ref_tn,
-                     &gemm_baseline::ref_nt, gemm_baseline::kMr, "baseline"};
-  }();
-  return set;
+  return nullptr;
 }
+
+/// The dispatched kernels: the widest tier the CPU runs, unless a
+/// detail::TierGuard overrides it.
+std::atomic<const KernelSet*>& active_kernels() {
+  static std::atomic<const KernelSet*> active{[] {
+    for (const Tier tier : {Tier::kAvx512, Tier::kAvx2}) {
+      if (const KernelSet* set = tier_kernels(tier)) return set;
+    }
+    return tier_kernels(Tier::kBaseline);
+  }()};
+  return active;
+}
+
+const KernelSet& kernels() { return *active_kernels().load(std::memory_order_relaxed); }
 
 std::atomic<std::uint64_t> g_flops{0};
 std::atomic<std::uint64_t> g_calls{0};
@@ -106,18 +150,24 @@ std::vector<double>& transpose_buffer() {
   return buf;
 }
 
-/// detail::thread_scratch slots of the tiled driver, fetched inside chunk
+/// nn::detail::thread_scratch slots of the tiled driver, fetched inside chunk
 /// bodies only. Every pool participant's buffers are grown to each slot's
 /// high water mark before a job starts, so a thread meeting a shape for the
 /// first time (row chunks and K-FAC layer tasks are claimed off an atomic
 /// ticket) finds its buffers already sized.
 enum ScratchSlot : std::size_t { kBPanel, kAPanel, kAccumulate };
-static_assert(kAccumulate < detail::kScratchSlots);
+static_assert(kAccumulate < nn::detail::kScratchSlots);
 
-/// The calling thread's packed-panel buffer, grown to one k-panel of B.
+/// The calling thread's packed-panel buffer, grown to one k-panel of the
+/// widest tile's panels and aligned to a cache line, so each packed row (one
+/// ZMM or two YMM loads) sits on one line.
 double* b_panel_scratch(std::size_t k) {
-  const std::size_t need = std::min(k, gemm_baseline::kKc) * gemm_baseline::kNr;
-  return detail::thread_scratch(kBPanel, std::max<std::size_t>(need, 64));
+  constexpr std::size_t kLine = 64 / sizeof(double);
+  const std::size_t need =
+      kMaxTilePanels * std::min(k, gemm_baseline::kKc) * gemm_baseline::kNr + kLine - 1;
+  double* buf = nn::detail::thread_scratch(kBPanel, need);
+  const std::size_t misalign = reinterpret_cast<std::uintptr_t>(buf) % 64 / sizeof(double);
+  return buf + (kLine - misalign) % kLine;
 }
 
 /// The calling thread's buffer for one k-panel of `rows` rows of A, needed
@@ -125,14 +175,14 @@ double* b_panel_scratch(std::size_t k) {
 double* a_panel_scratch(std::size_t rows, std::size_t k) {
   if (k <= gemm_baseline::kKc) return nullptr;
   const std::size_t tiles = (rows + gemm_baseline::kMr - 1) / gemm_baseline::kMr;
-  return detail::thread_scratch(kAPanel, tiles * gemm_baseline::kMr * gemm_baseline::kKc);
+  return nn::detail::thread_scratch(kAPanel, tiles * gemm_baseline::kMr * gemm_baseline::kKc);
 }
 
 /// The calling thread's accumulate buffer for rows x n of C, needed only
 /// when a product adds into C over more than one k-panel (gemm_blocked).
 double* accumulate_scratch(std::size_t rows, std::size_t n, std::size_t k, bool accumulate) {
   if (!accumulate || k <= gemm_baseline::kKc) return nullptr;
-  return detail::thread_scratch(kAccumulate, rows * n);
+  return nn::detail::thread_scratch(kAccumulate, rows * n);
 }
 
 /// Chunks are sized so each holds at least ~256k multiply-adds: smaller
@@ -146,7 +196,8 @@ void run_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a, std
   const KernelSet& ks = kernels();
   const std::size_t per_row_macs = std::max<std::size_t>(1, n * k);
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
-  parallel_for_rows(m, std::max(min_rows, ks.mr), ks.mr,
+  constexpr std::size_t kMr = gemm_baseline::kMr;
+  parallel_for_rows(m, std::max(min_rows, kMr), kMr,
                     [&](std::size_t row0, std::size_t row1) {
                       ks.rows(row0, row1, n, k, a, a_rs, a_ks, b, ldb, c, ldc, accumulate,
                               upper_only, b_panel_scratch(k), a_panel_scratch(row1 - row0, k),
@@ -163,7 +214,7 @@ void nn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_
 }
 
 std::size_t packed_b_size(std::size_t k, std::size_t n) noexcept {
-  // Both ISA instantiations share kNr (static_asserted above), so the slab
+  // Every tier packs panels kNr wide (static_asserted above), so the slab
   // size is dispatch-independent.
   return ((n + gemm_baseline::kNr - 1) / gemm_baseline::kNr) * k * gemm_baseline::kNr;
 }
@@ -180,7 +231,8 @@ void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
   const KernelSet& ks = kernels();
   const std::size_t per_row_macs = std::max<std::size_t>(1, n * k);
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
-  parallel_for_rows(m, std::max(min_rows, ks.mr), ks.mr,
+  constexpr std::size_t kMr = gemm_baseline::kMr;
+  parallel_for_rows(m, std::max(min_rows, kMr), kMr,
                     [&](std::size_t row0, std::size_t row1) {
                       ks.rows_packed(row0, row1, n, k, a, lda, 1, bp, c, ldc, accumulate,
                                      a_panel_scratch(row1 - row0, k),
@@ -246,6 +298,26 @@ void nt_reference(std::size_t m, std::size_t n, std::size_t k, const double* a,
 }
 
 const char* isa_name() noexcept { return kernels().isa; }
+
+const char* tile_name() noexcept { return kernels().tile; }
+
+namespace detail {
+
+bool tier_supported(Tier tier) noexcept { return tier_kernels(tier) != nullptr; }
+
+Tier active_tier() noexcept { return kernels().tier; }
+
+TierGuard::TierGuard(Tier tier) : previous_(active_tier()) {
+  const KernelSet* set = tier_kernels(tier);
+  if (set == nullptr) throw std::invalid_argument("gemm: this CPU cannot run the requested tier");
+  active_kernels().store(set, std::memory_order_relaxed);
+}
+
+TierGuard::~TierGuard() {
+  active_kernels().store(tier_kernels(previous_), std::memory_order_relaxed);
+}
+
+}  // namespace detail
 
 std::uint64_t flop_count() noexcept { return g_flops.load(std::memory_order_relaxed); }
 std::uint64_t call_count() noexcept { return g_calls.load(std::memory_order_relaxed); }

@@ -2,16 +2,18 @@
 //
 // All operands are row-major with explicit leading dimensions, so callers
 // (e.g. KFAC) can compute directly into a sub-block of a larger matrix
-// without materialising intermediates. Kernels are register-tiled (4x8 of
-// C) over packed B panels, blocked over k in fixed panels of 256, runtime-
-// dispatched to AVX2+FMA when the CPU supports it (portable baseline
-// otherwise), and row-partitioned across the dosc::nn compute-thread pool
-// for large products.
+// without materialising intermediates. Kernels are register-tiled over B
+// packed into 8-column panels, blocked over k in fixed panels of 256,
+// runtime-dispatched by cpuid to the widest of three tiers the CPU runs —
+// AVX-512 (4x16 tile of C), AVX2+FMA (4x8), portable baseline (4x8) — and
+// row-partitioned across the dosc::nn compute-thread pool for large
+// products.
 //
 // Determinism contract: each output element is reduced over k in ascending
 // order by a single accumulator, and the reduction is never split across
-// threads or tiles. Results are therefore bit-identical across tile shapes
-// and thread counts. `accumulate == true` adds the fully reduced product to
+// threads or tiles. Results are therefore bit-identical across tile shapes,
+// vector widths and thread counts, so the AVX-512 and AVX2+FMA tiers agree
+// bit for bit. `accumulate == true` adds the fully reduced product to
 // C with one final addition per element (C += A*B), so it equals computing
 // the product separately and adding it.
 //
@@ -80,8 +82,17 @@ void nt_reference(std::size_t m, std::size_t n, std::size_t k, const double* a,
                   std::size_t lda, const double* b, std::size_t ldb, double* c,
                   std::size_t ldc);
 
-/// Which kernel set the runtime dispatch selected ("avx2+fma" / "baseline").
+/// The rounding contract of the dispatched kernels, which is what the NN
+/// pins (golden digests, benchmark checksums) are valid for: "avx2+fma" for
+/// the AVX2+FMA and AVX-512 tiers, whose results are bit-identical (one fused
+/// multiply-add per k step in both), "baseline" for the portable tier
+/// (multiply, then add). It does not name the tier; tile_name() does.
 const char* isa_name() noexcept;
+
+/// The dispatched tier's register tile and instruction set ("4x16 avx512",
+/// "4x8 avx2+fma" or "4x8 baseline"): provenance for timings, which differ
+/// between tiers whose results do not.
+const char* tile_name() noexcept;
 
 /// Cumulative 2*m*n*k over all kernel calls in this process (tiled and
 /// reference), and the number of calls. Always on (two relaxed atomic adds
@@ -89,5 +100,34 @@ const char* isa_name() noexcept;
 /// `nn.gemm.flops` / `nn.gemm.calls` when telemetry is enabled.
 std::uint64_t flop_count() noexcept;
 std::uint64_t call_count() noexcept;
+
+namespace detail {
+
+/// The kernel tiers, narrowest first. The dispatch runs the widest one the
+/// CPU supports.
+enum class Tier { kBaseline, kAvx2, kAvx512 };
+
+/// Whether this build has `tier` and this CPU can run it.
+bool tier_supported(Tier tier) noexcept;
+
+/// The tier the dispatch currently runs.
+Tier active_tier() noexcept;
+
+/// RAII tier override for tests, so one machine can check every tier it
+/// supports; restores the previous tier on destruction. Throws
+/// std::invalid_argument for a tier tier_supported() rejects. Switch tiers
+/// only while no product is running.
+class TierGuard {
+ public:
+  explicit TierGuard(Tier tier);
+  ~TierGuard();
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+
+ private:
+  Tier previous_;
+};
+
+}  // namespace detail
 
 }  // namespace dosc::nn::gemm

@@ -70,7 +70,9 @@ void pack(std::size_t in, std::size_t out, const double* w, double* packed);
 void bias_act(std::size_t in, std::size_t out, const double* x, const double* packed,
               const double* bias, int activation, double* y);
 
-/// Which kernel set the runtime dispatch selected ("avx2+fma" / "baseline").
+/// The rounding contract of the dispatched kernels ("avx2+fma" / "baseline"),
+/// named as gemm::isa_name() names it. GEMV has no AVX-512 tier: the
+/// sequential decide it serves is bound by L2 bandwidth, not by FMA width.
 const char* isa_name() noexcept;
 
 /// Cumulative 2*in*out over all bias_act calls in this process, and the

@@ -97,8 +97,8 @@ class Mlp {
                      BatchScratch& scratch) const;
 
   /// The seed's scalar predict_row loop (bias-first accumulation with
-  /// zero-skip), kept verbatim as the pre-fast-path reference point for
-  /// bench_decide's interleaved A/B runs and the golden behaviour guard.
+  /// zero-skip), kept verbatim as the golden behaviour guard's reference
+  /// (Golden.FastPathMatchesLegacyDecisionStream).
   void predict_row_legacy(std::span<const double> input, std::vector<double>& out,
                           Scratch& scratch) const;
 

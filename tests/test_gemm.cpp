@@ -4,15 +4,19 @@
 // element is reduced over k in ascending order by a single accumulator, so
 // tiled results are BIT-IDENTICAL to the naive reference kernels (compiled
 // at the same ISA level) and invariant under the compute-thread count.
-// These tests therefore use exact floating-point equality throughout.
+// These tests therefore use exact floating-point equality throughout. The
+// tiled and reference kernels are checked once per kernel tier the CPU can
+// run (gemm_tiers.hpp), not just the one the dispatch selects.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "gemm_tiers.hpp"
 #include "nn/gemm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/parallel.hpp"
@@ -38,12 +42,21 @@ std::size_t mismatches(const Matrix& a, const Matrix& b) {
   return bad;
 }
 
-// Shapes straddling every edge case of the 4x8 register tile and the packed
-// panels: below/at/above the tile in each dimension, odd remainders, and a
-// couple of sizes large enough to hit the multi-tile loops.
-const std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 17, 31, 33};
+using gemm::detail::Tier;
 
-TEST(Gemm, TiledMatchesReferenceExhaustively) {
+/// Runs under each kernel tier; see gemm_tiers.hpp.
+class Gemm : public test::PerGemmTier {};
+
+INSTANTIATE_TEST_SUITE_P(EveryTier, Gemm, test::kEveryGemmTier, test::gemm_tier_test_name);
+
+// Shapes straddling every edge case of the register tiles (4x8, and 4x16
+// over two packed 8-column panels) and the packed panels: below/at/above
+// each tile in each dimension, odd remainders, a 16-wide tile with a
+// partial second panel (13, 15), and sizes large enough to hit the
+// multi-tile loops.
+const std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 31, 32, 33};
+
+TEST_P(Gemm, TiledMatchesReferenceExhaustively) {
   ComputeThreadsGuard guard(1);
   util::Rng rng(42);
   for (std::size_t m : kSizes) {
@@ -66,7 +79,7 @@ TEST(Gemm, TiledMatchesReferenceExhaustively) {
   }
 }
 
-TEST(Gemm, ThreadCountInvariance) {
+TEST_P(Gemm, ThreadCountInvariance) {
   util::Rng rng(43);
   const std::size_t shapes[][3] = {{67, 45, 33}, {128, 64, 96}, {257, 129, 65}};
   for (const auto& s : shapes) {
@@ -176,57 +189,61 @@ Matrix plus(const Matrix& c0, const Matrix& product) {
   return expected;
 }
 
-TEST(Gemm, KPanelBlockingMatchesReference) {
+TEST_P(Gemm, KPanelBlockingMatchesReference) {
   util::Rng rng(49);
   // m spans several 4-row tiles plus an edge and, at 4 threads, splits into
-  // 3-4 row chunks at every k; n has a partial 8-column panel.
-  const std::size_t m = 133, n = 21;
-  for (const std::size_t k : kPanelKs) {
-    const Matrix a = random_matrix(m, k, rng);     // nn / nt left operand
-    const Matrix at = random_matrix(k, m, rng);    // tn left operand, [k x m]
-    const Matrix b = random_matrix(k, n, rng);     // nn / tn right operand
-    const Matrix bt = random_matrix(n, k, rng);    // nt right operand, [n x k]
-    const Matrix c0 = random_matrix(m, n, rng);    // non-zero C for accumulate
-    const Matrix ref_nn = matmul_reference(a, b);
-    const Matrix ref_tn = matmul_tn_reference(at, b);
-    const Matrix ref_nt = matmul_nt_reference(a, bt);
-    std::vector<double> slab(gemm::packed_b_size(k, n));
-    gemm::pack_b(k, n, b.data(), b.cols(), slab.data());
+  // 3-4 row chunks at every k. n = 21 ends in a partial panel that a 16-wide
+  // tier runs as a one-panel tile, n = 29 in a 16-wide tile with a partial
+  // second panel.
+  const std::size_t m = 133;
+  for (const std::size_t n : {21u, 29u}) {
+    for (const std::size_t k : kPanelKs) {
+      const Matrix a = random_matrix(m, k, rng);     // nn / nt left operand
+      const Matrix at = random_matrix(k, m, rng);    // tn left operand, [k x m]
+      const Matrix b = random_matrix(k, n, rng);     // nn / tn right operand
+      const Matrix bt = random_matrix(n, k, rng);    // nt right operand, [n x k]
+      const Matrix c0 = random_matrix(m, n, rng);    // non-zero C for accumulate
+      const Matrix ref_nn = matmul_reference(a, b);
+      const Matrix ref_tn = matmul_tn_reference(at, b);
+      const Matrix ref_nt = matmul_nt_reference(a, bt);
+      std::vector<double> slab(gemm::packed_b_size(k, n));
+      gemm::pack_b(k, n, b.data(), b.cols(), slab.data());
 
-    for (const std::size_t threads : {1u, 4u}) {
-      ComputeThreadsGuard guard(threads);
-      for (const bool acc : {false, true}) {
-        const auto run = [&](auto&& kernel) {
-          Matrix c = acc ? c0 : Matrix(m, n);
-          kernel(c);
-          return c;
-        };
-        const std::string what = " k=" + std::to_string(k) +
-                                 " threads=" + std::to_string(threads) +
-                                 (acc ? " accumulate" : "");
-        const Matrix got_nn = run([&](Matrix& c) {
-          gemm::nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, acc);
-        });
-        const Matrix got_packed = run([&](Matrix& c) {
-          gemm::nn_packed(m, n, k, a.data(), k, slab.data(), c.data(), n, acc);
-        });
-        const Matrix got_tn = run([&](Matrix& c) {
-          gemm::tn(m, n, k, at.data(), m, b.data(), n, c.data(), n, acc);
-        });
-        const Matrix got_nt = run([&](Matrix& c) {
-          gemm::nt(m, n, k, a.data(), k, bt.data(), k, c.data(), n, acc);
-        });
-        EXPECT_EQ(mismatches(got_nn, acc ? plus(c0, ref_nn) : ref_nn), 0u) << "nn" << what;
-        EXPECT_EQ(mismatches(got_packed, acc ? plus(c0, ref_nn) : ref_nn), 0u)
-            << "nn_packed" << what;
-        EXPECT_EQ(mismatches(got_tn, acc ? plus(c0, ref_tn) : ref_tn), 0u) << "tn" << what;
-        EXPECT_EQ(mismatches(got_nt, acc ? plus(c0, ref_nt) : ref_nt), 0u) << "nt" << what;
+      for (const std::size_t threads : {1u, 4u}) {
+        ComputeThreadsGuard guard(threads);
+        for (const bool acc : {false, true}) {
+          const auto run = [&](auto&& kernel) {
+            Matrix c = acc ? c0 : Matrix(m, n);
+            kernel(c);
+            return c;
+          };
+          const std::string what = " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                                   " threads=" + std::to_string(threads) +
+                                   (acc ? " accumulate" : "");
+          const Matrix got_nn = run([&](Matrix& c) {
+            gemm::nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, acc);
+          });
+          const Matrix got_packed = run([&](Matrix& c) {
+            gemm::nn_packed(m, n, k, a.data(), k, slab.data(), c.data(), n, acc);
+          });
+          const Matrix got_tn = run([&](Matrix& c) {
+            gemm::tn(m, n, k, at.data(), m, b.data(), n, c.data(), n, acc);
+          });
+          const Matrix got_nt = run([&](Matrix& c) {
+            gemm::nt(m, n, k, a.data(), k, bt.data(), k, c.data(), n, acc);
+          });
+          EXPECT_EQ(mismatches(got_nn, acc ? plus(c0, ref_nn) : ref_nn), 0u) << "nn" << what;
+          EXPECT_EQ(mismatches(got_packed, acc ? plus(c0, ref_nn) : ref_nn), 0u)
+              << "nn_packed" << what;
+          EXPECT_EQ(mismatches(got_tn, acc ? plus(c0, ref_tn) : ref_tn), 0u) << "tn" << what;
+          EXPECT_EQ(mismatches(got_nt, acc ? plus(c0, ref_nt) : ref_nt), 0u) << "nt" << what;
+        }
       }
     }
   }
 }
 
-TEST(Gemm, GramAcrossKPanelsMatchesReference) {
+TEST_P(Gemm, GramAcrossKPanelsMatchesReference) {
   util::Rng rng(50);
   const std::size_t m = 45;  // a partial panel on the diagonal
   for (const std::size_t k : kPanelKs) {
@@ -238,6 +255,70 @@ TEST(Gemm, GramAcrossKPanelsMatchesReference) {
       gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
       EXPECT_EQ(mismatches(c, expected), 0u) << "gram k=" << k << " threads=" << threads;
     }
+  }
+}
+
+TEST(Gemm, DispatchSelectsTheWidestTierTheCpuRuns) {
+  // Stated independently of gemm.cpp's dispatch: a CPU with a tier's
+  // features must get that tier (or a wider one), so a dispatch slip back to
+  // a narrower tier fails here instead of only costing time.
+  Tier expected = Tier::kBaseline;
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  const bool fma = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  const bool avx512 = fma && __builtin_cpu_supports("avx512f");
+  EXPECT_EQ(gemm::detail::tier_supported(Tier::kAvx2), fma);
+  EXPECT_EQ(gemm::detail::tier_supported(Tier::kAvx512), avx512);
+  expected = avx512 ? Tier::kAvx512 : fma ? Tier::kAvx2 : Tier::kBaseline;
+#endif
+  EXPECT_TRUE(gemm::detail::tier_supported(Tier::kBaseline));
+  EXPECT_EQ(gemm::detail::active_tier(), expected) << gemm::tile_name();
+  const char* tiles[] = {"4x8 baseline", "4x8 avx2+fma", "4x16 avx512"};
+  EXPECT_STREQ(gemm::tile_name(), tiles[static_cast<int>(expected)]);
+  // The AVX2+FMA and AVX-512 tiers share one rounding contract and name.
+  EXPECT_STREQ(gemm::isa_name(), expected == Tier::kBaseline ? "baseline" : "avx2+fma");
+}
+
+TEST(Gemm, TierGuardSelectsAndRestores) {
+  const Tier dispatched = gemm::detail::active_tier();
+  for (const Tier tier : {Tier::kBaseline, Tier::kAvx2, Tier::kAvx512}) {
+    if (!gemm::detail::tier_supported(tier)) {
+      EXPECT_THROW(gemm::detail::TierGuard{tier}, std::invalid_argument);
+      continue;
+    }
+    {
+      gemm::detail::TierGuard guard(tier);
+      EXPECT_EQ(gemm::detail::active_tier(), tier);
+      EXPECT_STREQ(gemm::isa_name(), tier == Tier::kBaseline ? "baseline" : "avx2+fma");
+    }
+    EXPECT_EQ(gemm::detail::active_tier(), dispatched);
+  }
+}
+
+TEST(Gemm, FmaTiersAreBitIdentical) {
+  // Each tier matches its own reference kernels (the EveryTier tests); this
+  // pins the AVX-512 tier to the AVX2+FMA one directly, over every kernel
+  // and a multi-panel reduction.
+  for (const Tier tier : {Tier::kAvx2, Tier::kAvx512}) {
+    if (!gemm::detail::tier_supported(tier)) {
+      GTEST_SKIP() << "this CPU cannot run the " << test::gemm_tier_name(tier) << " GEMM tier";
+    }
+  }
+  util::Rng rng(51);
+  const std::size_t m = 70, n = 45, k = 600;
+  const Matrix a = random_matrix(m, k, rng);
+  const Matrix at = random_matrix(k, m, rng);
+  const Matrix b = random_matrix(k, n, rng);
+  const Matrix bt = random_matrix(n, k, rng);
+  const auto products = [&](Tier tier) {
+    gemm::detail::TierGuard guard(tier);
+    Matrix g(m, m);
+    gemm::gram(m, k, at.data(), m, g.data(), m);
+    return std::vector<Matrix>{matmul(a, b), matmul_tn(at, b), matmul_nt(a, bt), g};
+  };
+  const std::vector<Matrix> avx2 = products(Tier::kAvx2);
+  const std::vector<Matrix> avx512 = products(Tier::kAvx512);
+  for (std::size_t i = 0; i < avx2.size(); ++i) {
+    EXPECT_EQ(mismatches(avx2[i], avx512[i]), 0u) << "product " << i;
   }
 }
 

@@ -13,9 +13,10 @@
 // heuristics (SP, GCASP) are pure scalar code: their pins hold on any
 // x86-64 libstdc++ build. The DRL coordinators run a network forward pass
 // per decision, and the GEMM kernels dispatch by ISA — their exact pins are
-// asserted only on the avx2+fma path (the CI machines; the baseline-ISA
-// stream is self-consistent but numerically different). All runs are
-// invariant-audited on top of the digest pin.
+// asserted only under the avx2+fma rounding contract, which the AVX2+FMA
+// and AVX-512 GEMM tiers share (the baseline-ISA stream is self-consistent
+// but numerically different). All runs are invariant-audited on top of the
+// digest pin.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,6 +29,9 @@
 #include "check/digest.hpp"
 #include "core/drl_env.hpp"
 #include "core/observation.hpp"
+#include "core/policy_io.hpp"
+#include "core/trainer.hpp"
+#include "gemm_tiers.hpp"
 #include "nn/gemm.hpp"
 #include "nn/parallel.hpp"
 #include "rl/actor_critic.hpp"
@@ -217,6 +221,41 @@ TEST(Golden, FastPathMatchesLegacyDecisionStream) {
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
     expect_fast_matches_legacy(paper_net_scenario, paper_net, seed);
   }
+}
+
+/// Runs under each GEMM kernel tier; see gemm_tiers.hpp.
+class Golden : public test::PerGemmTier {};
+
+INSTANTIATE_TEST_SUITE_P(EveryTier, Golden, test::kEveryGemmTier, test::gemm_tier_test_name);
+
+TEST_P(Golden, AcktrTrainingChecksum) {
+  // The whole ACKTR update pinned in ctest: the paper's 2x256 actor and
+  // critic trained for two iterations of l = 4 Abilene episodes. The updates
+  // take 562 and 725 rows, so every batch reduction (the weight-gradient tn
+  // and the K-FAC grams) crosses three k-panels, and the action (n = 4) and
+  // value (n = 1) heads run as narrow products. Under every tier with the
+  // avx2+fma rounding contract the trained parameters must be these bits.
+  if (!exact_nn_pins()) GTEST_SKIP() << "NN goldens pinned for avx2+fma";
+  core::TrainingConfig config;
+  config.hidden = {256, 256};
+  config.num_seeds = 1;
+  config.iterations = 2;
+  config.parallel_envs = 4;
+  config.train_episode_time = 300.0;
+  config.eval_episodes = 1;
+  config.eval_episode_time = 100.0;
+  config.seed_base = 1;
+  std::vector<std::size_t> update_rows;
+  const core::TrainedPolicy policy = core::train_distributed_policy(
+      sim::make_base_scenario(), config,
+      [&](const core::TrainingProgress& p) { update_rows.push_back(p.update.batch_size); });
+  const std::uint64_t checksum = core::policy_checksum(policy.parameters);
+  std::printf("golden acktr tile=%s rows=%zu,%zu checksum=%lluULL\n", nn::gemm::tile_name(),
+              update_rows.size() > 0 ? update_rows[0] : 0,
+              update_rows.size() > 1 ? update_rows[1] : 0,
+              static_cast<unsigned long long>(checksum));
+  EXPECT_EQ(update_rows, (std::vector<std::size_t>{562, 725}));
+  EXPECT_EQ(checksum, 97063133930554451ULL);
 }
 
 // --- corpus goldens ---------------------------------------------------------
