@@ -1,45 +1,44 @@
-// Training throughput benchmark: decoupled async actor/learner vs the
-// synchronous barrier trainer.
+// Time to a trained policy: the trainer's two schedules, strict (Alg. 1:
+// rollout, then update) and overlapped (TrainingConfig::async: iteration
+// i+1 rolls out on a helper thread during update i).
 //
-// Three sections, all landing in BENCH_train_async.json ("dosc.bench.v1"):
+// Two sections, both landing in BENCH_train_async.json ("dosc.bench.v1"):
 //
-//  1. Sync baseline: the synchronous trainer's inner loop (l episodes
-//     through one rl::BatchedRollout -> merge -> update, no eval) timed end
-//     to end. Reports env_steps/s and updates/s — the denominator for every
-//     speedup below.
-//  2. Async worker sweep (1/2/4/8 persistent rollout workers): the same
-//     episode workload through rl::AsyncTrainer — lock-free SPSC chunk
-//     queues, epoch-published snapshots, clipped-IS staleness correction;
-//     each worker drives its episodes through its own BatchedRollout.
-//     Reports env_steps/s, updates/s, mean snapshot staleness at
-//     consumption, and speedup over the sync baseline.
-//  3. Thread budget: what resolve_thread_budget hands each sweep point on
-//     this machine, so the JSON records whether workers were oversubscribed
-//     (on a 1-core container the 8-worker point measures scheduling
-//     overhead, not scale-out — see EXPERIMENTS.md).
+//  1. Time to a trained policy at the `dosc_cli train` defaults: scenario
+//     scenarios/base_poisson_2in.json (Abilene, 2 ingress), 2x64 nets,
+//     1 seed, learning rate decayed over the iteration budget. Each point
+//     runs train_distributed_policy end to end, greedy evaluation
+//     included (as the CLI does), at budgets of 80 and 150 iterations and
+//     seed bases 1-5, and reports wall s, greedy success and the selected
+//     policy's policy_checksum. Per (schedule, seed base), the first
+//     budget whose greedy success reaches 0.8 gives the time to success
+//     0.8; a schedule that never reaches it reports null.
+//  2. paper_scale() (2x256, 5000 ms episodes, l = 4): ms per training
+//     iteration over 20 iterations, 1 seed, timed up to the last update
+//     (evaluation excluded).
 //
-// Lockstep bit-parity with the synchronous trainer is pinned in ctest
-// (AsyncTrainer.LockstepOneWorkerIsBitIdenticalToSyncTrainer and
-// AsyncTrainer.BatchedWorkerLockstepBitIdenticalToSequentialWorker).
+// The points of a seed base alternate which schedule runs first, so a
+// drifting host does not favour one. Both schedules are bit-reproducible
+// (Trainer.* in test_batched_rollout pins them), so every checksum is a
+// pure function of (schedule, budget, seed base).
 //
-// DOSC_BENCH_SMOKE=1 (CI) shortens horizons but exercises every section.
+// DOSC_BENCH_SMOKE=1 (CI, sanitizer builds included) shrinks section 1 to
+// one seed base x 10 iterations and skips section 2: in a TSan Debug build
+// one 2x256 iteration took ~85 s on a 4-vCPU x86-64 guest, and section 1
+// already crosses every code path of both schedules.
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/batched_episode.hpp"
-#include "core/drl_env.hpp"
-#include "core/observation.hpp"
+#include "core/policy_io.hpp"
 #include "core/trainer.hpp"
-#include "rl/async_trainer.hpp"
-#include "rl/rollout.hpp"
-#include "rl/updater.hpp"
 #include "sim/scenario.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -56,220 +55,135 @@ bool smoke() {
   return on;
 }
 
-double episode_time() { return smoke() ? 300.0 : 1000.0; }
-std::size_t bench_updates() { return smoke() ? 4 : 30; }
-constexpr std::size_t kEpisodesPerUpdate = 4;
-constexpr std::uint64_t kSeedBase = 20260807;
+constexpr double kTargetSuccess = 0.8;
 
-sim::Scenario bench_scenario() {
-  return sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, "abilene",
-                                 episode_time());
+const char* mode_name(bool async) { return async ? "async" : "sync"; }
+
+std::string checksum_hex(std::uint64_t checksum) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(checksum));
+  return buf;
 }
 
-rl::ActorCriticConfig net_config(const sim::Scenario& scenario) {
-  rl::ActorCriticConfig config;
-  config.obs_dim = core::observation_dim(scenario.network().max_degree());
-  config.num_actions = scenario.network().max_degree() + 1;
-  config.hidden = {64, 64};
-  config.seed = 9;
-  return config;
-}
-
-/// One training episode on the synchronous trainer's (iteration, env) seed
-/// grid, so sync and async runs consume identical workloads.
-std::unique_ptr<core::TrainingEpisode> make_episode(const sim::Scenario& scenario,
-                                                    const rl::ActorCritic& policy,
-                                                    rl::TrajectoryBuffer& buffer,
-                                                    std::size_t episode,
-                                                    bool record_behavior_logp) {
-  const std::uint64_t es = core::episode_seed(kSeedBase, 0, episode / kEpisodesPerUpdate,
-                                              episode % kEpisodesPerUpdate);
-  return std::make_unique<core::TrainingEpisode>(scenario, es, policy, buffer,
-                                                 core::RewardConfig{},
-                                                 scenario.network().max_degree(),
-                                                 core::ObservationMask{},
-                                                 record_behavior_logp);
-}
-
-struct ThroughputResult {
-  std::size_t env_steps = 0;
-  std::size_t updates = 0;
-  double wall_ms = 0.0;
-  double mean_staleness = 0.0;
-  std::size_t workers = 0;
-  std::size_t learner_threads = 0;
-  double mean_envs_per_round = 0.0;  ///< batched worker mode only
-  double steps_per_sec() const { return wall_ms > 0.0 ? 1000.0 * env_steps / wall_ms : 0.0; }
-  double updates_per_sec() const { return wall_ms > 0.0 ? 1000.0 * updates / wall_ms : 0.0; }
+struct PolicyPoint {
+  bool async = false;
+  std::size_t iterations = 0;
+  std::uint64_t seed_base = 0;
+  double wall_s = 0.0;
+  core::TrainedPolicy policy;
 };
 
-/// The synchronous trainer's inner loop without eval: l episodes per
-/// update, driven together through one BatchedRollout, merged and fed to
-/// the Updater — the baseline the async trainer must beat.
-ThroughputResult run_sync(const sim::Scenario& scenario) {
-  rl::ActorCritic net(net_config(scenario));
-  rl::Updater updater{rl::UpdaterConfig{}};
-  const std::size_t obs_dim = net.config().obs_dim;
-  rl::BatchedRollout driver(net.actor(), obs_dim);
-  std::vector<rl::TrajectoryBuffer> buffers;
-  std::vector<rl::Batch> batches(kEpisodesPerUpdate);
-  for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) buffers.emplace_back(0.99);
-  std::vector<std::unique_ptr<core::TrainingEpisode>> episodes;
-  std::vector<rl::BatchedEnv*> envs;
-  rl::Batch merged;
-  ThroughputResult result;
-  result.workers = 1;
-  result.learner_threads = 1;
+/// One `dosc_cli train` run with the CLI's defaults, timed end to end.
+PolicyPoint train_cli_default(const sim::Scenario& scenario, bool async,
+                              std::size_t iterations, std::uint64_t seed_base) {
+  core::TrainingConfig config;
+  config.iterations = iterations;
+  config.num_seeds = 1;
+  config.updater.lr_decay_updates = iterations;
+  config.seed_base = seed_base;
+  config.async = async;
   const util::Timer timer;
-  for (std::size_t update = 0; update < bench_updates(); ++update) {
-    envs.clear();
-    for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) {
-      episodes.push_back(make_episode(scenario, net, buffers[e],
-                                      update * kEpisodesPerUpdate + e,
-                                      /*record_behavior_logp=*/false));
-      envs.push_back(episodes.back().get());
-    }
-    driver.run(envs);
-    for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) {
-      episodes[e]->finish();
-      buffers[e].truncate_all();
-      buffers[e].drain_into(batches[e], net, obs_dim);
-      result.env_steps += batches[e].size();
-    }
-    episodes.clear();
-    util::Rng merge_rng(core::episode_seed(kSeedBase, 0, update, 777));
-    rl::merge_batches_into(merged, batches, obs_dim, 4096, merge_rng);
-    updater.update(net, merged);
-    ++result.updates;
-  }
-  result.wall_ms = timer.elapsed_micros() / 1000.0;
-  return result;
+  core::TrainedPolicy policy = core::train_distributed_policy(scenario, config);
+  return {async, iterations, seed_base, timer.elapsed_seconds(), std::move(policy)};
 }
 
-ThroughputResult run_async(const sim::Scenario& scenario, std::size_t workers,
-                           std::size_t envs_per_worker = 1) {
-  rl::ActorCritic net(net_config(scenario));
-  rl::AsyncTrainerConfig config;
-  config.num_workers = workers;
-  config.episodes_per_update = kEpisodesPerUpdate;
-  config.updates = bench_updates();
-  config.max_update_steps = 4096;
-  config.queue_capacity = 8;
-  config.max_staleness = 1;
-  config.obs_dim = net.config().obs_dim;
-  config.gamma = 0.99;
-  config.reserve_flows = 512;
-  config.reserve_steps_per_flow = 32;
-  config.merge_seed = [](std::size_t update) {
-    return core::episode_seed(kSeedBase, 0, update, 777);
-  };
-  config.envs_per_worker = envs_per_worker;
-  config.episode_factory = [&scenario](std::size_t, std::size_t episode,
-                                       const rl::ActorCritic& policy,
-                                       rl::TrajectoryBuffer& buffer)
-      -> std::unique_ptr<rl::RolloutEpisode> {
-    return make_episode(scenario, policy, buffer, episode, /*record_behavior_logp=*/true);
-  };
-  rl::AsyncTrainer trainer(std::move(config));
-  const util::Timer timer;
-  const rl::AsyncTrainStats stats = trainer.run(net);
-  ThroughputResult result;
-  result.wall_ms = timer.elapsed_micros() / 1000.0;
-  result.env_steps = stats.env_steps;
-  result.updates = stats.updates;
-  result.mean_staleness = stats.mean_staleness;
-  result.workers = stats.workers;
-  result.learner_threads = stats.learner_threads;
-  result.mean_envs_per_round = stats.mean_envs_per_round;
-  return result;
+/// paper_scale() training, ms per iteration up to the last update.
+double paper_scale_ms_per_iteration(const sim::Scenario& scenario, bool async,
+                                    std::size_t iterations) {
+  core::TrainingConfig config = core::TrainingConfig::paper_scale();
+  config.iterations = iterations;
+  config.num_seeds = 1;
+  config.eval_episodes = 1;  // outside the timed span; keep it short
+  config.eval_episode_time = 100.0;
+  config.async = async;
+  const auto start = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point last_update = start;
+  core::train_distributed_policy(scenario, config, [&](const core::TrainingProgress&) {
+    last_update = std::chrono::steady_clock::now();
+  });
+  const double ms = std::chrono::duration<double, std::milli>(last_update - start).count();
+  return ms / static_cast<double>(iterations);
 }
 
 }  // namespace
 
 int main() {
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("bench_train_async (%s horizon, %u hardware threads)\n",
-              smoke() ? "smoke" : "full", hw);
-  const sim::Scenario scenario = bench_scenario();
+  std::printf("bench_train_async (%s, %u hardware threads)\n", smoke() ? "smoke" : "full", hw);
+  const sim::Scenario scenario =
+      sim::load_scenario(DOSC_SOURCE_DIR "/scenarios/base_poisson_2in.json");
+  const std::vector<std::size_t> budgets =
+      smoke() ? std::vector<std::size_t>{10} : std::vector<std::size_t>{80, 150};
+  const std::vector<std::uint64_t> seed_bases =
+      smoke() ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2, 3, 4, 5};
   util::Json::Array entries;
 
-  // ---- Section 1: sync baseline ----------------------------------------
-  const ThroughputResult sync_result = run_sync(scenario);
-  std::printf("%-12s %8s %8s %12s %11s %10s %8s\n", "mode", "workers", "learner",
-              "env_steps/s", "updates/s", "staleness", "speedup");
-  std::printf("%-12s %8zu %8zu %12.0f %11.2f %10s %8s\n", "sync", sync_result.workers,
-              sync_result.learner_threads, sync_result.steps_per_sec(),
-              sync_result.updates_per_sec(), "-", "1.00x");
-  entries.push_back(util::Json(util::Json::Object{
-      {"kind", util::Json(std::string("sync_baseline"))},
-      {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
-      {"updates", util::Json(sync_result.updates)},
-      {"env_steps", util::Json(sync_result.env_steps)},
-      {"wall_ms", util::Json(sync_result.wall_ms)},
-      {"env_steps_per_sec", util::Json(sync_result.steps_per_sec())},
-      {"updates_per_sec", util::Json(sync_result.updates_per_sec())},
-  }));
-
-  // ---- Section 2: async worker sweep -----------------------------------
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const ThroughputResult r = run_async(scenario, workers);
-    const double speedup =
-        sync_result.steps_per_sec() > 0.0 ? r.steps_per_sec() / sync_result.steps_per_sec()
-                                          : 0.0;
-    std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx\n", "async", r.workers,
-                r.learner_threads, r.steps_per_sec(), r.updates_per_sec(),
-                r.mean_staleness, speedup);
-    // True oversubscription only: more than one worker AND the resolved
-    // partition does not fit the machine. The 1-worker point on a 1-core
-    // host runs the minimum viable worker+learner pair — timeshared, but
-    // not an oversubscribed sweep point.
-    const rl::ThreadBudget budget = rl::resolve_thread_budget(workers, 0, hw);
-    const bool oversubscribed =
-        hw > 0 && budget.workers > 1 && budget.workers + budget.learner_threads > hw;
-    entries.push_back(util::Json(util::Json::Object{
-        {"kind", util::Json(std::string("async_sweep"))},
-        {"requested_workers", util::Json(workers)},
-        {"workers", util::Json(r.workers)},
-        {"learner_threads", util::Json(r.learner_threads)},
-        {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
-        {"oversubscribed", util::Json(oversubscribed)},
-        {"updates", util::Json(r.updates)},
-        {"env_steps", util::Json(r.env_steps)},
-        {"wall_ms", util::Json(r.wall_ms)},
-        {"env_steps_per_sec", util::Json(r.steps_per_sec())},
-        {"updates_per_sec", util::Json(r.updates_per_sec())},
-        {"mean_staleness", util::Json(r.mean_staleness)},
-        {"speedup_vs_sync", util::Json(speedup)},
-    }));
+  // ---- Section 1: time to a trained policy, CLI defaults ------------------
+  std::printf("%-6s %5s %5s %8s %8s %17s\n", "mode", "base", "iters", "wall_s", "success",
+              "policy_checksum");
+  for (const std::uint64_t base : seed_bases) {
+    std::vector<PolicyPoint> points;
+    const bool async_first = base % 2 == 0;
+    for (const std::size_t budget : budgets) {
+      for (const bool async : {async_first, !async_first}) {
+        points.push_back(train_cli_default(scenario, async, budget, base));
+      }
+    }
+    for (const PolicyPoint& p : points) {
+      const std::string checksum = checksum_hex(core::policy_checksum(p.policy.parameters));
+      std::printf("%-6s %5llu %5zu %8.2f %8.3f %17s\n", mode_name(p.async),
+                  static_cast<unsigned long long>(p.seed_base), p.iterations, p.wall_s,
+                  p.policy.eval_success_ratio, checksum.c_str());
+      entries.push_back(util::Json(util::Json::Object{
+          {"kind", util::Json(std::string("time_to_policy"))},
+          {"mode", util::Json(std::string(mode_name(p.async)))},
+          {"seed_base", util::Json(static_cast<std::size_t>(p.seed_base))},
+          {"iterations", util::Json(p.iterations)},
+          {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
+          {"wall_s", util::Json(p.wall_s)},
+          {"success", util::Json(p.policy.eval_success_ratio)},
+          {"reward", util::Json(p.policy.eval_reward)},
+          {"policy_checksum", util::Json(checksum)},
+      }));
+    }
+    for (const bool async : {false, true}) {
+      // Budgets run in ascending order, so the first hit is the earliest.
+      std::optional<PolicyPoint> hit;
+      for (const PolicyPoint& p : points) {
+        if (p.async == async && !hit && p.policy.eval_success_ratio >= kTargetSuccess) hit = p;
+      }
+      if (hit) {
+        std::printf("  %-6s base %llu: success %.1f at %zu iterations, %.2f s\n",
+                    mode_name(async), static_cast<unsigned long long>(base), kTargetSuccess,
+                    hit->iterations, hit->wall_s);
+      } else {
+        std::printf("  %-6s base %llu: success %.1f at no budget\n", mode_name(async),
+                    static_cast<unsigned long long>(base), kTargetSuccess);
+      }
+      entries.push_back(util::Json(util::Json::Object{
+          {"kind", util::Json(std::string("time_to_success"))},
+          {"mode", util::Json(std::string(mode_name(async)))},
+          {"seed_base", util::Json(static_cast<std::size_t>(base))},
+          {"target_success", util::Json(kTargetSuccess)},
+          {"iterations", hit ? util::Json(hit->iterations) : util::Json()},
+          {"wall_s", hit ? util::Json(hit->wall_s) : util::Json()},
+      }));
+    }
   }
 
-  // ---- Section 2b: batched workers (envs_per_worker sweep) --------------
-  // Each worker drives B concurrent envs through fused forwards; the
-  // mean_envs_per_round column shows how many episodes one staleness-gate
-  // pass delivered — the larger merged update windows the batched mode
-  // exists to produce.
-  for (const std::size_t envs : {2u, 4u, 8u}) {
-    const ThroughputResult r = run_async(scenario, /*workers=*/1, envs);
-    const double speedup =
-        sync_result.steps_per_sec() > 0.0 ? r.steps_per_sec() / sync_result.steps_per_sec()
-                                          : 0.0;
-    std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx  (B=%zu, %.2f envs/round)\n",
-                "async_batch", r.workers, r.learner_threads, r.steps_per_sec(),
-                r.updates_per_sec(), r.mean_staleness, speedup, envs, r.mean_envs_per_round);
+  // ---- Section 2: paper_scale() ms per iteration (full runs only) --------
+  constexpr std::size_t kPaperIterations = 20;
+  for (const bool async : {false, true}) {
+    if (smoke()) break;
+    const double ms = paper_scale_ms_per_iteration(scenario, async, kPaperIterations);
+    std::printf("paper_scale %-6s %zu iterations: %.1f ms/iteration\n", mode_name(async),
+                kPaperIterations, ms);
     entries.push_back(util::Json(util::Json::Object{
-        {"kind", util::Json(std::string("async_batched_sweep"))},
-        {"envs_per_worker", util::Json(envs)},
-        {"workers", util::Json(r.workers)},
-        {"learner_threads", util::Json(r.learner_threads)},
+        {"kind", util::Json(std::string("paper_scale"))},
+        {"mode", util::Json(std::string(mode_name(async)))},
+        {"iterations", util::Json(kPaperIterations)},
         {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
-        {"mean_envs_per_round", util::Json(r.mean_envs_per_round)},
-        {"updates", util::Json(r.updates)},
-        {"env_steps", util::Json(r.env_steps)},
-        {"wall_ms", util::Json(r.wall_ms)},
-        {"env_steps_per_sec", util::Json(r.steps_per_sec())},
-        {"updates_per_sec", util::Json(r.updates_per_sec())},
-        {"mean_staleness", util::Json(r.mean_staleness)},
-        {"speedup_vs_sync", util::Json(speedup)},
+        {"ms_per_iteration", util::Json(ms)},
     }));
   }
 

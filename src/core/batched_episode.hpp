@@ -58,10 +58,10 @@ class YieldingEpisode final : public rl::BatchedEnv {
 
 /// One training episode: a TrainingEnv that samples from `policy` with the
 /// rng stream `seed * 31 + 7` and records into `buffer`, bundled with the
-/// YieldingEpisode that drives it. The sync trainer, the async trainer's
-/// episode factory and bench_train_async all build their episodes here, so
-/// every path samples the same streams from the same seed grid.
-class TrainingEpisode final : public rl::RolloutEpisode {
+/// YieldingEpisode that drives it. finish() fires the episode-end callbacks
+/// and returns the episode's total shaped reward; call it once, after
+/// advance_to_decision returned false.
+class TrainingEpisode final : public rl::BatchedEnv {
  public:
   TrainingEpisode(const sim::Scenario& scenario, std::uint64_t seed,
                   const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
@@ -74,7 +74,7 @@ class TrainingEpisode final : public rl::RolloutEpisode {
   bool advance_to_decision() override { return episode_.advance_to_decision(); }
   void write_observation(std::span<double> out) override { episode_.write_observation(out); }
   void apply_logits(std::span<const double> logits) override { episode_.apply_logits(logits); }
-  double finish() override {
+  double finish() {
     episode_.finish();
     return env_.episode_reward();
   }

@@ -77,8 +77,8 @@ class TrainingEnv final : public sim::Coordinator,
                           public BatchedDecisionAgent {
  public:
   /// `record_behavior_logp` additionally stores log pi(a|o) with every
-  /// decision (async training's clipped-IS correction needs it). The rng
-  /// stream and action sequence are bit-identical either way.
+  /// decision (overlapped training's clipped-IS correction needs it). The
+  /// rng stream and action sequence are bit-identical either way.
   TrainingEnv(const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
               const RewardConfig& reward, std::size_t max_degree, util::Rng rng,
               ObservationMask mask = {}, bool record_behavior_logp = false);

@@ -1,7 +1,10 @@
 #include "core/policy_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace dosc::core {
@@ -23,17 +26,25 @@ std::uint64_t policy_checksum(const std::vector<double>& parameters) noexcept {
 std::size_t expected_parameter_count(const rl::ActorCriticConfig& config) noexcept {
   // Dense layers in -> hidden... -> out, weights [in x out] plus bias [out],
   // once for the actor head (num_actions) and once for the critic head (1).
-  const auto net_params = [&](std::size_t out_dim) {
-    std::size_t n = 0;
+  // Every step is overflow-checked: a wrapped count could match a crafted
+  // payload and pass validation.
+  bool overflow = false;
+  const auto add = [&](std::size_t& total, std::size_t in, std::size_t out) {
+    std::size_t layer = 0;
+    overflow |= __builtin_mul_overflow(in, out, &layer);
+    overflow |= __builtin_add_overflow(layer, out, &layer);
+    overflow |= __builtin_add_overflow(total, layer, &total);
+  };
+  std::size_t n = 0;
+  for (const std::size_t out_dim : {config.num_actions, std::size_t{1}}) {
     std::size_t prev = config.obs_dim;
     for (const std::size_t h : config.hidden) {
-      n += prev * h + h;
+      add(n, prev, h);
       prev = h;
     }
-    n += prev * out_dim + out_dim;
-    return n;
-  };
-  return net_params(config.num_actions) + net_params(1);
+    add(n, prev, out_dim);
+  }
+  return overflow ? std::numeric_limits<std::size_t>::max() : n;
 }
 
 void validate_policy(const TrainedPolicy& policy) {
@@ -41,10 +52,17 @@ void validate_policy(const TrainedPolicy& policy) {
   if (c.obs_dim == 0 || c.num_actions == 0) {
     throw std::runtime_error("policy snapshot invalid: zero obs_dim or num_actions");
   }
+  if (std::find(c.hidden.begin(), c.hidden.end(), std::size_t{0}) != c.hidden.end()) {
+    throw std::runtime_error("policy snapshot invalid: zero hidden layer width");
+  }
   if (policy.max_degree == 0) {
     throw std::runtime_error("policy snapshot invalid: max_degree is 0");
   }
   const std::size_t expected = expected_parameter_count(c);
+  if (expected == std::numeric_limits<std::size_t>::max()) {
+    throw std::runtime_error(
+        "policy snapshot invalid: the declared network shape's parameter count overflows");
+  }
   if (policy.parameters.size() != expected) {
     throw std::runtime_error("policy snapshot invalid: parameter count " +
                              std::to_string(policy.parameters.size()) + " does not match " +
@@ -59,6 +77,21 @@ std::string checksum_hex(std::uint64_t checksum) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(checksum));
   return buf;
+}
+
+/// A shape field (obs_dim, num_actions, a hidden width, max_degree): an
+/// integer in [1, 2^53]. JSON numbers are doubles, so a fractional value
+/// would otherwise be rounded and a negative one wrap in the size_t
+/// conversion; 2^53 bounds the range where doubles hold every integer.
+std::size_t shape_field(const util::Json& value, const std::string& name) {
+  const double v = value.as_number();
+  if (!(v >= 1.0 && v <= 9007199254740992.0 && std::floor(v) == v)) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%.17g", v);
+    throw std::runtime_error("policy snapshot invalid: " + name +
+                             " must be an integer in [1, 2^53], got " + got);
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
@@ -96,14 +129,14 @@ TrainedPolicy policy_from_json(const util::Json& json) {
     }
   }
   TrainedPolicy policy;
-  policy.net_config.obs_dim = static_cast<std::size_t>(json.at("obs_dim").as_int());
-  policy.net_config.num_actions = static_cast<std::size_t>(json.at("num_actions").as_int());
+  policy.net_config.obs_dim = shape_field(json.at("obs_dim"), "obs_dim");
+  policy.net_config.num_actions = shape_field(json.at("num_actions"), "num_actions");
   policy.net_config.hidden.clear();
   for (const util::Json& h : json.at("hidden").as_array()) {
-    policy.net_config.hidden.push_back(static_cast<std::size_t>(h.as_int()));
+    policy.net_config.hidden.push_back(shape_field(h, "hidden width"));
   }
   policy.net_config.seed = static_cast<std::uint64_t>(json.number_or("net_seed", 0));
-  policy.max_degree = static_cast<std::size_t>(json.at("max_degree").as_int());
+  policy.max_degree = shape_field(json.at("max_degree"), "max_degree");
   policy.eval_success_ratio = json.number_or("eval_success_ratio", 0.0);
   policy.eval_reward = json.number_or("eval_reward", 0.0);
   const util::Json::Array& params = json.at("parameters").as_array();

@@ -29,20 +29,22 @@ inline constexpr std::int64_t kPolicyFormatVersion = 2;
 std::uint64_t policy_checksum(const std::vector<double>& parameters) noexcept;
 
 /// Number of parameters an ActorCritic with this net_config holds
-/// (actor + critic). Used to reject truncated parameter payloads.
+/// (actor + critic), or SIZE_MAX when that count overflows std::size_t.
+/// Used to reject truncated parameter payloads.
 std::size_t expected_parameter_count(const rl::ActorCriticConfig& config) noexcept;
 
 /// Throws std::runtime_error with a specific message if the policy is
-/// structurally unusable: zero-sized shape/degree, or a parameter count
-/// that does not match the declared network shape (the signature of a
-/// truncated snapshot). Layout checks against a concrete scenario (padded
+/// structurally unusable: zero-sized shape/degree, a shape whose parameter
+/// count overflows, or a parameter count that does not match the declared
+/// network shape (the signature of a truncated snapshot). Layout checks against a concrete scenario (padded
 /// degree, action count) are the consumer's job — the centralized baseline
 /// legitimately saves a different observation layout.
 void validate_policy(const TrainedPolicy& policy);
 
 util::Json to_json(const TrainedPolicy& policy);
 /// Throws std::runtime_error on unknown future format versions, checksum
-/// mismatches, and shape/parameter-count inconsistencies.
+/// mismatches, shape fields that are not integers >= 1, and
+/// shape/parameter-count inconsistencies.
 TrainedPolicy policy_from_json(const util::Json& json);
 
 void save_policy(const TrainedPolicy& policy, const std::string& path);

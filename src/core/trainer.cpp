@@ -5,11 +5,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/batched_episode.hpp"
-#include "rl/async_trainer.hpp"
+#include "nn/parallel.hpp"
 #include "rl/batched_rollout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/logging.hpp"
@@ -140,111 +142,156 @@ class EvalSlot final : public rl::BatchedEnv {
   EpisodeResult* out_ = nullptr;
 };
 
-/// One seed's training in the decoupled async actor/learner mode: the
-/// simulator side of rl::AsyncTrainer. Episode g reuses the synchronous
-/// trainer's seed grid — iteration g / l, environment g % l — so async runs
-/// sample from the same traffic distribution, and the lockstep
-/// configuration (1 worker, max_staleness 0) replays the synchronous
-/// episode stream exactly.
-void run_async_seed(rl::ActorCritic& net, const TrainingConfig& config,
-                    const sim::Scenario& train_scenario, std::size_t max_degree,
-                    std::size_t obs_dim, std::size_t seed_index,
-                    const ProgressCallback& progress) {
-  rl::AsyncTrainerConfig async_config;
-  async_config.num_workers = config.async.num_workers;
-  async_config.episodes_per_update = config.parallel_envs;
-  async_config.updates = config.iterations;
-  async_config.max_update_steps = config.max_update_steps;
-  async_config.queue_capacity = config.async.queue_capacity;
-  async_config.max_staleness = config.async.max_staleness;
-  async_config.learner_threads = config.async.learner_threads;
-  async_config.obs_dim = obs_dim;
-  async_config.gamma = config.gamma;
-  async_config.updater = config.updater;
-  async_config.merge_seed = [&config, seed_index](std::size_t update) {
-    return episode_seed(config.seed_base, seed_index, update, 777);
-  };
-  async_config.envs_per_worker = config.async.envs_per_worker;
-  async_config.episode_factory =
-      [&config, &train_scenario, max_degree, seed_index](
-          std::size_t /*worker*/, std::size_t episode, const rl::ActorCritic& policy,
-          rl::TrajectoryBuffer& buffer) -> std::unique_ptr<rl::RolloutEpisode> {
-    const std::size_t iteration = episode / config.parallel_envs;
-    const std::size_t env_index = episode % config.parallel_envs;
-    return std::make_unique<TrainingEpisode>(
-        train_scenario, episode_seed(config.seed_base, seed_index, iteration, env_index),
-        policy, buffer, config.reward, max_degree, config.observation_mask,
-        /*record_behavior_logp=*/true);
-  };
-  rl::AsyncTrainer trainer(std::move(async_config));
-  rl::AsyncProgressFn on_progress;
-  if (progress) {
-    on_progress = [&progress, seed_index](const rl::AsyncProgress& p) {
-      progress({seed_index, p.update, p.mean_episode_reward, p.stats});
-    };
+/// The overlapped schedule's rollout thread: persistent, handed one
+/// iteration at a time. start() runs job(iteration) on the helper; wait()
+/// blocks until it is done and rethrows anything it threw. The destructor
+/// waits out a running job before joining, so no exit path leaves the
+/// helper touching the caller's state.
+class RolloutThread {
+ public:
+  explicit RolloutThread(std::function<void(std::size_t)> job)
+      : job_(std::move(job)), thread_([this] { loop(); }) {}
+  ~RolloutThread() {
+    if (busy_) done_.acquire();
+    stop_ = true;
+    work_.release();
+    thread_.join();
   }
-  trainer.run(net, on_progress);
-}
+  RolloutThread(const RolloutThread&) = delete;
+  RolloutThread& operator=(const RolloutThread&) = delete;
 
-/// One seed's training in the synchronous mode (Alg. 1): per iteration,
-/// the l environments roll out the same policy for one episode each, then
-/// one ACKTR update runs on their merged experience.
-void run_sync_seed(rl::ActorCritic& net, const TrainingConfig& config,
-                   const sim::Scenario& train_scenario, std::size_t max_degree,
-                   std::size_t obs_dim, std::size_t seed_index,
-                   const ProgressCallback& progress) {
-  rl::Updater updater(config.updater);
-  // The l environments advance together on this thread through one driver,
-  // so their decision forwards fuse into one predict_batch (which keeps the
-  // GEMM thread pool); each env has its own rng stream and buffer. Spreading
-  // rollout over cores is the async mode's job (async.num_workers).
-  // Buffers and batches are reused across iterations.
-  rl::BatchedRollout driver(net.actor(), obs_dim);
+  void start(std::size_t iteration) {
+    iteration_ = iteration;
+    busy_ = true;
+    work_.release();
+  }
+  void wait() {
+    done_.acquire();
+    busy_ = false;
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void loop() {
+    for (;;) {
+      work_.acquire();
+      if (stop_) return;
+      try {
+        job_(iteration_);
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+      done_.release();
+    }
+  }
+
+  // The semaphores order every plain member below between the two threads.
+  std::function<void(std::size_t)> job_;
+  std::binary_semaphore work_{0};
+  std::binary_semaphore done_{0};
+  std::size_t iteration_ = 0;
+  std::exception_ptr error_;
+  bool busy_ = false;  // calling thread only
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once the members it reads exist
+};
+
+/// One iteration's rollout output: the l environments' trajectory buffers,
+/// drained batches and episode rewards.
+struct RolloutWindow {
   std::vector<rl::TrajectoryBuffer> buffers;
-  for (std::size_t e = 0; e < config.parallel_envs; ++e) buffers.emplace_back(config.gamma);
-  std::vector<rl::Batch> batches(config.parallel_envs);
-  std::vector<double> episode_rewards(config.parallel_envs, 0.0);
+  std::vector<rl::Batch> batches;
+  std::vector<double> episode_rewards;
+};
+
+/// One seed's training (Alg. 1): per iteration, the l environments roll out
+/// the same policy for one episode each, then one ACKTR update runs on their
+/// merged experience. With config.async the rollout of iteration i+1 runs on
+/// a helper thread during update i (see TrainingConfig::async).
+void run_seed(rl::ActorCritic& net, const TrainingConfig& config,
+              const sim::Scenario& train_scenario, std::size_t max_degree, std::size_t obs_dim,
+              std::size_t seed_index, const ProgressCallback& progress) {
+  const bool overlap = config.async;
+  rl::Updater updater(config.updater);
+  // The overlapped rollout reads a parameter copy, refreshed only while the
+  // helper is idle, so the update can write `net` meanwhile.
+  std::optional<rl::ActorCritic> behavior;
+  if (overlap) behavior.emplace(net);
+  const rl::ActorCritic& policy = overlap ? *behavior : net;
+  // The l environments advance together through one driver, so their
+  // decision forwards fuse into one predict_batch; each env has its own rng
+  // stream and buffer. Buffers and batches are reused across iterations,
+  // double-buffered when overlapped so the helper and the update never
+  // touch the same window.
+  rl::BatchedRollout driver(policy.actor(), obs_dim);
+  std::vector<RolloutWindow> windows(overlap ? 2 : 1);
+  for (RolloutWindow& window : windows) {
+    for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+      window.buffers.emplace_back(config.gamma);
+    }
+    window.batches.resize(config.parallel_envs);
+    window.episode_rewards.assign(config.parallel_envs, 0.0);
+  }
   std::vector<std::unique_ptr<TrainingEpisode>> episodes;
   std::vector<rl::BatchedEnv*> envs;
+  const auto roll_out = [&](std::size_t iteration) {
+    DOSC_TRACE_SCOPE("train", "rollout");
+    const util::Timer rollout_timer;
+    RolloutWindow& window = windows[iteration % windows.size()];
+    envs.clear();
+    for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+      episodes.push_back(std::make_unique<TrainingEpisode>(
+          train_scenario, episode_seed(config.seed_base, seed_index, iteration, e), policy,
+          window.buffers[e], config.reward, max_degree, config.observation_mask,
+          /*record_behavior_logp=*/overlap));
+      envs.push_back(episodes.back().get());
+    }
+    driver.run(envs);
+    // Window 0 is rolled out under the parameters update 0 starts from: it
+    // is fresh, so it drops its behavior log-probs and takes the on-policy
+    // path. Every later window is one update stale.
+    const bool stale = overlap && iteration > 0;
+    std::size_t total_steps = 0;
+    for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+      window.episode_rewards[e] = episodes[e]->finish();
+      window.buffers[e].truncate_all();
+      window.buffers[e].drain_into(window.batches[e], policy, obs_dim, stale);
+      total_steps += window.batches[e].size();
+    }
+    episodes.clear();  // free the simulators before the update
+    if (telemetry::enabled()) {
+      const double rollout_s = rollout_timer.elapsed_seconds();
+      telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+      registry.observe("train.rollout_ms", rollout_s * 1e3);
+      registry.counter("train.env_steps").add(total_steps);
+      if (rollout_s > 0.0) {
+        registry.observe("train.env_steps_per_s", static_cast<double>(total_steps) / rollout_s);
+      }
+    }
+  };
+  std::optional<RolloutThread> helper;
+  if (overlap && config.iterations > 1) helper.emplace(roll_out);
+
   rl::Batch merged;
   for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-    {
-      DOSC_TRACE_SCOPE("train", "rollout");
-      const util::Timer rollout_timer;
-      envs.clear();
-      for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-        episodes.push_back(std::make_unique<TrainingEpisode>(
-            train_scenario, episode_seed(config.seed_base, seed_index, iteration, e), net,
-            buffers[e], config.reward, max_degree, config.observation_mask));
-        envs.push_back(episodes.back().get());
-      }
-      driver.run(envs);
-      std::size_t total_steps = 0;
-      for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-        episode_rewards[e] = episodes[e]->finish();
-        buffers[e].truncate_all();
-        buffers[e].drain_into(batches[e], net, obs_dim);
-        total_steps += batches[e].size();
-      }
-      episodes.clear();  // free the simulators before the update
-      if (telemetry::enabled()) {
-        const double rollout_s = rollout_timer.elapsed_seconds();
-        telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
-        registry.observe("train.rollout_ms", rollout_s * 1e3);
-        registry.counter("train.env_steps").add(total_steps);
-        if (rollout_s > 0.0) {
-          registry.observe("train.env_steps_per_s",
-                           static_cast<double>(total_steps) / rollout_s);
-        }
-      }
+    // Overlapped, every iteration after the first was rolled out during the
+    // previous update.
+    if (!overlap || iteration == 0) roll_out(iteration);
+    const RolloutWindow& window = windows[iteration % windows.size()];
+    const bool handoff = overlap && iteration + 1 < config.iterations;
+    // While the helper rolls out, the update's GEMMs leave it one core.
+    std::optional<nn::ComputeThreadsGuard> split;
+    if (handoff) {
+      behavior->set_parameters(net.get_parameters());
+      split.emplace(std::max<std::size_t>(1, nn::compute_threads() - 1));
+      helper->start(iteration + 1);
     }
 
     // Merge the env batches; cap the update size with a uniform subsample
     // so one update's cost stays bounded regardless of episode length.
-    // (rl::merge_batches_into is this trainer's historical inline merge,
-    // hoisted so the async learner shares it bit for bit.)
     util::Rng sample_rng(episode_seed(config.seed_base, seed_index, iteration, 777));
-    rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
+    rl::merge_batches_into(merged, window.batches, obs_dim, config.max_update_steps,
+                           sample_rng);
 
     rl::UpdateStats stats;
     {
@@ -257,17 +304,18 @@ void run_sync_seed(rl::ActorCritic& net, const TrainingConfig& config,
         registry.counter("train.updates").add(1);
         registry.counter("train.iterations").add(1);
         double reward_sum = 0.0;
-        for (const double r : episode_rewards) reward_sum += r;
+        for (const double r : window.episode_rewards) reward_sum += r;
         registry.gauge("train.mean_episode_reward")
             .set(reward_sum / static_cast<double>(config.parallel_envs));
       }
     }
     if (progress) {
       double mean_reward = 0.0;
-      for (const double r : episode_rewards) mean_reward += r;
+      for (const double r : window.episode_rewards) mean_reward += r;
       mean_reward /= static_cast<double>(config.parallel_envs);
       progress({seed_index, iteration, mean_reward, stats});
     }
+    if (handoff) helper->wait();
   }
 }
 
@@ -377,12 +425,7 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
     net_config.hidden = config.hidden;
     net_config.seed = config.seed_base + seed_index;
     rl::ActorCritic net(net_config);
-    // Evaluation and seed selection below are shared by both modes.
-    if (config.async.enabled) {
-      run_async_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
-    } else {
-      run_sync_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
-    }
+    run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
 
     // Greedy evaluation; the best seed's network is deployed (Alg. 1 l.13).
     const EvalResult eval =

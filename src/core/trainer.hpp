@@ -7,8 +7,7 @@
 // iteration (A3C-style data from l envs, one synchronous ACKTR update) and
 // k independent seeds; the seed with the best greedy evaluation is selected
 // and its network is what gets copied to every node for inference. Every
-// episode — training and evaluation, sync and async — is driven by
-// rl::BatchedRollout.
+// episode — training and evaluation — is driven by rl::BatchedRollout.
 #pragma once
 
 #include <functional>
@@ -21,29 +20,6 @@
 
 namespace dosc::core {
 
-/// Knobs for the decoupled async actor/learner mode (rl::AsyncTrainer).
-/// With `enabled`, each seed trains with `num_workers` persistent rollout
-/// workers feeding a learner thread through lock-free queues instead of the
-/// barrier-synchronised iteration loop; `iterations` becomes the learner
-/// update count and `parallel_envs` the episodes merged per update. The
-/// configuration num_workers = 1, max_staleness = 0 is bit-identical to the
-/// synchronous trainer.
-struct AsyncTrainingConfig {
-  bool enabled = false;
-  std::size_t num_workers = 2;
-  std::size_t queue_capacity = 8;   ///< per-worker trajectory queue depth
-  std::size_t max_staleness = 1;    ///< pacing bound K (0 = lockstep)
-  /// Learner GEMM threads; 0 = hardware threads minus workers (>= 1). See
-  /// rl::resolve_thread_budget for the oversubscription guard.
-  std::size_t learner_threads = 0;
-  /// Most environments each worker drives concurrently through its
-  /// rl::BatchedRollout: decision forwards across the B in-flight episodes
-  /// fuse into one GEMM, and a worker's update window merges more episodes
-  /// per gate pass. 1 = one episode at a time, per-row GEMV forwards.
-  /// Lockstep parity (1 worker, max_staleness 0) is preserved for any B.
-  std::size_t envs_per_worker = 1;
-};
-
 struct TrainingConfig {
   rl::UpdaterConfig updater;            ///< ACKTR with the paper's hyperparameters
   std::vector<std::size_t> hidden{64, 64};
@@ -52,9 +28,8 @@ struct TrainingConfig {
   double gamma = 0.99;             ///< paper: discount factor 0.99
   std::size_t num_seeds = 3;       ///< paper: k = 10 training seeds
   /// paper: l = 4 parallel environments. The l episodes of an iteration
-  /// advance together on the calling thread through one rl::BatchedRollout
-  /// (their decision forwards fuse into one GEMM); use async.num_workers to
-  /// spread rollout over cores.
+  /// advance together on one thread through one rl::BatchedRollout (their
+  /// decision forwards fuse into one GEMM).
   std::size_t parallel_envs = 4;
   std::size_t iterations = 150;    ///< updates per seed (l episodes each)
   double train_episode_time = 1000.0;  ///< T of each training episode (ms)
@@ -77,7 +52,14 @@ struct TrainingConfig {
   bool batched_rollout = false;
   std::uint64_t seed_base = 1;
   bool verbose = false;
-  AsyncTrainingConfig async;       ///< decoupled actor/learner mode
+  /// Overlapped training: iteration i+1's l episodes roll out on a helper
+  /// thread, under a copy of the parameters taken before update i, while
+  /// update i runs. Every update after the first then trains on rows one
+  /// update stale, weighted by the clipped-IS correction
+  /// (UpdaterConfig::is_clip); the schedule is fixed, so results are
+  /// bit-reproducible at any compute-thread count. Off: Alg. 1's strict
+  /// rollout-then-update alternation.
+  bool async = false;
 
   /// The paper's full-scale settings (Sec. V-A2): 2x256 hidden units,
   /// k = 10 seeds, l = 4 environments. Training time grows accordingly.

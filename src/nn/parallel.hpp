@@ -37,12 +37,11 @@ void set_compute_threads(std::size_t n);
 /// Current compute-thread budget (>= 1).
 std::size_t compute_threads() noexcept;
 
-/// RAII budget override; restores the previous value on destruction. Used by
-/// the trainer to keep rollout workers + compute threads within the machine
-/// and by benchmarks to sweep thread counts. The async trainer holds one for
-/// its whole run with the budget from rl::resolve_thread_budget, so its
-/// rollout workers and the learner's GEMMs partition the machine instead of
-/// oversubscribing it.
+/// RAII budget override; restores the previous value on destruction. The
+/// overlapped trainer holds one at compute_threads() - 1 (floor 1) while its
+/// helper thread rolls out, so the rollout and the update's GEMMs share the
+/// machine instead of oversubscribing it; benchmarks and tests use it to
+/// pin thread counts.
 class ComputeThreadsGuard {
  public:
   explicit ComputeThreadsGuard(std::size_t n) : previous_(compute_threads()) {

@@ -50,15 +50,6 @@ class BatchedEnv {
   virtual void apply_logits(std::span<const double> logits) = 0;
 };
 
-/// A BatchedEnv plus its end-of-episode readout, for callers that collect
-/// one result per episode (the trainers). finish() fires the episode-end
-/// callbacks and returns the episode's total shaped reward; call it once,
-/// after advance_to_decision returned false.
-class RolloutEpisode : public BatchedEnv {
- public:
-  virtual double finish() = 0;
-};
-
 struct BatchedRolloutStats {
   std::uint64_t decisions = 0;    ///< rows serviced across all rounds
   std::uint64_t rounds = 0;       ///< decision rounds driven

@@ -16,10 +16,9 @@
 // heap allocation at steady state: trajectory slots, their step arrays and
 // each step's observation buffer are recycled across flows and across
 // episodes, and the flow-id index is an open-addressing table with
-// backshift deletion instead of a node-allocating map. This is what lets
-// the async trainer's persistent rollout workers run allocation-free
-// (test_train_alloc pins it), and it removes per-step allocator traffic
-// from the synchronous trainer too.
+// backshift deletion instead of a node-allocating map. test_train_alloc
+// pins the recording path allocation-free; it keeps per-step allocator
+// traffic out of the trainer's rollout.
 //
 // Determinism: drain emits finished trajectories in completion order, and
 // truncate_all closes the still-open trajectories in first-decision order
@@ -46,7 +45,8 @@ struct Step {
 };
 
 /// Flat training batch. `behavior_logp` is filled only when the buffer was
-/// drained with `with_behavior_logp` (async training): the updater applies
+/// drained with `with_behavior_logp` (overlapped training's stale
+/// windows): the updater applies
 /// clipped-IS staleness correction per row when it is present, and a NaN
 /// row marks on-policy data (weight exactly 1).
 struct Batch {
@@ -142,11 +142,9 @@ class TrajectoryBuffer {
 /// Merge per-environment batches into `out`, capping the result at
 /// `max_steps` rows with a single-pass reservoir subsample over the
 /// concatenated steps (rng consumption is a pure function of the input
-/// sizes). This is byte-for-byte the merge the synchronous trainer performs
-/// between its rollout join and the update; the async learner calls the
-/// same function so the 1-worker/staleness-0 configuration stays
-/// bit-identical to the synchronous path. behavior_logp is merged iff every
-/// input batch carries it. Reuses `out`'s storage.
+/// sizes): the merge the trainer performs between rollout and update.
+/// behavior_logp is merged iff every input batch carries it. Reuses `out`'s
+/// storage.
 void merge_batches_into(Batch& out, std::span<const Batch> batches, std::size_t obs_dim,
                         std::size_t max_steps, util::Rng& rng);
 

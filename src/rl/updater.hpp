@@ -36,7 +36,8 @@ struct UpdaterConfig {
   bool normalize_advantage = true;
   /// Linear learning-rate decay towards 0 over this many updates (0 = off).
   std::size_t lr_decay_updates = 0;
-  /// Clipped-IS staleness correction (async training): when a batch carries
+  /// Clipped-IS staleness correction (overlapped training, whose windows
+  /// after the first are one update stale): when a batch carries
   /// behavior_logp, each row's policy-gradient term is scaled by
   /// rho = min(is_clip, pi_cur(a|o) / pi_b(a|o)) — V-trace's truncated
   /// importance weight with rho-bar = is_clip. Rows marked NaN (on-policy

@@ -3,11 +3,10 @@
 // The hot-swap requirement (ROADMAP: "hot-swaps policy weights from the
 // online trainer without dropping requests") is exactly the epoch-published
 // snapshot problem, and the implementation — util::EpochPublished<T>, a
-// small ring of refcounted epoch slots with a wait-free acquire — now
-// lives in src/util/epoch_published.hpp, shared with the async trainer's
-// policy snapshot ring. This header keeps the serve-side pieces: the
-// ServePolicy snapshot type, its validating factory, and a compatibility
-// alias so existing serve code (and its tests) keep compiling unchanged.
+// small ring of refcounted epoch slots with a wait-free acquire — lives in
+// src/util/epoch_published.hpp. This header keeps the serve-side pieces:
+// the ServePolicy snapshot type, its validating factory, and the
+// PolicyStore ring they are published through.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +18,6 @@
 #include "util/epoch_published.hpp"
 
 namespace dosc::serve {
-
-/// Compatibility alias: serve::EpochPublished<T> predates the hoist into
-/// src/util. New code should name util::EpochPublished directly.
-template <typename T>
-using EpochPublished = util::EpochPublished<T>;
 
 /// One deployable policy snapshot as served by the daemon: the actor-critic
 /// network plus the metadata replies carry. Immutable after construction;
@@ -47,6 +41,6 @@ std::unique_ptr<const ServePolicy> make_serve_policy(const core::TrainedPolicy& 
                                                      std::size_t network_max_degree,
                                                      std::uint32_t version);
 
-using PolicyStore = EpochPublished<ServePolicy>;
+using PolicyStore = util::EpochPublished<ServePolicy>;
 
 }  // namespace dosc::serve

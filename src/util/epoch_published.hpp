@@ -1,14 +1,12 @@
-// Wait-free epoch-based snapshot publication, shared by serving and training.
+// Wait-free epoch-based snapshot publication.
 //
-// Two subsystems need the same primitive: the decision daemon hot-swaps
-// policy weights under live traffic, and the async trainer's learner
-// publishes fresh policy snapshots to persistent rollout workers. In both,
+// The decision daemon hot-swaps policy weights under live traffic
+// (serve::PolicyStore), which needs:
 //
-//   * readers (decide workers / rollout workers) must never block and never
-//     observe a torn snapshot — a value whose bytes mix two publishes;
-//   * the publisher may block (control thread / learner between updates),
-//     but only until in-flight readers of the slot it wants to recycle
-//     finish.
+//   * readers (decide workers) must never block and never observe a torn
+//     snapshot — a value whose bytes mix two publishes;
+//   * the publisher (the control thread) may block, but only until
+//     in-flight readers of the slot it wants to recycle finish.
 //
 // EpochPublished<T> implements this with a small ring of epoch slots, each
 // guarded by an atomic reader count. acquire() is wait-free in the absence
@@ -24,9 +22,7 @@
 // guaranteed the slot's value was fully constructed before the index
 // pointed at it (release/acquire on current_) — no tears, no ABA.
 //
-// This is the SURREAL-style decoupling (PAPERS.md): the learner/publisher
-// never makes a reader thread wait. Hoisted out of serve/policy_store.hpp
-// so serving and training share one implementation.
+// The publisher never makes a reader thread wait.
 #pragma once
 
 #include <atomic>

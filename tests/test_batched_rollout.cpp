@@ -5,7 +5,7 @@
 // SimMetrics, same recorded trajectories, same trained parameters — at
 // every batch width, because each episode keeps its own engine and RNG
 // streams and predict_batch equals predict_row per row (test_mlp pins
-// that). Also covers the merge_batches_into edge cases the batched async
+// that). Also covers the merge_batches_into edge cases the trainer's
 // windows lean on: empty batches, single-contributor windows, and
 // merge-order invariance around empties.
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "core/observation.hpp"
 #include "core/trainer.hpp"
 #include "net/topology_zoo.hpp"
+#include "nn/parallel.hpp"
 #include "rl/batched_rollout.hpp"
 #include "rl/updater.hpp"
 #include "sim/scenario.hpp"
@@ -401,75 +402,92 @@ sim::Scenario tiny_training_scenario() {
   return test::tiny_scenario(test::line3(), test::one_component_catalog(), options);
 }
 
-TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
-  // The sync trainer drives its l envs through one BatchedRollout. Replay
-  // its seed grid here one episode at a time through Simulator::run (the
-  // per-decision Coordinator path), merge and update exactly as Alg. 1 does:
-  // the trained parameters must match the trainer's bit for bit, at l = 1
-  // (every round one GEMV row) and at l = 3.
-  const sim::Scenario scenario = tiny_training_scenario();
-  for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
-    core::TrainingConfig config = tiny_training_config();
-    config.parallel_envs = envs;
-    const core::TrainedPolicy trained = core::train_distributed_policy(scenario, config);
-
-    const std::size_t max_degree = scenario.network().max_degree();
-    const std::size_t obs_dim = core::observation_dim(max_degree);
-    rl::ActorCriticConfig net_config;
-    net_config.obs_dim = obs_dim;
-    net_config.num_actions = max_degree + 1;
-    net_config.hidden = config.hidden;
-    net_config.seed = config.seed_base;  // seed index 0
-    rl::ActorCritic net(net_config);
-    rl::Updater updater(config.updater);
-    const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
-    for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-      std::vector<rl::Batch> batches;
-      for (std::size_t e = 0; e < envs; ++e) {
-        const std::uint64_t es = core::episode_seed(config.seed_base, 0, iteration, e);
-        rl::TrajectoryBuffer buffer(config.gamma);
-        core::TrainingEnv env(net, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
-                              config.observation_mask);
-        sim::Simulator sim(train_scenario, es);
-        sim.run(env, &env);
-        buffer.truncate_all();
-        batches.push_back(buffer.drain(net, obs_dim));
-      }
-      util::Rng sample_rng(core::episode_seed(config.seed_base, 0, iteration, 777));
-      rl::Batch merged;
-      rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
-      updater.update(net, merged);
+/// Alg. 1 replayed one episode at a time through Simulator::run (the
+/// per-decision Coordinator path): the parameters the trainer must reach.
+/// With `overlapped`, iteration i rolls out under a copy of theta_(i-1)
+/// (theta_k: the parameters after k updates; theta_0 at i = 0), records
+/// behavior log-probs, and keeps them for every window but the fresh first.
+std::vector<double> reference_parameters(const sim::Scenario& scenario,
+                                         const core::TrainingConfig& config, bool overlapped) {
+  const std::size_t max_degree = scenario.network().max_degree();
+  const std::size_t obs_dim = core::observation_dim(max_degree);
+  rl::ActorCriticConfig net_config;
+  net_config.obs_dim = obs_dim;
+  net_config.num_actions = max_degree + 1;
+  net_config.hidden = config.hidden;
+  net_config.seed = config.seed_base;  // seed index 0
+  rl::ActorCritic net(net_config);
+  rl::ActorCritic behavior(net_config);
+  std::vector<double> previous = net.get_parameters();
+  rl::Updater updater(config.updater);
+  const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
+  for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
+    behavior.set_parameters(previous);
+    const rl::ActorCritic& policy = overlapped ? behavior : net;
+    std::vector<rl::Batch> batches;
+    for (std::size_t e = 0; e < config.parallel_envs; ++e) {
+      const std::uint64_t es = core::episode_seed(config.seed_base, 0, iteration, e);
+      rl::TrajectoryBuffer buffer(config.gamma);
+      core::TrainingEnv env(policy, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
+                            config.observation_mask, /*record_behavior_logp=*/overlapped);
+      sim::Simulator sim(train_scenario, es);
+      sim.run(env, &env);
+      buffer.truncate_all();
+      batches.emplace_back();
+      buffer.drain_into(batches.back(), policy, obs_dim, /*with_behavior_logp=*/overlapped);
+      if (iteration == 0) batches.back().behavior_logp.clear();
     }
-
-    const std::vector<double> expected = net.get_parameters();
-    ASSERT_EQ(trained.parameters.size(), expected.size()) << "l=" << envs;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(trained.parameters[i], expected[i]) << "l=" << envs << " parameter " << i;
-    }
+    util::Rng sample_rng(core::episode_seed(config.seed_base, 0, iteration, 777));
+    rl::Batch merged;
+    rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
+    previous = net.get_parameters();
+    updater.update(net, merged);
   }
+  return net.get_parameters();
 }
 
-TEST(AsyncTrainer, BatchedWorkerLockstepBitIdenticalToSequentialWorker) {
-  // The async acceptance anchor extended to wide rounds: in lockstep
-  // (1 worker, staleness 0) a whole update window's tickets pass the gate
-  // together, so a 4-env worker claims exactly one window per round and
-  // the window composition — and the trained parameters — must match the
-  // one-episode-per-round worker bit for bit.
+TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
+  // The trainer drives its l envs through one BatchedRollout; overlapped, on
+  // a helper thread during the previous update. The trained parameters must
+  // match the sequential reference bit for bit in both schedules, at l = 1
+  // (every round one GEMV row) and at l = 3, at one compute thread and at
+  // the default (0): neither the GEMM budget nor which thread finishes
+  // first may reach the parameters.
   const sim::Scenario scenario = tiny_training_scenario();
-  core::TrainingConfig sequential = tiny_training_config();
-  sequential.async.enabled = true;
-  sequential.async.num_workers = 1;
-  sequential.async.max_staleness = 0;
-  core::TrainingConfig batched = sequential;
-  batched.async.envs_per_worker = 4;
-
-  const core::TrainedPolicy a = core::train_distributed_policy(scenario, sequential);
-  const core::TrainedPolicy b = core::train_distributed_policy(scenario, batched);
-  ASSERT_EQ(a.parameters.size(), b.parameters.size());
-  for (std::size_t i = 0; i < a.parameters.size(); ++i) {
-    ASSERT_EQ(a.parameters[i], b.parameters[i]) << "parameter " << i << " diverged";
+  for (const bool overlapped : {false, true}) {
+    for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
+      core::TrainingConfig config = tiny_training_config();
+      config.parallel_envs = envs;
+      config.async = overlapped;
+      const std::vector<double> expected = reference_parameters(scenario, config, overlapped);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+        const nn::ComputeThreadsGuard budget(threads);
+        std::vector<double> is_weights;  // one progress call per update, in order
+        const core::TrainedPolicy trained = core::train_distributed_policy(
+            scenario, config, [&](const core::TrainingProgress& p) {
+              EXPECT_EQ(p.iteration, is_weights.size());
+              is_weights.push_back(p.update.mean_is_weight);
+            });
+        ASSERT_EQ(is_weights.size(), config.iterations);
+        // Window 0 is fresh in both schedules; overlapped, every later window
+        // is one update stale and its clipped weights average below 1.
+        EXPECT_EQ(is_weights[0], 1.0);
+        for (std::size_t i = 1; i < is_weights.size(); ++i) {
+          if (overlapped) {
+            EXPECT_LT(is_weights[i], 1.0) << "update " << i;
+          } else {
+            EXPECT_EQ(is_weights[i], 1.0) << "update " << i;
+          }
+        }
+        ASSERT_EQ(trained.parameters.size(), expected.size()) << "l=" << envs;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(trained.parameters[i], expected[i])
+              << "async=" << overlapped << " l=" << envs << " threads=" << threads
+              << " parameter " << i;
+        }
+      }
+    }
   }
-  EXPECT_DOUBLE_EQ(a.eval_success_ratio, b.eval_success_ratio);
 }
 
 // ---- merge_batches_into edge cases (the batched windows' merge path) ----

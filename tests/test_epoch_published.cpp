@@ -1,8 +1,7 @@
 // util::EpochPublished safety: concurrent readers must never observe a torn
 // snapshot while a publisher loops, pinned handles must survive later
-// publishes, and acquire before any publish is null. Moved here from the
-// serving hot-swap suite when the template was hoisted to src/util (the
-// async trainer publishes policy snapshots through the same mechanism).
+// publishes, and acquire before any publish is null. serve::PolicyStore
+// hot-swaps policy snapshots through this template.
 //
 // The torn-read detector uses per-snapshot sentinel values: every publish
 // installs a large vector whose elements all equal the publish index, so a

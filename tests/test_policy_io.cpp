@@ -133,6 +133,62 @@ TEST(PolicyIo, ValidatePolicyRejectsZeroShapes) {
   policy = tiny_policy();
   policy.max_degree = 0;
   EXPECT_THROW(core::validate_policy(policy), std::runtime_error);
+  // obs_dim 2^61 over hidden [8]: 2^61 * 8 wraps to 0, so an unchecked
+  // count is 61, and 61 parameters would pass for a 2^61-row weight matrix.
+  policy = tiny_policy();
+  policy.net_config.obs_dim = std::size_t{1} << 61;
+  policy.net_config.num_actions = 4;
+  policy.net_config.hidden = {8};
+  policy.parameters.assign(61, 0.0);
+  try {
+    core::validate_policy(policy);
+    FAIL() << "an overflowing shape was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos) << e.what();
+  }
+}
+
+/// A snapshot without checksum whose shape fields are overridden, with
+/// `parameters` zero parameters.
+util::Json crafted_snapshot(const util::Json::Object& shape, std::size_t parameters) {
+  util::Json::Object o = core::to_json(tiny_policy()).as_object();
+  o.erase("param_checksum");
+  for (const auto& [key, value] : shape) o[key] = value;
+  o["parameters"] = util::Json(util::Json::Array(parameters, util::Json(0.0)));
+  return util::Json(std::move(o));
+}
+
+TEST(PolicyIo, ShapeFieldsMustBePositiveIntegers) {
+  // Each snapshot's parameter count matches what an unchecked reader makes
+  // of its shape, so only the shape check stands between it and eval.
+  const util::Json hidden8(util::Json::Array{util::Json(8)});
+  const struct {
+    const char* what;
+    util::Json snapshot;
+  } cases[] = {
+      // -1 wraps to 2^64 - 1; (2^64 - 1) * 8 + 8 wraps to 0: 45 = 9 * 4 + 9.
+      {"negative obs_dim",
+       crafted_snapshot({{"obs_dim", util::Json(-1)}, {"hidden", hidden8},
+                         {"num_actions", util::Json(4)}},
+                        45)},
+      // 16.5 would round to 17: 17 * 8 + 8 + 8 * 4 + 4 + 17 * 8 + 8 + 9 = 333.
+      {"fractional obs_dim",
+       crafted_snapshot({{"obs_dim", util::Json(16.5)}, {"hidden", hidden8},
+                         {"num_actions", util::Json(4)}},
+                        333)},
+      {"negative max_degree",
+       crafted_snapshot({{"max_degree", util::Json(-1)}},
+                        core::expected_parameter_count(tiny_policy().net_config))},
+  };
+  for (const auto& c : cases) {
+    try {
+      core::policy_from_json(c.snapshot);
+      ADD_FAILURE() << c.what << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("policy snapshot invalid"), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
 }
 
 TEST(PolicyIo, UntrainedServingPolicyRoundTripsThroughDisk) {

@@ -1,8 +1,8 @@
 // Policy hot-swap safety at the server level: a serving UdpServer mid-load
 // must swap policies with zero dropped requests, and an incompatible
 // snapshot must be rejected without disturbing the serving one. The
-// underlying EpochPublished mechanism is covered by test_epoch_published
-// (it moved to src/util when the async trainer started sharing it).
+// underlying util::EpochPublished mechanism is covered by
+// test_epoch_published.
 #include <gtest/gtest.h>
 
 #include <atomic>

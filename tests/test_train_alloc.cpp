@@ -1,6 +1,6 @@
 // Allocation accounting for the training hot path.
 //
-// The async-trainer contract: once a rollout worker's pools have warmed —
+// The rollout contract: once a trajectory buffer's pools have warmed —
 // the pooled TrajectoryBuffer's slot/step/observation storage, the
 // open-addressing flow index, the drain target batch — recording a decision
 // or crediting a reward performs NO heap allocation, and neither does a
@@ -10,7 +10,7 @@
 // allocation-free end to end), through a real simulator episode driven by
 // TrainingEnv (an exact replay of a warmed episode must be allocation-free
 // inside every decide() and reward event), and through rl::BatchedRollout,
-// every worker's only episode driver (on a replayed episode set, the
+// the trainer's only episode driver (on a replayed episode set, the
 // driver's rounds — gather, fused forward, logit rows — and the agents'
 // build_observation / decide_from_logits must not allocate).
 #include <gtest/gtest.h>

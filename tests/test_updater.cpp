@@ -201,9 +201,9 @@ TEST(Updater, ClippedIsWeightMatchesHandComputedValues) {
 }
 
 TEST(Updater, NanBehaviorRowsAreBitIdenticalToOnPolicyBatch) {
-  // A batch whose behavior_logp rows are all NaN (the async learner's
-  // on-policy marker) must produce exactly the same update as the same
-  // batch without behavior_logp — the staleness-0 bit-identity hinge.
+  // A batch whose behavior_logp rows are all NaN (the on-policy row
+  // marker) must produce exactly the same update as the same batch without
+  // behavior_logp.
   ActorCritic net_a = make_net(11);
   ActorCritic net_b = make_net(11);
   UpdaterConfig config;
