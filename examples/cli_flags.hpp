@@ -68,45 +68,42 @@ T parse_count(const char* flag, const char* token, T min = 0) {
   return static_cast<T>(value);
 }
 
-/// One flag of the decision daemon. `apply` parses `token` (nullptr for a
-/// switch) into the options.
+/// One flag of the decision daemon; every one takes a value. `apply`
+/// parses `token` into the options.
 struct DaemonFlag {
   const char* name;
-  bool takes_value;
   const char* help;  ///< usage line
   void (*apply)(serve::DaemonOptions& options, const char* flag, const char* token);
 };
 
 inline constexpr DaemonFlag kDaemonFlags[] = {
-    {"--port", true, "--port P           UDP port (default 0 = ephemeral, printed as PORT <n>)",
+    {"--port", "--port P           UDP port (default 0 = ephemeral, printed as PORT <n>)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.port = parse_count<std::uint16_t>(f, t);
      }},
-    {"--threads", true, "--threads N        worker threads sharing the socket (default 1)",
+    {"--threads", "--threads N        worker threads sharing the socket (default 1)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.threads = parse_count<std::size_t>(f, t);
      }},
-    {"--max-batch", true, "--max-batch B      max requests per forward pass (default 32)",
+    {"--max-batch", "--max-batch B      max requests per forward pass (default 32)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.batcher.max_batch = parse_count<std::size_t>(f, t);
      }},
-    {"--wait-us", true, "--wait-us U        straggler wait budget when loaded (default 50)",
+    {"--wait-us", "--wait-us U        straggler wait budget when loaded (default 50)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.batcher.wait_budget_us = parse_count<std::uint64_t>(f, t);
      }},
-    {"--gemm-threshold", true,
+    {"--gemm-threshold",
      "--gemm-threshold X EWMA batch size that enables waiting (default 2.0)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.batcher.gemm_threshold = parse_real(f, t);
      }},
-    {"--force-gemv", false, "--force-gemv       decide every request on the batch-1 GEMV path",
-     [](serve::DaemonOptions& o, const char*, const char*) { o.server.force_gemv = true; }},
-    {"--reload-ms", true,
+    {"--reload-ms",
      "--reload-ms MS     policy file change poll interval, 0 = off (default 1000)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.reload_ms = parse_count<std::uint64_t>(f, t);
      }},
-    {"--duration", true,
+    {"--duration",
      "--duration S       exit after S seconds, 0 = until signal (default 0)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.duration_s = parse_real(f, t);
@@ -129,12 +126,8 @@ inline serve::DaemonOptions parse_daemon_args(int argc, char** argv, int first) 
         std::begin(kDaemonFlags), std::end(kDaemonFlags),
         [arg](const DaemonFlag& f) { return std::strcmp(f.name, arg) == 0; });
     if (flag == std::end(kDaemonFlags)) throw FlagError(std::string("unknown flag: ") + arg);
-    const char* token = nullptr;
-    if (flag->takes_value) {
-      if (i + 1 >= argc) throw FlagError(std::string("missing value for ") + arg);
-      token = argv[++i];
-    }
-    flag->apply(options, arg, token);
+    if (i + 1 >= argc) throw FlagError(std::string("missing value for ") + arg);
+    flag->apply(options, arg, argv[++i]);
   }
   if (positional.size() != 2) {
     throw FlagError("expected exactly two arguments: <scenario.json> <policy.json>");

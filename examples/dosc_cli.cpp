@@ -88,7 +88,7 @@ int usage() {
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
                "  dosc_cli serve <scenario.json> <policy.json> [--port P] [--threads N]\n"
                "                [--max-batch B] [--wait-us U] [--gemm-threshold X]\n"
-               "                [--force-gemv] [--reload-ms MS] [--duration S]\n"
+               "                [--reload-ms MS] [--duration S]\n"
                "  dosc_cli load <scenario.json> --port P [--address A] [--rate R]\n"
                "                [--requests N] [--seed S] [--drain-ms MS]\n"
                "  dosc_cli init-policy <scenario.json> <policy.json> [--hidden N] [--seed S]\n"

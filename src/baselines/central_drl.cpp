@@ -1,6 +1,7 @@
 #include "baselines/central_drl.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -179,18 +180,6 @@ void CentralDrlCoordinator::on_parked(const sim::Flow&, net::NodeId, double) {
   reward(shaper_->on_parked());
 }
 
-namespace {
-
-std::uint64_t mix_seed(std::uint64_t base, std::size_t a, std::size_t b, std::size_t c) {
-  std::uint64_t h = base;
-  h = h * 0x9E3779B97F4A7C15ULL + a + 1;
-  h = h * 0xBF58476D1CE4E5B9ULL + b + 1;
-  h = h * 0x94D049BB133111EBULL + c + 1;
-  return h ^ (h >> 31);
-}
-
-}  // namespace
-
 core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,
                                          const rl::ActorCritic& policy,
                                          const CentralTrainingConfig& config,
@@ -231,24 +220,26 @@ core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
     net_config.seed = config.seed_base + seed_index;
     rl::ActorCritic net(net_config);
     rl::Updater updater(config.updater);
+    rl::Batch merged;
+    util::Rng merge_rng(0);
 
     for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-      const std::vector<double> snapshot = net.get_parameters();
+      // The envs read `net` concurrently: inference is const and
+      // thread-safe, and the update below runs only after every env joined.
       std::vector<rl::Batch> batches(config.parallel_envs);
       std::vector<std::exception_ptr> errors(config.parallel_envs);
 
       auto worker = [&](std::size_t env_index) {
         try {
-          rl::ActorCritic local(net_config);
-          local.set_parameters(snapshot);
           rl::TrajectoryBuffer buffer(config.gamma);
-          const std::uint64_t es = mix_seed(config.seed_base, seed_index, iteration, env_index);
-          CentralDrlCoordinator env(local, config.central, config.reward, &buffer,
+          const std::uint64_t es =
+              core::episode_seed(config.seed_base, seed_index, iteration, env_index);
+          CentralDrlCoordinator env(net, config.central, config.reward, &buffer,
                                     util::Rng(es * 17 + 3));
           sim::Simulator sim(train_scenario, es);
           sim.run(env, &env);
           buffer.truncate_all();
-          batches[env_index] = buffer.drain(local, obs_dim);
+          batches[env_index] = buffer.drain(net, obs_dim);
         } catch (...) {
           errors[env_index] = std::current_exception();
         }
@@ -265,20 +256,9 @@ core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
         if (err) std::rethrow_exception(err);
       }
 
-      std::size_t total = 0;
-      for (const rl::Batch& b : batches) total += b.size();
-      rl::Batch merged;
-      merged.obs = nn::Matrix(total, obs_dim);
-      merged.actions.reserve(total);
-      merged.returns.reserve(total);
-      std::size_t row = 0;
-      for (const rl::Batch& b : batches) {
-        std::copy(b.obs.data(), b.obs.data() + b.obs.size(),
-                  merged.obs.data() + row * obs_dim);
-        merged.actions.insert(merged.actions.end(), b.actions.begin(), b.actions.end());
-        merged.returns.insert(merged.returns.end(), b.returns.begin(), b.returns.end());
-        row += b.obs.rows();
-      }
+      // Uncapped, the merge keeps every row in env order and draws no rng.
+      rl::merge_batches_into(merged, batches, obs_dim,
+                             std::numeric_limits<std::size_t>::max(), merge_rng);
       updater.update(net, merged);
     }
 

@@ -25,8 +25,8 @@ void OnlineTrainingCoordinator::on_episode_start(const sim::Simulator& sim) {
 int OnlineTrainingCoordinator::decide(const sim::Simulator& sim, const sim::Flow& flow,
                                       net::NodeId node) {
   const std::vector<double>& obs = obs_.build(sim, flow, node);
-  const int action =
-      config_.stochastic ? policy_.sample_action(obs, rng_) : policy_.greedy_action(obs);
+  // Always sampled: an online learner must keep exploring.
+  const int action = policy_.sample_action(obs, rng_);
   buffer_.record_decision(flow.id, obs, action);
   return action;
 }

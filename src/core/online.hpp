@@ -28,7 +28,6 @@ struct OnlineTrainerConfig {
   double gamma = 0.99;
   double update_period = 500.0;     ///< simulated ms between policy updates
   std::size_t min_batch = 64;       ///< skip updates with fewer experiences
-  bool stochastic = true;           ///< sample actions (needed to keep exploring)
 };
 
 /// Coordinator that keeps training its policy while coordinating. Owns a

@@ -1,7 +1,6 @@
 #include "core/policy_io.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -79,19 +78,22 @@ std::string checksum_hex(std::uint64_t checksum) {
   return buf;
 }
 
-/// A shape field (obs_dim, num_actions, a hidden width, max_degree): an
-/// integer in [1, 2^53]. JSON numbers are doubles, so a fractional value
-/// would otherwise be rounded and a negative one wrap in the size_t
-/// conversion; 2^53 bounds the range where doubles hold every integer.
-std::size_t shape_field(const util::Json& value, const std::string& name) {
-  const double v = value.as_number();
-  if (!(v >= 1.0 && v <= 9007199254740992.0 && std::floor(v) == v)) {
-    char got[32];
-    std::snprintf(got, sizeof(got), "%.17g", v);
-    throw std::runtime_error("policy snapshot invalid: " + name +
-                             " must be an integer in [1, 2^53], got " + got);
+/// An integer field of a snapshot, through util::Json's checked reader: a
+/// fractional, negative or out-of-range value is a named error, never a
+/// rounded or wrapped one.
+std::uint64_t integer_field(const util::Json& value, const std::string& name, std::uint64_t lo,
+                            std::uint64_t hi) {
+  try {
+    return value.as_uint(name, lo, hi);
+  } catch (const util::JsonError& e) {
+    throw std::runtime_error(std::string("policy snapshot invalid: ") + e.what());
   }
-  return static_cast<std::size_t>(v);
+}
+
+/// A shape field (obs_dim, num_actions, a hidden width, max_degree): an
+/// integer in [1, 2^53], the range where doubles hold every integer.
+std::size_t shape_field(const util::Json& value, const std::string& name) {
+  return integer_field(value, name, 1, std::uint64_t{1} << 53);
 }
 
 }  // namespace
@@ -121,8 +123,9 @@ util::Json to_json(const TrainedPolicy& policy) {
 
 TrainedPolicy policy_from_json(const util::Json& json) {
   if (json.contains("format_version")) {
-    const std::int64_t version = json.at("format_version").as_int();
-    if (version < 1 || version > kPolicyFormatVersion) {
+    const std::uint64_t version = integer_field(json.at("format_version"), "format_version", 1,
+                                                std::numeric_limits<std::uint64_t>::max());
+    if (version > static_cast<std::uint64_t>(kPolicyFormatVersion)) {
       throw std::runtime_error("policy snapshot has unsupported format_version " +
                                std::to_string(version) + " (this build reads <= " +
                                std::to_string(kPolicyFormatVersion) + ")");
@@ -135,7 +138,10 @@ TrainedPolicy policy_from_json(const util::Json& json) {
   for (const util::Json& h : json.at("hidden").as_array()) {
     policy.net_config.hidden.push_back(shape_field(h, "hidden width"));
   }
-  policy.net_config.seed = static_cast<std::uint64_t>(json.number_or("net_seed", 0));
+  if (json.contains("net_seed")) {
+    policy.net_config.seed = integer_field(json.at("net_seed"), "net_seed", 0,
+                                           std::numeric_limits<std::uint64_t>::max());
+  }
   policy.max_degree = shape_field(json.at("max_degree"), "max_degree");
   policy.eval_success_ratio = json.number_or("eval_success_ratio", 0.0);
   policy.eval_reward = json.number_or("eval_reward", 0.0);

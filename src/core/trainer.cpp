@@ -14,7 +14,6 @@
 #include "nn/parallel.hpp"
 #include "rl/batched_rollout.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace dosc::core {
@@ -431,13 +430,8 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
     const EvalResult eval =
         evaluate_policy(scenario, net, config.reward, config.eval_episodes,
                         config.eval_episode_time, /*seed_base=*/9000 + seed_index,
-                        config.observation_mask, config.eval_parallel, config.eval_batch);
+                        config.observation_mask);
     best.per_seed_success.push_back(eval.success_ratio);
-    if (config.verbose) {
-      util::Log(util::LogLevel::kInfo, "trainer")
-          << "seed " << seed_index << ": eval success " << eval.success_ratio << ", reward "
-          << eval.mean_reward;
-    }
     const bool better = eval.success_ratio > best.eval_success_ratio ||
                         (eval.success_ratio == best.eval_success_ratio &&
                          eval.mean_reward > best_reward);

@@ -38,20 +38,11 @@ struct TrainingConfig {
   std::size_t max_update_steps = 4096;
   std::size_t eval_episodes = 3;   ///< greedy evaluation for agent selection
   double eval_episode_time = 2000.0;
-  /// Concurrent eval episodes (0 = one per hardware thread). Any value
-  /// yields bit-identical evaluation results; see evaluate_policy.
-  std::size_t eval_parallel = 1;
-  /// Episodes each eval worker keeps in flight in its rl::BatchedRollout
-  /// (fused policy forwards; 1 = per-row GEMV). A worker holds at most this
-  /// many simulators. Any value yields bit-identical results; see
-  /// evaluate_policy.
-  std::size_t eval_batch = 1;
   /// Ignored: the l training environments always roll out through one
   /// batched driver. Kept only because the benchmark harness still assigns
   /// it; due for removal with the next benchmark change.
   bool batched_rollout = false;
   std::uint64_t seed_base = 1;
-  bool verbose = false;
   /// Overlapped training: iteration i+1's l episodes roll out on a helper
   /// thread, under a copy of the parameters taken before update i, while
   /// update i runs. Every update after the first then trains on rows one

@@ -1,5 +1,8 @@
 #include "net/topology_io.hpp"
 
+#include <limits>
+#include <string>
+
 namespace dosc::net {
 
 util::Json to_json(const Network& network) {
@@ -35,9 +38,14 @@ Network network_from_json(const util::Json& json) {
                      n.number_or("x", 0.0), n.number_or("y", 0.0)});
   }
   std::vector<Link> links;
-  for (const util::Json& l : json.at("links").as_array()) {
-    links.push_back({static_cast<NodeId>(l.at("a").as_int()),
-                     static_cast<NodeId>(l.at("b").as_int()), l.at("delay").as_number(),
+  const util::Json::Array& link_array = json.at("links").as_array();
+  for (std::size_t i = 0; i < link_array.size(); ++i) {
+    const util::Json& l = link_array[i];
+    const auto endpoint = [&](const char* key) {
+      return static_cast<NodeId>(l.at(key).as_uint(
+          "links[" + std::to_string(i) + "]." + key, 0, std::numeric_limits<NodeId>::max()));
+    };
+    links.push_back({endpoint("a"), endpoint("b"), l.at("delay").as_number(),
                      l.number_or("capacity", 0.0)});
   }
   return Network(json.string_or("name", "unnamed"), std::move(nodes), std::move(links));

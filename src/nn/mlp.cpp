@@ -11,11 +11,11 @@
 
 namespace dosc::nn {
 
-/// Packed gemv panels for every layer, built lazily on first predict_row and
-/// invalidated by weight mutation (non-const layers(), set_parameters, copy
-/// assignment). `valid` is the publication flag: readers acquire-load it and
-/// only fall into the mutex on a miss, so the steady-state fast path is one
-/// atomic load.
+/// Packed gemv panels and gemm slabs for every layer, built lazily on the
+/// first inference forward and invalidated by weight mutation (non-const
+/// layers(), set_parameters, copy assignment). `valid` is the publication
+/// flag: readers acquire-load it and only fall into the mutex on a miss, so
+/// the steady-state fast path is one atomic load.
 struct Mlp::PackCache {
   std::mutex mu;
   std::atomic<bool> valid{false};
@@ -128,8 +128,12 @@ Matrix Mlp::predict(const Matrix& x) const {
 void Mlp::predict_row(std::span<const double> input, std::vector<double>& out,
                       Scratch& scratch) const {
   if (input.size() != input_size()) throw std::invalid_argument("predict_row: input size");
+  gemv_forward(input.data(), out, scratch);
+}
+
+void Mlp::gemv_forward(const double* input, std::vector<double>& out, Scratch& scratch) const {
   const PackCache& cache = ensure_packed();
-  const double* cur = input.data();
+  const double* cur = input;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const DenseLayer& layer = layers_[li];
     double* dst;
@@ -147,11 +151,15 @@ void Mlp::predict_row(std::span<const double> input, std::vector<double>& out,
   }
 }
 
-void Mlp::predict_batch(const double* input, std::size_t batch, std::vector<double>& out,
-                        BatchScratch& scratch) const {
-  if (batch == 0) {
+std::size_t Mlp::predict_batch(const double* input, std::size_t rows, std::vector<double>& out,
+                               Scratch& scratch) const {
+  if (rows == 0) {
     out.clear();
-    return;
+    return 0;
+  }
+  if (rows == 1) {
+    gemv_forward(input, out, scratch);
+    return 1;
   }
   const PackCache& cache = ensure_packed();
   const double* cur = input;
@@ -161,31 +169,32 @@ void Mlp::predict_batch(const double* input, std::size_t batch, std::vector<doub
     const std::size_t n_out = layer.fan_out();
     double* dst;
     if (li + 1 == layers_.size()) {
-      out.resize(batch * n_out);
+      out.resize(rows * n_out);
       dst = out.data();
     } else {
       std::vector<double>& buf = (li % 2 == 0) ? scratch.a : scratch.b;
-      if (buf.size() < batch * n_out) buf.resize(batch * n_out);
+      if (buf.size() < rows * n_out) buf.resize(rows * n_out);
       dst = buf.data();
     }
-    gemm::nn_packed(batch, n_out, in, cur, in, cache.gemm_slabs[li].data(), dst, n_out,
+    gemm::nn_packed(rows, n_out, in, cur, in, cache.gemm_slabs[li].data(), dst, n_out,
                     /*accumulate=*/false);
     const double* bias = layer.bias.data();
-    for (std::size_t r = 0; r < batch; ++r) {
+    for (std::size_t r = 0; r < rows; ++r) {
       double* row = dst + r * n_out;
       for (std::size_t j = 0; j < n_out; ++j) row[j] += bias[j];
     }
     switch (layer.activation) {
       case Activation::kLinear: break;
       case Activation::kTanh:
-        vecmath::tanh_inplace(dst, batch * n_out);
+        vecmath::tanh_inplace(dst, rows * n_out);
         break;
       case Activation::kRelu:
-        for (std::size_t i = 0; i < batch * n_out; ++i) dst[i] = std::max(0.0, dst[i]);
+        for (std::size_t i = 0; i < rows * n_out; ++i) dst[i] = std::max(0.0, dst[i]);
         break;
     }
     cur = dst;
   }
+  return 0;
 }
 
 void Mlp::predict_row_legacy(std::span<const double> input, std::vector<double>& out,

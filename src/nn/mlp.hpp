@@ -63,38 +63,36 @@ class Mlp {
   /// from multiple threads on a shared const Mlp.
   Matrix predict(const Matrix& x) const;
 
-  /// Allocation-free single-observation forward for the per-decision hot
-  /// path (a coordination decision is one of these; Fig. 9b measures it).
-  /// `out` is resized to the output size; `scratch` is caller-provided
-  /// working memory reused across calls. Routed through the register-blocked
-  /// gemv kernels over packed weight panels owned by this Mlp (repacked
-  /// lazily after any weight mutation), and bit-identical to predict() at
-  /// the dispatched ISA level. `out` must not alias `input`. Thread-safe on
-  /// a const Mlp (per-caller scratch, one-time internal repack under a
-  /// mutex).
+  /// Caller-provided working memory for predict_row and predict_batch,
+  /// reused across calls (two ping-pong activation buffers).
   struct Scratch {
     std::vector<double> a;
     std::vector<double> b;
   };
+
+  /// Allocation-free single-observation forward for the per-decision hot
+  /// path (a coordination decision is one of these; Fig. 9b measures it).
+  /// `out` is resized to the output size. Runs the register-blocked gemv
+  /// kernels over packed weight panels owned by this Mlp (repacked lazily
+  /// after any weight mutation), and is bit-identical to predict() at the
+  /// dispatched ISA level. `out` must not alias `input`. Thread-safe on a
+  /// const Mlp (per-caller scratch, one-time internal repack under a mutex).
   void predict_row(std::span<const double> input, std::vector<double>& out,
                    Scratch& scratch) const;
 
-  /// Small-batch inference forward for the serving path: `input` is a
-  /// row-major [batch x input_size] block, `out` is resized to
-  /// batch * output_size (row-major). Routed through the tiled gemm kernels
-  /// over pre-packed per-layer weight slabs (repacked lazily after any
-  /// weight mutation, alongside the gemv panels) with the exact operation
-  /// order of predict() (matmul → bias row add → activation), so each output
-  /// row is bit-identical to predict() — and therefore to predict_row() — at
-  /// the dispatched ISA level. Alloc-free at a steady batch shape with a
-  /// caller-reused scratch. Thread-safe on a const Mlp (per-caller scratch,
-  /// one-time internal repack under a mutex).
-  struct BatchScratch {
-    std::vector<double> a;
-    std::vector<double> b;
-  };
-  void predict_batch(const double* input, std::size_t batch, std::vector<double>& out,
-                     BatchScratch& scratch) const;
+  /// Inference forward for a block of rows, and the one place that picks
+  /// the kernel for it: `input` is a row-major [rows x input_size] block,
+  /// `out` is resized to rows * output_size (row-major). One row runs
+  /// predict_row's packed GEMV loop; two or more run one tiled GEMM per
+  /// layer over pre-packed weight slabs with the exact operation order of
+  /// predict() (matmul -> bias row add -> activation). Either way each
+  /// output row is bit-identical to predict() and predict_row() at the
+  /// dispatched ISA level. Returns the number of rows the GEMV kernels
+  /// served (rows == 1 ? 1 : 0), so callers count kernel use from this
+  /// answer instead of restating the rule. Alloc-free at a steady row
+  /// count with a caller-reused scratch; thread-safe on a const Mlp.
+  std::size_t predict_batch(const double* input, std::size_t rows, std::vector<double>& out,
+                            Scratch& scratch) const;
 
   /// The seed's scalar predict_row loop (bias-first accumulation with
   /// zero-skip), kept verbatim as the golden behaviour guard's reference
@@ -134,6 +132,8 @@ class Mlp {
   struct PackCache;  // packed gemv weight panels (mutex + atomic valid flag)
 
   static void apply_activation(Matrix& m, Activation act) noexcept;
+  /// predict_row's and predict_batch's one-row GEMV loop (no size check).
+  void gemv_forward(const double* input, std::vector<double>& out, Scratch& scratch) const;
   void invalidate_pack() noexcept;
   const PackCache& ensure_packed() const;
 

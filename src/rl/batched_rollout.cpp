@@ -1,7 +1,6 @@
 #include "rl/batched_rollout.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
@@ -15,11 +14,6 @@ namespace {
 telemetry::HistogramConfig batch_rows_config() noexcept {
   return telemetry::HistogramConfig{1.0, 4096.0, 16};
 }
-
-/// GEMM register tile height (nn/gemm_kernels.inc kMr): rows beyond the
-/// largest multiple of this hit the kernel's partial-tile edge, which is
-/// slower per row than the packed GEMV path.
-constexpr std::size_t kGemmTileRows = 4;
 }  // namespace
 
 BatchedRollout::BatchedRollout(const nn::Mlp& actor, std::size_t obs_dim)
@@ -64,23 +58,10 @@ BatchedRolloutStats BatchedRollout::drive(std::size_t width, const BatchedEnvSou
     for (std::size_t r = 0; r < rows; ++r) {
       pending_[r]->write_observation({obs_.data() + r * obs_dim_, obs_dim_});
     }
-    // Service full GEMM tiles fused; drain the 1-3 row remainder through
-    // the per-row GEMV fast path (bit-identical per row, and faster than
-    // the GEMM's partial-tile edge). A round under one full tile — B=1 in
-    // particular — never touches the GEMM at all.
-    const std::size_t gemm_rows = rows - rows % kGemmTileRows;
-    if (gemm_rows > 0) {
-      actor_.predict_batch(obs_.data(), gemm_rows, logits_, batch_scratch_);
-    }
-    if (logits_.size() < rows * out_dim) logits_.resize(rows * out_dim);
-    for (std::size_t r = gemm_rows; r < rows; ++r) {
-      actor_.predict_row({obs_.data() + r * obs_dim_, obs_dim_}, row_logits_, row_scratch_);
-      std::memcpy(logits_.data() + r * out_dim, row_logits_.data(),
-                  out_dim * sizeof(double));
-    }
+    const std::size_t gemv_rows = actor_.predict_batch(obs_.data(), rows, logits_, scratch_);
     ++stats.rounds;
-    if (gemm_rows == 0) ++stats.gemv_rounds;
-    stats.gemv_rows += rows - gemm_rows;
+    if (gemv_rows == rows) ++stats.gemv_rounds;
+    stats.gemv_rows += gemv_rows;
     stats.decisions += rows;
     stats.max_rows = std::max(stats.max_rows, rows);
     if (telemetry_on) {

@@ -10,13 +10,14 @@
 // pending observations are gathered as packed rows into one reused matrix,
 // a single Mlp::predict_batch computes every logit row, and each
 // environment then samples its action with its own Rng stream and resumes.
+// predict_batch alone picks the kernel for the round's rows.
 //
 // Determinism: episodes are independent — each keeps its own engine, RNG
 // streams, and decision order, and predict_batch is bit-identical per row
 // to predict_row — so per-episode SimMetrics and EventDigests are
 // bit-identical to the sequential driver at every batch width, and a round
-// with a single pending row takes the GEMV path itself (B=1 reduces
-// exactly to sequential).
+// with a single pending row takes the GEMV path (B=1 reduces exactly to
+// sequential).
 #pragma once
 
 #include <cstddef>
@@ -53,8 +54,8 @@ class BatchedEnv {
 struct BatchedRolloutStats {
   std::uint64_t decisions = 0;    ///< rows serviced across all rounds
   std::uint64_t rounds = 0;       ///< decision rounds driven
-  std::uint64_t gemv_rounds = 0;  ///< rounds served entirely by GEMV (rows < 4)
-  std::uint64_t gemv_rows = 0;    ///< rows routed through the GEMV path
+  std::uint64_t gemv_rounds = 0;  ///< rounds predict_batch served entirely by GEMV
+  std::uint64_t gemv_rows = 0;    ///< rows predict_batch served by GEMV
   std::size_t max_rows = 0;       ///< widest round
 };
 
@@ -69,13 +70,6 @@ using BatchedEnvSource = std::function<BatchedEnv*()>;
 /// Buffers (packed observation matrix, logits, forward scratch) are owned
 /// and reused across run() calls: allocation-free at a steady batch shape.
 /// One instance per driving thread; the actor is read shared and const.
-///
-/// Round servicing matches the GEMM microkernel's 4-row register tile
-/// (nn/gemm_kernels.inc kMr): the largest multiple-of-4 row prefix goes
-/// through one fused predict_batch and the 1-3 row remainder through the
-/// per-row GEMV path, which beats the GEMM's partial-tile edge. Both paths
-/// are bit-identical per row (test_mlp pins it), so the split is invisible
-/// in results.
 class BatchedRollout {
  public:
   BatchedRollout(const nn::Mlp& actor, std::size_t obs_dim);
@@ -101,9 +95,7 @@ class BatchedRollout {
   std::size_t obs_dim_;
   std::vector<double> obs_;         ///< packed [rows x obs_dim] gather
   std::vector<double> logits_;      ///< [rows x out_dim] batched forward
-  std::vector<double> row_logits_;  ///< single-row (GEMV) forward
-  nn::Mlp::Scratch row_scratch_;
-  nn::Mlp::BatchScratch batch_scratch_;
+  nn::Mlp::Scratch scratch_;
   std::vector<BatchedEnv*> pending_;
   std::vector<BatchedEnv*> next_;
 };

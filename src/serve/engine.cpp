@@ -46,25 +46,16 @@ bool DecisionEngine::bind(const wire::Request& request, std::size_t row) {
   return true;
 }
 
-void DecisionEngine::decide(const rl::ActorCritic& net, std::size_t batch,
-                            std::vector<int>& actions, bool force_gemv) {
+std::size_t DecisionEngine::decide(const rl::ActorCritic& net, std::size_t batch,
+                                   std::vector<int>& actions) {
   actions.resize(batch);
-  if (batch == 0) return;
-  const std::size_t dim = obs_.dim();
-  if (batch == 1 || force_gemv) {
-    for (std::size_t r = 0; r < batch; ++r) {
-      actions[r] = net.greedy_action({rows_.data() + r * dim, dim});
-    }
-    return;
-  }
-  net.actor().predict_batch(rows_.data(), batch, logits_, batch_scratch_);
+  const std::size_t gemv_rows = net.actor().predict_batch(rows_.data(), batch, logits_, scratch_);
   const std::size_t num_actions = net.actor().output_size();
   for (std::size_t r = 0; r < batch; ++r) {
-    const double* row = logits_.data() + r * num_actions;
-    // First-maximum argmax, the exact tie-break of greedy_action's
-    // std::max_element walk.
-    actions[r] = static_cast<int>(std::max_element(row, row + num_actions) - row);
+    actions[r] = rl::ActorCritic::greedy_action_from_logits(
+        {logits_.data() + r * num_actions, num_actions});
   }
+  return gemv_rows;
 }
 
 }  // namespace dosc::serve

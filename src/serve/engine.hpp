@@ -10,15 +10,16 @@
 // plus reusable row/scratch buffers, so a steady-state decide performs no
 // heap allocation.
 //
-// decide() runs either path over the same rows:
-//   * batch >= 2 -> Mlp::predict_batch (tiled GEMM over the row block);
-//   * batch == 1 (or force_gemv) -> the packed batch-1 GEMV fast path.
-// Both are bit-identical to Mlp::predict() per row at the dispatched ISA,
-// so the two paths always produce identical argmax decisions — the bench
-// and tests assert this.
+// decide() runs the bound rows through one Mlp::predict_batch, which picks
+// the kernel, then takes each row's greedy action with
+// rl::ActorCritic::greedy_action_from_logits. Every row's logits are
+// bit-identical to Mlp::predict() at the dispatched ISA whichever kernel
+// served them, so a decision never depends on what it was batched with —
+// the tests compare every served action with per-row greedy_action.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/observation.hpp"
@@ -43,12 +44,15 @@ class DecisionEngine {
   /// (unknown node/service, out-of-range chain position, non-finite or
   /// non-positive flow descriptor) — the caller replies kInvalidRequest.
   bool bind(const wire::Request& request, std::size_t row);
+  /// The observation bind() built into row slot `row`.
+  std::span<const double> observation(std::size_t row) const noexcept {
+    return {rows_.data() + row * obs_.dim(), obs_.dim()};
+  }
 
-  /// Greedy actions for rows [0, batch). With force_gemv (or batch 1) each
-  /// row runs the packed GEMV path; otherwise one predict_batch GEMM.
-  /// actions is resized to batch.
-  void decide(const rl::ActorCritic& net, std::size_t batch, std::vector<int>& actions,
-              bool force_gemv = false);
+  /// Greedy actions for rows [0, batch) from one predict_batch forward;
+  /// actions is resized to batch. Returns predict_batch's answer: the
+  /// number of rows the GEMV kernels served.
+  std::size_t decide(const rl::ActorCritic& net, std::size_t batch, std::vector<int>& actions);
 
  private:
   const sim::Simulator& oracle_;
@@ -56,8 +60,7 @@ class DecisionEngine {
   std::size_t max_batch_;
   std::vector<double> rows_;    ///< [max_batch x obs_dim], row-major
   std::vector<double> logits_;  ///< [batch x num_actions] scratch
-  nn::Mlp::BatchScratch batch_scratch_;
-  nn::Mlp::Scratch row_scratch_;
+  nn::Mlp::Scratch scratch_;
 };
 
 }  // namespace dosc::serve

@@ -282,7 +282,7 @@ void UdpServer::worker_loop(Worker& worker) {
       version = policy->version;
       if (rows > 0) {
         const Clock::time_point t0 = Clock::now();
-        worker.engine.decide(policy->net, rows, worker.actions, config_.force_gemv);
+        const std::size_t gemv_rows = worker.engine.decide(policy->net, rows, worker.actions);
         const Clock::time_point t1 = Clock::now();
         const double decide_us = us_between(t0, t1);
         worker.decide_us_hist.add(decide_us);
@@ -290,11 +290,8 @@ void UdpServer::worker_loop(Worker& worker) {
                                           static_cast<std::uint64_t>(rows));
         worker.batch_size_hist.add(static_cast<double>(rows));
         batches_.fetch_add(1, std::memory_order_relaxed);
-        if (rows >= 2 && !config_.force_gemv) {
-          gemm_batches_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          gemv_decides_.fetch_add(rows, std::memory_order_relaxed);
-        }
+        if (gemv_rows < rows) gemm_batches_.fetch_add(1, std::memory_order_relaxed);
+        gemv_decides_.fetch_add(gemv_rows, std::memory_order_relaxed);
       }
     }
 

@@ -4,11 +4,12 @@
 // drains up to max_batch requests per pass (recvmmsg), tops the batch up
 // within the AdaptiveBatcher's load-dependent wait budget, runs the
 // per-decision pipeline over the batch (DecisionEngine: validate -> bound
-// observation build -> GEMM/GEMV forward -> greedy action), and replies
-// with one response datagram per request (sendmmsg). Policy snapshots are
-// hot-swapped through the epoch-published PolicyStore: publish() installs
-// a new snapshot without ever blocking a decide — in-flight batches finish
-// on the snapshot they pinned, the next batch picks up the new one.
+// observation build -> one Mlp::predict_batch forward -> greedy action),
+// and replies with one response datagram per request (sendmmsg). Policy
+// snapshots are hot-swapped through the epoch-published PolicyStore:
+// publish() installs a new snapshot without ever blocking a decide —
+// in-flight batches finish on the snapshot they pinned, the next batch
+// picks up the new one.
 //
 // Malformed datagrams are counted (serve.protocol_errors) and dropped
 // without reply; decodable requests with out-of-scenario fields get a
@@ -45,9 +46,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   std::size_t threads = 1;
   BatcherConfig batcher;
-  /// Diagnostics / A-B runs: decide every request on the batch-1 GEMV path
-  /// even when a batch coalesced.
-  bool force_gemv = false;
   /// Kernel socket buffer request (bursts at 100k+ req/s overflow the
   /// defaults long before the workers are saturated). Applied with the
   /// privileged *FORCE options when possible, so it may exceed rmem_max.
@@ -62,8 +60,8 @@ struct ServerStats {
   std::uint64_t protocol_errors = 0;  ///< undecodable datagrams dropped
   std::uint64_t invalid_requests = 0; ///< decodable but out-of-scenario
   std::uint64_t batches = 0;          ///< decide passes
-  std::uint64_t gemm_batches = 0;     ///< decide passes >= 2 on the GEMM path
-  std::uint64_t gemv_decides = 0;     ///< requests decided on the GEMV path
+  std::uint64_t gemm_batches = 0;     ///< decide passes predict_batch ran as GEMM
+  std::uint64_t gemv_decides = 0;     ///< requests predict_batch served by GEMV
   std::uint64_t hot_swaps = 0;        ///< publishes after the initial policy
   std::uint32_t policy_version = 0;   ///< currently published snapshot
 };

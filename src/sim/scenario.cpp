@@ -1,7 +1,10 @@
 #include "sim/scenario.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "net/topology_io.hpp"
 #include "net/topology_zoo.hpp"
@@ -59,19 +62,29 @@ ScenarioConfig ScenarioConfig::from_json(const util::Json& json) {
   c.link_cap_lo = json.number_or("link_cap_lo", c.link_cap_lo);
   c.link_cap_hi = json.number_or("link_cap_hi", c.link_cap_hi);
   c.randomize_capacities = json.bool_or("randomize_capacities", c.randomize_capacities);
+  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
   if (json.contains("ingress")) {
     c.ingress.clear();
-    for (const util::Json& v : json.at("ingress").as_array()) {
-      c.ingress.push_back(static_cast<net::NodeId>(v.as_int()));
+    const util::Json::Array& ingress = json.at("ingress").as_array();
+    for (std::size_t i = 0; i < ingress.size(); ++i) {
+      c.ingress.push_back(static_cast<net::NodeId>(
+          ingress[i].as_uint("ingress[" + std::to_string(i) + "]", 0, kMaxId)));
     }
   }
-  c.egress = static_cast<net::NodeId>(json.number_or("egress", c.egress));
+  if (json.contains("egress")) {
+    c.egress = static_cast<net::NodeId>(json.at("egress").as_uint("egress", 0, kMaxId));
+  }
   if (json.contains("traffic")) c.traffic = traffic::TrafficSpec::from_json(json.at("traffic"));
   if (json.contains("flows")) {
     c.flows.clear();
-    for (const util::Json& f : json.at("flows").as_array()) {
+    const util::Json::Array& flows = json.at("flows").as_array();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const util::Json& f = flows[i];
       FlowTemplate t;
-      t.service = static_cast<ServiceId>(f.number_or("service", 0));
+      if (f.contains("service")) {
+        t.service = static_cast<ServiceId>(
+            f.at("service").as_uint("flows[" + std::to_string(i) + "].service", 0, kMaxId));
+      }
       t.rate = f.number_or("rate", t.rate);
       t.duration = f.number_or("duration", t.duration);
       t.deadline = f.number_or("deadline", t.deadline);
@@ -82,11 +95,16 @@ ScenarioConfig ScenarioConfig::from_json(const util::Json& json) {
   c.end_time = json.number_or("end_time", c.end_time);
   c.park_step = json.number_or("park_step", c.park_step);
   if (json.contains("failures")) {
-    for (const util::Json& f : json.at("failures").as_array()) {
+    const util::Json::Array& failures = json.at("failures").as_array();
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+      const util::Json& f = failures[i];
       FailureEvent event;
       event.kind = (f.string_or("kind", "node") == "link") ? FailureEvent::Kind::kLink
                                                            : FailureEvent::Kind::kNode;
-      event.id = static_cast<std::uint32_t>(f.number_or("id", 0));
+      if (f.contains("id")) {
+        event.id = static_cast<std::uint32_t>(
+            f.at("id").as_uint("failures[" + std::to_string(i) + "].id", 0, kMaxId));
+      }
       event.start = f.number_or("start", 0.0);
       event.duration = f.number_or("duration", 0.0);
       c.failures.push_back(event);

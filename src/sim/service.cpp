@@ -1,6 +1,8 @@
 #include "sim/service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 namespace dosc::sim {
 
@@ -68,11 +70,16 @@ ServiceCatalog ServiceCatalog::from_json(const util::Json& json) {
     component.idle_timeout = c.number_or("idle_timeout", component.idle_timeout);
     catalog.add_component(std::move(component));
   }
-  for (const util::Json& s : json.at("services").as_array()) {
+  const util::Json::Array& services = json.at("services").as_array();
+  for (std::size_t si = 0; si < services.size(); ++si) {
+    const util::Json& s = services[si];
     Service service;
     service.name = s.string_or("name", "");
-    for (const util::Json& c : s.at("chain").as_array()) {
-      service.chain.push_back(static_cast<ComponentId>(c.as_int()));
+    const util::Json::Array& chain = s.at("chain").as_array();
+    for (std::size_t ci = 0; ci < chain.size(); ++ci) {
+      service.chain.push_back(static_cast<ComponentId>(chain[ci].as_uint(
+          "services[" + std::to_string(si) + "].chain[" + std::to_string(ci) + "]", 0,
+          std::numeric_limits<ComponentId>::max())));
     }
     catalog.add_service(std::move(service));
   }

@@ -1,9 +1,5 @@
 #include "telemetry/exporters.hpp"
 
-#include <stdexcept>
-
-#include "util/string_util.hpp"
-
 namespace dosc::telemetry {
 
 util::Json snapshot_json(const MetricsRegistry& registry, const util::Json::Object& extra) {
@@ -16,45 +12,6 @@ util::Json snapshot_json(const MetricsRegistry& registry, const util::Json::Obje
 void write_snapshot(const MetricsRegistry& registry, const std::string& path,
                     const util::Json::Object& extra) {
   snapshot_json(registry, extra).save_file(path, /*indent=*/2);
-}
-
-CsvTimeSeries::CsvTimeSeries(const std::string& path,
-                             const std::vector<std::string>& columns)
-    : columns_(columns.size()) {
-  if (columns.empty()) {
-    throw std::invalid_argument("CsvTimeSeries: need at least one column");
-  }
-  file_ = std::fopen(path.c_str(), "w");
-  if (file_ == nullptr) {
-    throw std::runtime_error("CsvTimeSeries: cannot open " + path);
-  }
-  std::string header;
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i > 0) header += ',';
-    header += columns[i];
-  }
-  header += '\n';
-  std::fwrite(header.data(), 1, header.size(), file_);
-  std::fflush(file_);
-}
-
-CsvTimeSeries::~CsvTimeSeries() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void CsvTimeSeries::append(const std::vector<double>& row) {
-  if (row.size() != columns_) {
-    throw std::invalid_argument("CsvTimeSeries::append: row width mismatch");
-  }
-  std::string line;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) line += ',';
-    line += util::format_double(row[i], 6);
-  }
-  line += '\n';
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-  ++rows_;
 }
 
 }  // namespace dosc::telemetry

@@ -3,15 +3,11 @@
 //  * JSON snapshot ("dosc.telemetry.v1"): one registry dump — counters,
 //    gauges, histograms with summary percentiles. Written by dosc_cli
 //    --telemetry-out and consumed by scripts diffing runs.
-//  * CSV time series: append-oriented rows with a fixed column header, for
-//    per-iteration training curves and bench sweeps.
 //  * Bench results ("dosc.bench.v1"): bench_common's machine-diffable
 //    BENCH_<name>.json — see bench/bench_common.hpp for the writer.
 #pragma once
 
-#include <cstdio>
 #include <string>
-#include <vector>
 
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
@@ -27,24 +23,5 @@ util::Json snapshot_json(const MetricsRegistry& registry,
                          const util::Json::Object& extra = {});
 void write_snapshot(const MetricsRegistry& registry, const std::string& path,
                     const util::Json::Object& extra = {});
-
-/// Append-only CSV writer: fixed columns decided at construction, one
-/// `append` per row. Flushes on every row so partial runs stay readable.
-class CsvTimeSeries {
- public:
-  CsvTimeSeries(const std::string& path, const std::vector<std::string>& columns);
-  CsvTimeSeries(const CsvTimeSeries&) = delete;
-  CsvTimeSeries& operator=(const CsvTimeSeries&) = delete;
-  ~CsvTimeSeries();
-
-  /// Throws std::invalid_argument if the row width mismatches the header.
-  void append(const std::vector<double>& row);
-  std::size_t rows_written() const noexcept { return rows_; }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::size_t columns_ = 0;
-  std::size_t rows_ = 0;
-};
 
 }  // namespace dosc::telemetry

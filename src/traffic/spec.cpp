@@ -1,5 +1,6 @@
 #include "traffic/spec.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace dosc::traffic {
@@ -90,7 +91,10 @@ TrafficSpec TrafficSpec::from_json(const util::Json& json) {
   s.mmpp_mean_b = json.number_or("mmpp_mean_b", s.mmpp_mean_b);
   s.mmpp_switch_period = json.number_or("mmpp_switch_period", s.mmpp_switch_period);
   s.mmpp_switch_prob = json.number_or("mmpp_switch_prob", s.mmpp_switch_prob);
-  s.trace_seed = static_cast<std::uint64_t>(json.number_or("trace_seed", 42));
+  if (json.contains("trace_seed")) {
+    s.trace_seed = json.at("trace_seed").as_uint("trace_seed", 0,
+                                                 std::numeric_limits<std::uint64_t>::max());
+  }
   s.trace_horizon = json.number_or("trace_horizon", s.trace_horizon);
   if (json.contains("trace")) s.trace = RateTrace::from_json(json.at("trace"));
   return s;

@@ -218,6 +218,19 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const { return static_cast<std::int64_t>(std::llround(as_number())); }
 
+std::uint64_t Json::as_uint(const std::string& field, std::uint64_t lo, std::uint64_t hi) const {
+  // 2^64 is the first double past every uint64, so an integral number below
+  // it converts exactly; the range test then runs on the converted value.
+  const bool integral = is_number() && number_ >= 0.0 && number_ < 18446744073709551616.0 &&
+                        std::floor(number_) == number_;
+  const std::uint64_t value = integral ? static_cast<std::uint64_t>(number_) : 0;
+  if (!integral || value < lo || value > hi) {
+    throw JsonError("JSON field '" + field + "' must be an integer in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "], got " + dump());
+  }
+  return value;
+}
+
 const std::string& Json::as_string() const {
   if (!is_string()) type_error("string");
   return string_;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -59,6 +60,11 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  /// Checked integer read for a field that counts or names something (an
+  /// id, an index, a seed, a layer width): the value must be an integral
+  /// number in [lo, hi]. Anything else throws JsonError naming `field` and
+  /// the value, where a plain cast would round, wrap or be undefined.
+  std::uint64_t as_uint(const std::string& field, std::uint64_t lo, std::uint64_t hi) const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

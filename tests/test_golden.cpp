@@ -37,6 +37,7 @@
 #include "rl/actor_critic.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 
 namespace dosc::check {
 namespace {
@@ -149,6 +150,37 @@ TEST(Golden, CentralDrlAbilene) {
   EXPECT_NEAR(run.metrics.e2e_delay.mean(), 24.304136883835614, 1e-9);
   EXPECT_EQ(run.events, 7089u);
   EXPECT_EQ(run.digest, 0x7277b75e946799d6ULL);
+}
+
+TEST(Golden, CentralTrainingChecksum) {
+  // The central DRL baseline's trainer end to end (rollout seeds, the
+  // merge, the ACKTR update, per-seed eval and best-seed selection):
+  // CentralDrl.TrainingImprovesOverRandomPolicy's line-3 run at two seeds.
+  if (!exact_nn_pins()) GTEST_SKIP() << "NN goldens pinned for avx2+fma";
+  test::TinyScenarioOptions options;
+  options.ingress = {0};
+  options.egress = 2;
+  options.interarrival = 10.0;
+  options.end_time = 400.0;
+  const sim::Scenario scenario =
+      test::tiny_scenario(test::line3(), test::one_component_catalog(), options);
+  baselines::CentralTrainingConfig config;
+  config.central.hidden = {8};
+  config.central.monitoring_interval = 50.0;
+  config.num_seeds = 2;
+  config.parallel_envs = 2;
+  config.iterations = 30;
+  config.train_episode_time = 400.0;
+  config.eval_episodes = 2;
+  config.eval_episode_time = 400.0;
+  const core::TrainedPolicy policy = baselines::train_central_policy(scenario, config);
+  const std::uint64_t checksum = core::policy_checksum(policy.parameters);
+  std::printf("golden central_train success=%.17g,%.17g checksum=%lluULL\n",
+              policy.per_seed_success.size() > 0 ? policy.per_seed_success[0] : -1.0,
+              policy.per_seed_success.size() > 1 ? policy.per_seed_success[1] : -1.0,
+              static_cast<unsigned long long>(checksum));
+  EXPECT_EQ(policy.per_seed_success, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(checksum, 3179301300505001459ULL);
 }
 
 TEST(Golden, ShortestPathNodeFailureCasualtyOrder) {

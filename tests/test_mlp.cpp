@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,30 +55,48 @@ TEST(Mlp, PredictRowMatchesPredict) {
 }
 
 TEST(Mlp, PredictBatchBitIdenticalToPredictAndPredictRow) {
+  // predict_batch runs one row on the GEMV kernels and a block on one GEMM
+  // per layer; every row must equal predict() and predict_row() exactly
+  // whichever kernel served it. The batched rollout's and the serving
+  // daemon's decision equivalence rests on exact equality here, not
+  // approximate. Inputs: a small net under both hidden activations, and the
+  // paper's 2x256 tanh actor (Sec. V-A2) at Abilene's obs 16 / 4 actions
+  // and at degree 7's obs 32 / 8 actions; 3-9 rows cover every edge-tile
+  // height of the GEMM.
+  struct NetSpec {
+    std::vector<std::size_t> sizes;
+    Activation hidden;
+  };
+  const NetSpec specs[] = {{{6, 9, 5, 4}, Activation::kTanh},
+                           {{6, 9, 5, 4}, Activation::kRelu},
+                           {{16, 256, 256, 4}, Activation::kTanh},
+                           {{32, 256, 256, 8}, Activation::kTanh}};
   util::Rng rng(5);
-  for (const Activation hidden : {Activation::kTanh, Activation::kRelu}) {
-    Mlp net({6, 9, 5, 4}, hidden, Activation::kLinear, 13);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{17},
-                                    std::size_t{64}}) {
-      const Matrix x = random_matrix(batch, 6, rng);
+  for (const NetSpec& spec : specs) {
+    const Mlp net(spec.sizes, spec.hidden, Activation::kLinear, 13);
+    const std::size_t in = net.input_size();
+    const std::size_t out_dim = net.output_size();
+    for (const std::size_t batch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 64}) {
+      const std::string label =
+          "in " + std::to_string(in) + " batch " + std::to_string(batch);
+      const Matrix x = random_matrix(batch, in, rng);
       const Matrix full = net.predict(x);
 
-      Mlp::BatchScratch scratch;
+      Mlp::Scratch scratch;
       std::vector<double> out;
-      net.predict_batch(x.data(), batch, out, scratch);
-      ASSERT_EQ(out.size(), batch * 4);
-      // The serving daemon's GEMM/GEMV decision-equivalence guarantee
-      // rests on exact equality here — not approximate.
+      const std::size_t gemv_rows = net.predict_batch(x.data(), batch, out, scratch);
+      EXPECT_EQ(gemv_rows, batch == 1 ? 1u : 0u) << label;
+      ASSERT_EQ(out.size(), batch * out_dim) << label;
       for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], full.data()[i]) << "batch " << batch << " element " << i;
+        EXPECT_EQ(out[i], full.data()[i]) << label << " element " << i;
       }
 
       Mlp::Scratch row_scratch;
       std::vector<double> row_out;
       for (std::size_t r = 0; r < batch; ++r) {
         net.predict_row(x.row(r), row_out, row_scratch);
-        for (std::size_t j = 0; j < 4; ++j) {
-          EXPECT_EQ(row_out[j], out[r * 4 + j]) << "row " << r;
+        for (std::size_t j = 0; j < out_dim; ++j) {
+          EXPECT_EQ(row_out[j], out[r * out_dim + j]) << label << " row " << r;
         }
       }
     }
@@ -85,17 +104,21 @@ TEST(Mlp, PredictBatchBitIdenticalToPredictAndPredictRow) {
 }
 
 TEST(Mlp, PredictBatchReusesScratchWithoutCrosstalk) {
+  // One scratch serves both kernels: a wide GEMM block, a narrower one and
+  // a single GEMV row in turn, each equal to predict().
   util::Rng rng(6);
   Mlp net({4, 8, 3}, Activation::kTanh, Activation::kLinear, 2);
-  Mlp::BatchScratch scratch;
+  Mlp::Scratch scratch;
   std::vector<double> out;
-  const Matrix big = random_matrix(32, 4, rng);
-  net.predict_batch(big.data(), 32, out, scratch);
-  const Matrix small = random_matrix(3, 4, rng);
-  net.predict_batch(small.data(), 3, out, scratch);  // shrinking batch reuses buffers
-  const Matrix expect = net.predict(small);
-  ASSERT_EQ(out.size(), 3u * 3u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], expect.data()[i]);
+  for (const std::size_t batch : {32, 3, 1}) {
+    const Matrix x = random_matrix(batch, 4, rng);
+    net.predict_batch(x.data(), batch, out, scratch);
+    const Matrix expect = net.predict(x);
+    ASSERT_EQ(out.size(), batch * 3u);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], expect.data()[i]) << "batch " << batch;
+    }
+  }
 }
 
 class MlpGradientCheck : public ::testing::TestWithParam<Activation> {};

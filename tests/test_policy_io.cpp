@@ -191,6 +191,31 @@ TEST(PolicyIo, ShapeFieldsMustBePositiveIntegers) {
   }
 }
 
+TEST(PolicyIo, NetSeedAndFormatVersionMustBeIntegers) {
+  // Metadata outside the parameter checksum: a hostile net_seed used to
+  // load (-1 converted with undefined behaviour, 1.5 ran as 1), and a
+  // format_version of 1.5 rounded to 2 and loaded as the current format.
+  const struct {
+    const char* field;
+    double value;
+  } cases[] = {{"net_seed", -1.0},
+               {"net_seed", 1.5},
+               {"net_seed", 1e300},
+               {"format_version", 1.5}};
+  for (const auto& c : cases) {
+    util::Json::Object o = core::to_json(tiny_policy()).as_object();
+    o[c.field] = util::Json(c.value);
+    try {
+      core::policy_from_json(util::Json(std::move(o)));
+      ADD_FAILURE() << c.field << " " << c.value << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("policy snapshot invalid"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + c.field + "'"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(PolicyIo, UntrainedServingPolicyRoundTripsThroughDisk) {
   // The CI smoke path: init-policy writes an untrained snapshot, the
   // daemon loads and validates it against the scenario.

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "baselines/shortest_path.hpp"
 #include "core/trainer.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
+#include "util/json.hpp"
 
 namespace dosc::sim {
 namespace {
@@ -129,6 +131,78 @@ TEST(Scenario, JsonRoundTrip) {
   // Round-tripped config must build a working scenario.
   const Scenario scenario(back, make_video_streaming_catalog());
   EXPECT_EQ(scenario.network().name(), "Abilene");
+}
+
+TEST(Scenario, HostileIntegerFieldsFailAtLoadNamingTheField) {
+  // A valid scenario document (network and catalog inline) with one integer
+  // field made hostile per case. A plain cast used to wrap such a value
+  // modulo 2^32 (egress 4294967303 ran as egress 7), truncate it (4.7 ran
+  // as 4) or convert it with undefined behaviour (negative or beyond the
+  // target type); loading must instead fail with an error naming the field.
+  constexpr double k2p32 = 4294967296.0;
+  const util::Json base = make_base_scenario().to_json();
+  ASSERT_TRUE(base.contains("network") && base.contains("catalog"));
+  using Edit = void (*)(util::Json::Object&);
+  const struct {
+    const char* field;
+    Edit edit;
+  } cases[] = {
+      {"'egress'", [](util::Json::Object& o) { o["egress"] = util::Json(k2p32 + 7.0); }},
+      {"'egress'", [](util::Json::Object& o) { o["egress"] = util::Json(4.7); }},
+      {"'egress'", [](util::Json::Object& o) { o["egress"] = util::Json(1e300); }},
+      {"'ingress[0]'",
+       [](util::Json::Object& o) {
+         o["ingress"] = util::Json(util::Json::Array{util::Json(k2p32), util::Json(1)});
+       }},
+      {"'flows[0].service'",
+       [](util::Json::Object& o) {
+         o["flows"].as_array()[0].as_object()["service"] = util::Json(k2p32);
+       }},
+      {"'failures[0].id'",
+       [](util::Json::Object& o) {
+         o["failures"] = util::Json(util::Json::Array{util::Json(util::Json::Object{
+             {"kind", util::Json("node")},
+             {"id", util::Json(k2p32 + 5.0)},
+             {"start", util::Json(100.0)},
+             {"duration", util::Json(50.0)}})});
+       }},
+      {"'trace_seed'",
+       [](util::Json::Object& o) {
+         o["traffic"].as_object()["trace_seed"] = util::Json(-1.0);
+       }},
+      {"'trace_seed'",
+       [](util::Json::Object& o) {
+         o["traffic"].as_object()["trace_seed"] = util::Json(42.5);
+       }},
+      {"'services[0].chain[0]'",
+       [](util::Json::Object& o) {
+         util::Json::Object& service =
+             o["catalog"].as_object()["services"].as_array()[0].as_object();
+         util::Json& first = service["chain"].as_array()[0];
+         first = util::Json(first.as_number() + k2p32);
+       }},
+      {"'links[0].a'",
+       [](util::Json::Object& o) {
+         util::Json& a = o["network"].as_object()["links"].as_array()[0].as_object()["a"];
+         a = util::Json(a.as_number() + k2p32);
+       }},
+      {"'links[0].b'",
+       [](util::Json::Object& o) {
+         util::Json& b = o["network"].as_object()["links"].as_array()[0].as_object()["b"];
+         b = util::Json(b.as_number() + k2p32);
+       }},
+  };
+  for (const auto& c : cases) {
+    util::Json doc = base;
+    c.edit(doc.as_object());
+    try {
+      Scenario::from_json(doc);
+      ADD_FAILURE() << c.field << " was accepted";
+    } catch (const util::JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.field << ": " << e.what();
+    }
+  }
 }
 
 TEST(Scenario, NamedTopologyConstructor) {

@@ -103,7 +103,10 @@ TEST(ServeBatcher, EmptyBatchesDoNotPerturbTheEstimate) {
 
 // ----------------------------------------------------------------- engine
 
-TEST(ServeEngine, GemmAndGemvPathsDecideIdentically) {
+TEST(ServeEngine, DecideAtEveryBatchSizeEqualsPerRowGreedyAction) {
+  // One engine, every batch size the daemon can coalesce: each row's action
+  // must be ActorCritic::greedy_action on that row's observation, whichever
+  // kernel predict_batch ran the block on (GEMV for one row, GEMM for more).
   const sim::Scenario scenario = sim::make_base_scenario();
   const sim::Simulator oracle(scenario, 424242);
   const std::size_t degree = scenario.network().max_degree();
@@ -111,25 +114,22 @@ TEST(ServeEngine, GemmAndGemvPathsDecideIdentically) {
   const core::TrainedPolicy policy = serve::make_untrained_policy(scenario, 24, 11);
   const auto snapshot = serve::make_serve_policy(policy, degree, 1);
 
-  constexpr std::size_t kBatch = 32;
-  serve::DecisionEngine gemm_engine(oracle, degree, kBatch);
-  serve::DecisionEngine gemv_engine(oracle, degree, kBatch);
-
+  constexpr std::size_t kMaxBatch = 32;
+  serve::DecisionEngine engine(oracle, degree, kMaxBatch);
   const std::vector<serve::wire::Request> requests =
-      serve::make_request_mix(scenario, 20 * kBatch, 77);
-  std::vector<int> gemm_actions, gemv_actions;
-  for (std::size_t base = 0; base + kBatch <= requests.size(); base += kBatch) {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      ASSERT_TRUE(gemm_engine.bind(requests[base + i], i));
-      ASSERT_TRUE(gemv_engine.bind(requests[base + i], i));
+      serve::make_request_mix(scenario, kMaxBatch * (kMaxBatch + 1) / 2, 77);
+  std::vector<int> actions;
+  std::size_t next = 0;
+  for (std::size_t batch = 1; batch <= kMaxBatch; ++batch) {
+    for (std::size_t r = 0; r < batch; ++r) ASSERT_TRUE(engine.bind(requests[next + r], r));
+    const std::size_t gemv_rows = engine.decide(snapshot->net, batch, actions);
+    EXPECT_EQ(gemv_rows, batch == 1 ? 1u : 0u) << "batch " << batch;
+    ASSERT_EQ(actions.size(), batch);
+    for (std::size_t r = 0; r < batch; ++r) {
+      EXPECT_EQ(actions[r], snapshot->net.greedy_action(engine.observation(r)))
+          << "batch " << batch << " request " << next + r;
     }
-    gemm_engine.decide(snapshot->net, kBatch, gemm_actions, /*force_gemv=*/false);
-    gemv_engine.decide(snapshot->net, kBatch, gemv_actions, /*force_gemv=*/true);
-    ASSERT_EQ(gemm_actions.size(), kBatch);
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      // Bit-identical forward passes -> identical argmax decisions.
-      EXPECT_EQ(gemm_actions[i], gemv_actions[i]) << "request " << base + i;
-    }
+    next += batch;
   }
 }
 
@@ -313,37 +313,41 @@ TEST_F(ServeServerTest, StatsAndHistogramsTrackTheLoad) {
   EXPECT_EQ(server_->request_decide_us_histogram().count(), stats.requests);
 }
 
-TEST(ServeServer, ForceGemvServesIdenticalDecisionsToBatched) {
-  // End-to-end A/B: the same request mix against a GEMM-batching server
-  // and a force-GEMV server must produce identical per-request actions.
+TEST(ServeServer, ServedActionsEqualLocalBatchOneDecisions) {
+  // End to end: every action the server sends back must equal the serving
+  // pipeline run locally on that request alone (a batch-1 decide against
+  // the same oracle seed), however the server coalesced it. The batcher
+  // starts in its loaded regime, so short batches wait for stragglers and
+  // many requests are decided inside multi-row GEMM blocks.
   const sim::Scenario scenario = sim::make_base_scenario();
   const core::TrainedPolicy policy = serve::make_untrained_policy(scenario, 16, 5);
-
   const std::vector<serve::wire::Request> requests =
       serve::make_request_mix(scenario, 5000, 13);
-  std::vector<int> actions_batched, actions_gemv;
-  for (const bool force_gemv : {false, true}) {
-    serve::ServerConfig config;
-    config.force_gemv = force_gemv;
-    serve::UdpServer server(scenario, policy, config);
-    server.start();
-    serve::LoadConfig load;
-    load.port = server.port();
-    load.rate = 20000.0;
-    load.seed = 13;
-    load.record_actions = true;
-    const serve::LoadReport report = serve::run_load(requests, load);
-    server.stop();
-    ASSERT_EQ(report.received, requests.size());
-    (force_gemv ? actions_gemv : actions_batched) = report.actions;
-    if (force_gemv) {
-      EXPECT_EQ(server.stats().gemv_decides, requests.size());
-      EXPECT_EQ(server.stats().gemm_batches, 0u);
-    }
-  }
-  ASSERT_EQ(actions_batched.size(), actions_gemv.size());
-  for (std::size_t i = 0; i < actions_batched.size(); ++i) {
-    EXPECT_EQ(actions_batched[i], actions_gemv[i]) << "request " << i;
-    EXPECT_GE(actions_batched[i], 0);
+
+  serve::ServerConfig config;
+  config.batcher.gemm_threshold = 1.0;
+  serve::UdpServer server(scenario, policy, config);
+  server.start();
+  serve::LoadConfig load;
+  load.port = server.port();
+  load.rate = 20000.0;
+  load.seed = 13;
+  load.record_actions = true;
+  const serve::LoadReport report = serve::run_load(requests, load);
+  server.stop();
+  ASSERT_EQ(report.received, requests.size());
+  ASSERT_EQ(report.actions.size(), requests.size());
+  const serve::ServerStats stats = server.stats();
+  EXPECT_GT(stats.gemm_batches, 0u);
+  EXPECT_LT(stats.gemv_decides, requests.size());
+
+  const rl::ActorCritic net = policy.instantiate();
+  const sim::Simulator oracle(scenario, config.oracle_seed);
+  serve::DecisionEngine engine(oracle, policy.max_degree, 1);
+  std::vector<int> expected;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(engine.bind(requests[i], 0));
+    engine.decide(net, 1, expected);
+    EXPECT_EQ(report.actions[requests[i].request_id], expected[0]) << "request " << i;
   }
 }

@@ -271,27 +271,6 @@ TEST(Exporters, SnapshotFileRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(Exporters, CsvTimeSeries) {
-  const std::string path = temp_path("dosc_test_series.csv");
-  {
-    CsvTimeSeries csv(path, {"iter", "reward"});
-    csv.append({0.0, -1.5});
-    csv.append({1.0, 2.25});
-    EXPECT_EQ(csv.rows_written(), 2u);
-    EXPECT_THROW(csv.append({1.0}), std::invalid_argument);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char buffer[256];
-  const std::size_t n = std::fread(buffer, 1, sizeof(buffer) - 1, f);
-  std::fclose(f);
-  buffer[n] = '\0';
-  const std::string contents(buffer);
-  EXPECT_NE(contents.find("iter,reward"), std::string::npos);
-  EXPECT_NE(contents.find("2.25"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(Tracer, DisabledRecordsNothing) {
   Tracer tracer;
   tracer.complete("cat", "span", 0.0, 1.0);
