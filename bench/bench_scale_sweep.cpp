@@ -2,10 +2,11 @@
 // throughput as the substrate grows from a k=4 fat-tree (36 nodes) through
 // a k=8 fat-tree (208 nodes) to a 500-node Waxman WAN.
 //
-// Every swept scenario is a named corpus entry (src/check/corpus.hpp), so
-// the topologies, load programs and seeds here are exactly the ones pinned
-// in scenarios/corpus/ — the sweep measures how the simulator and the
-// coordinators behave as node count grows, on reproducible inputs.
+// Every swept scenario is a named corpus entry, loaded as
+// "corpus:<name>" (src/sim/corpus.hpp), so the topologies, load programs
+// and seeds here are exactly the ones test_corpus pins by content hash —
+// the sweep measures how the simulator and the coordinators behave as node
+// count grows, on reproducible inputs.
 //
 // Coordinators: shortest-path and GCASP baselines, plus the distributed
 // DRL coordinator driven by an untrained randomly-initialised policy.
@@ -30,7 +31,6 @@
 
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
-#include "check/corpus.hpp"
 #include "core/drl_env.hpp"
 #include "serve/daemon.hpp"
 #include "sim/scenario.hpp"
@@ -136,8 +136,7 @@ int main() {
 
   util::Json::Array results;
   for (const std::string& name : entries) {
-    const sim::Scenario scenario =
-        check::CorpusGenerator::make(name).with_end_time(eval_time);
+    const sim::Scenario scenario = sim::load_scenario("corpus:" + name).with_end_time(eval_time);
     const core::TrainedPolicy policy = serve::make_untrained_policy(scenario);
     for (const char* algo : {"sp", "gcasp", "dist"}) {
       const SweepPoint p = run_point(scenario, algo, &policy, seeds);

@@ -11,11 +11,6 @@
 //                  --episodes-parallel runs W independent episodes
 //                  concurrently, 0 = hardware threads, output unchanged)
 //   dosc_cli fuzz  [--seeds N] [--time MS]       differential fuzzing
-//   dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]
-//                  regenerate the seeded scenario corpus library into <dir>
-//                  (default scenarios/corpus). --verify writes nothing and
-//                  fails on byte drift vs the checked-in files; --audit
-//                  additionally runs every entry under the InvariantAuditor
 //   dosc_cli trace <out.json> [--seed S] [--horizon MS]
 //   dosc_cli serve <scenario.json> <policy.json> [...]   run the decision
 //                  daemon in-process (same flags as the dosc_serve binary)
@@ -36,16 +31,15 @@
 //   --trace-out <path>       write a chrome://tracing trace-event JSON
 //
 // Scenario files use sim::ScenarioConfig::to_json()'s schema; see
-// scenarios/ for ready-made examples.
+// scenarios/ for ready-made examples. Any <scenario.json> argument may
+// instead be corpus:<name>, which builds that scale-corpus entry from its
+// seed (sim/corpus.hpp), e.g. `dosc_cli eval corpus:wan_500_flash gcasp`.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,7 +47,6 @@
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
 #include "check/auditor.hpp"
-#include "check/corpus.hpp"
 #include "check/differential.hpp"
 #include "check/digest.hpp"
 #include "check/fuzzer.hpp"
@@ -84,7 +77,6 @@ int usage() {
                "                [--episodes N] [--time MS] [--episodes-parallel W]\n"
                "                [--audit] [--stats]\n"
                "  dosc_cli fuzz [--seeds N] [--time MS]\n"
-               "  dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]\n"
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
                "  dosc_cli serve <scenario.json> <policy.json> [--port P] [--threads N]\n"
                "                [--max-batch B] [--wait-us U] [--gemm-threshold X]\n"
@@ -92,6 +84,7 @@ int usage() {
                "  dosc_cli load <scenario.json> --port P [--address A] [--rate R]\n"
                "                [--requests N] [--seed S] [--drain-ms MS]\n"
                "  dosc_cli init-policy <scenario.json> <policy.json> [--hidden N] [--seed S]\n"
+               "<scenario.json> may be corpus:<name>, a generated scale-corpus entry\n"
                "global flags (default off):\n"
                "  --log-level <trace|debug|info|warn|error|off>\n"
                "  --telemetry-out <file>   metrics snapshot JSON (dosc.telemetry.v1)\n"
@@ -393,90 +386,6 @@ int cmd_fuzz(int argc, char** argv) {
   return failed == 0 ? 0 : 1;
 }
 
-int cmd_gen_corpus(int argc, char** argv) {
-  if (!check_flags(argc, argv, {"--entry", "--time"}, {"--verify", "--audit"})) {
-    return usage();
-  }
-  std::string dir = "scenarios/corpus";
-  if (argc >= 3 && argv[2][0] != '-') dir = argv[2];
-  const bool verify = has_flag(argc, argv, "--verify");
-  const bool audit = has_flag(argc, argv, "--audit");
-  const char* only = flag_str(argc, argv, "--entry", nullptr);
-  // Audited replays are capped so `--audit` stays CI-sized even for the
-  // wan-500 entries; the cap only shortens the episode, never lengthens it.
-  const double audit_time = real_flag(argc, argv, "--time", 2000.0);
-
-  if (!verify) std::filesystem::create_directories(dir);
-  std::size_t drifted = 0;
-  std::size_t audit_failures = 0;
-  std::size_t entries = 0;
-  for (const check::CorpusEntryInfo& info : check::CorpusGenerator::library()) {
-    if (only != nullptr && info.name != only) continue;
-    ++entries;
-    const sim::Scenario scenario = check::CorpusGenerator::make(info.name);
-    const std::string path = dir + "/" + info.name + ".json";
-    const std::string payload = scenario.to_json().dump(2) + "\n";
-    if (verify) {
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream buffer;
-      if (in) buffer << in.rdbuf();
-      if (!in || buffer.str() != payload) {
-        ++drifted;
-        std::printf("%-18s DRIFT: %s %s\n", info.name.c_str(), path.c_str(),
-                    in ? "differs from generator output" : "missing");
-      } else {
-        std::printf("%-18s ok (%zu nodes, %zu links)\n", info.name.c_str(),
-                    scenario.network().num_nodes(), scenario.network().num_links());
-      }
-    } else {
-      std::ofstream out(path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-      }
-      out << payload;
-      std::printf("%-18s wrote %s (%zu nodes, %zu links, seed %llu)\n", info.name.c_str(),
-                  path.c_str(), scenario.network().num_nodes(),
-                  scenario.network().num_links(),
-                  static_cast<unsigned long long>(info.seed));
-    }
-    if (audit) {
-      const sim::Scenario eval =
-          scenario.with_end_time(std::min(scenario.config().end_time, audit_time));
-      sim::Simulator sim(eval, 424242);
-      check::InvariantAuditor auditor;
-      check::EventDigest digest;
-      check::HookChain hooks{&auditor, &digest};
-      sim.set_audit_hook(&hooks);
-      baselines::ShortestPathCoordinator coordinator;
-      const sim::SimMetrics m = sim.run(coordinator, &auditor);
-      std::printf("%-18s audit: digest %016llx success %.3f events %llu %s\n",
-                  info.name.c_str(), static_cast<unsigned long long>(digest.digest()),
-                  m.success_ratio(),
-                  static_cast<unsigned long long>(auditor.events_audited()),
-                  auditor.report().c_str());
-      if (!auditor.ok()) ++audit_failures;
-    }
-  }
-  if (entries == 0) {
-    std::fprintf(stderr, "gen-corpus: no corpus entry named '%s'\n", only ? only : "");
-    return 2;
-  }
-  if (drifted != 0) {
-    std::fprintf(stderr,
-                 "gen-corpus: %zu entr%s drifted; regenerate with "
-                 "`dosc_cli gen-corpus %s` and commit the result\n",
-                 drifted, drifted == 1 ? "y" : "ies", dir.c_str());
-    return 1;
-  }
-  if (audit_failures != 0) {
-    std::fprintf(stderr, "gen-corpus: %zu entr%s failed the invariant audit\n",
-                 audit_failures, audit_failures == 1 ? "y" : "ies");
-    return 1;
-  }
-  return 0;
-}
-
 int cmd_trace(int argc, char** argv) {
   if (argc < 3 || !check_flags(argc, argv, {"--seed", "--horizon"})) return usage();
   traffic::DiurnalTraceConfig config;
@@ -568,8 +477,6 @@ int main(int argc, char** argv) {
       result = cmd_eval(argc, argv);
     } else if (command == "fuzz") {
       result = cmd_fuzz(argc, argv);
-    } else if (command == "gen-corpus") {
-      result = cmd_gen_corpus(argc, argv);
     } else if (command == "trace") {
       result = cmd_trace(argc, argv);
     } else if (command == "serve") {

@@ -81,8 +81,10 @@ void InvariantAuditor::diff_instances(const sim::Simulator& sim, const sim::SimE
       const std::size_t idx = instance_slot(v, c, num_components_);
       const sim::Simulator::InstanceState cur = sim.instance_state(v, c);
       InstanceSnap& prev = instances_[idx];
-      const std::string slot =
-          "instance (node " + std::to_string(v) + ", comp " + std::to_string(c) + ")";
+      // Formatted only for a violation: this loop runs V*C times per event.
+      const auto slot = [v, c] {
+        return "instance (node " + std::to_string(v) + ", comp " + std::to_string(c) + ")";
+      };
 
       if (!attribute) {
         // Sampled mode: several events fired since the previous snapshot,
@@ -91,41 +93,41 @@ void InvariantAuditor::diff_instances(const sim::Simulator& sim, const sim::SimE
         // Creation: only a flow decision (processing locally) places an
         // instance, paying the startup delay, and immediately pins it.
         if (cause == nullptr) {
-          fail(now, slot + " created before any event");
+          fail(now, slot() + " created before any event");
         } else {
           if (cause->kind != sim::EventKind::kFlowArrival) {
-            fail(now, slot + " created by non-decision event " +
+            fail(now, slot() + " created by non-decision event " +
                           sim::event_kind_name(cause->kind));
           }
           const double startup = sim.catalog().component(c).startup_delay;
           if (std::abs(cur.ready_time - (cause->time + startup)) > options_.eps) {
-            fail(now, slot + " ready_time " + std::to_string(cur.ready_time) +
+            fail(now, slot() + " ready_time " + std::to_string(cur.ready_time) +
                           " != creation time " + std::to_string(cause->time) +
                           " + startup " + std::to_string(startup));
           }
           if (cur.active == 0) {
-            fail(now, slot + " created without an active flow");
+            fail(now, slot() + " created without an active flow");
           }
         }
       } else if (!cur.exists && prev.exists) {
         // Removal: only the idle timeout (after genuinely idling that
         // long) or a node failure tears an instance down.
         if (cause == nullptr) {
-          fail(now, slot + " removed before any event");
+          fail(now, slot() + " removed before any event");
         } else if (cause->kind == sim::EventKind::kInstanceIdle) {
           if (prev.active != 0) {
-            fail(now, slot + " removed while " + std::to_string(prev.active) +
+            fail(now, slot() + " removed while " + std::to_string(prev.active) +
                           " flows were active");
           }
           const double timeout = sim.catalog().component(c).idle_timeout;
           const double idle_for = cause->time - prev.idle_since;
           if (idle_for < timeout - options_.eps) {
-            fail(now, slot + " removed after only " + std::to_string(idle_for) +
+            fail(now, slot() + " removed after only " + std::to_string(idle_for) +
                           " ms idle (timeout " + std::to_string(timeout) + ")");
           }
         } else if (!(cause->kind == sim::EventKind::kFailureStart && cause->a == 0 &&
                      cause->b == v)) {
-          fail(now, slot + " removed by unexpected event " +
+          fail(now, slot() + " removed by unexpected event " +
                         sim::event_kind_name(cause->kind));
         }
       }

@@ -17,19 +17,9 @@
 #include <cstdint>
 
 #include "sim/audit.hpp"
+#include "util/rng.hpp"
 
 namespace dosc::check {
-
-/// Stable 64-bit mix (splitmix64 finalizer); pure integer arithmetic, so
-/// digests are identical across platforms and build types.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 class EventDigest final : public sim::AuditHook {
  public:
@@ -42,7 +32,7 @@ class EventDigest final : public sim::AuditHook {
   void reset() noexcept;
 
  private:
-  void absorb(std::uint64_t x) noexcept { hash_ = mix64(hash_ ^ x) * 0x9E3779B97F4A7C15ULL; }
+  void absorb(std::uint64_t x) noexcept { hash_ = util::mix64(hash_ ^ x) * 0x9E3779B97F4A7C15ULL; }
 
   static constexpr std::uint64_t kSeed = 0x0D05CD16E57ULL;  // "dosc digest"
   std::uint64_t hash_ = kSeed;

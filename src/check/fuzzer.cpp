@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/digest.hpp"
 #include "net/network.hpp"
 #include "traffic/spec.hpp"
 #include "util/rng.hpp"
@@ -96,7 +95,7 @@ sim::ServiceCatalog fuzz_catalog(util::Rng& rng, const FuzzBounds& b) {
 
 sim::Scenario ScenarioFuzzer::make(std::uint64_t seed) const {
   // Decorrelate consecutive fuzz seeds before seeding the engine.
-  util::Rng rng(mix64(seed + 0x5CE4A1105EEDULL));
+  util::Rng rng(util::mix64(seed + 0x5CE4A1105EEDULL));
   const FuzzBounds& b = bounds_;
 
   net::Network network = fuzz_network(rng, b, seed);

@@ -20,6 +20,7 @@ ShortestPaths::ShortestPaths(const Network& network)
   for (NodeId src = 0; src < n_; ++src) {
     std::vector<double> dist(n_, kInf);
     std::vector<NodeId> pred(n_, kInvalidNode);
+    std::vector<char> settled(n_, 0);
     dist[src] = 0.0;
     using Entry = std::pair<double, NodeId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
@@ -27,8 +28,15 @@ ShortestPaths::ShortestPaths(const Network& network)
     while (!queue.empty()) {
       const auto [d, u] = queue.top();
       queue.pop();
-      if (d > dist[u]) continue;
+      if (settled[u]) continue;
+      settled[u] = 1;
       for (const Neighbor& nb : network_.neighbors(u)) {
+        // A settled node is never relaxed again: with a zero-delay link (or
+        // one so long that shorter delays vanish when added to it) it could
+        // tie, and rewriting its predecessor — even the source's — would
+        // close a predecessor cycle. Every predecessor is settled before
+        // the node it leads to, so each walk-back below ends at src.
+        if (settled[nb.node]) continue;
         const double nd = d + network_.link(nb.link).delay;
         // Strict improvement, or equal-cost tie broken towards the path
         // whose predecessor has the lower id — keeps next hops

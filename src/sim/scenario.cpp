@@ -5,9 +5,11 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "net/topology_io.hpp"
 #include "net/topology_zoo.hpp"
+#include "sim/corpus.hpp"
 
 namespace dosc::sim {
 
@@ -152,6 +154,10 @@ Scenario Scenario::from_json(const util::Json& json) {
 void Scenario::save(const std::string& path) const { to_json().save_file(path); }
 
 Scenario load_scenario(const std::string& path) {
+  constexpr std::string_view kCorpusPrefix = "corpus:";
+  if (path.starts_with(kCorpusPrefix)) {
+    return CorpusGenerator::make(path.substr(kCorpusPrefix.size()));
+  }
   return Scenario::from_json(util::Json::load_file(path));
 }
 

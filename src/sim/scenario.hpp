@@ -116,7 +116,9 @@ Scenario make_base_scenario(std::size_t num_ingress = 2,
                             double end_time = 20000.0);
 
 /// Load a scenario JSON file (full document or bare config; see
-/// Scenario::from_json). The single entry point the CLI, the serving
+/// Scenario::from_json), or build the corpus entry named by
+/// "corpus:<name>" from its seed (sim/corpus.hpp; std::invalid_argument
+/// for an unknown name). The single entry point the CLI, the serving
 /// daemon, and the benches share.
 Scenario load_scenario(const std::string& path);
 

@@ -173,7 +173,14 @@ void Simulator::near_rebuild() {
 }
 
 std::uint64_t Simulator::bucket_index_of(double time) noexcept {
-  return time <= 0.0 ? 0 : static_cast<std::uint64_t>(time / kBucketWidthMs);
+  // Far-future times (past ~1.4e17 ms) share the last bucket instead of
+  // overflowing the cast; the near heap orders them by (time, seq), so
+  // dispatch order stays exact. Below 2^62 the signed conversion is exact
+  // and one instruction.
+  constexpr double kMaxBucket = 4611686018427387904.0;  // 2^62
+  const double bucket = time / kBucketWidthMs;
+  if (!(bucket < kMaxBucket)) return static_cast<std::uint64_t>(kMaxBucket);
+  return bucket <= 0.0 ? 0 : static_cast<std::uint64_t>(static_cast<std::int64_t>(bucket));
 }
 
 void Simulator::queue_push(const Event& event) {

@@ -129,42 +129,4 @@ util::Json Histogram::to_json() const {
   return util::Json(std::move(out));
 }
 
-Histogram Histogram::from_json(const util::Json& json) {
-  const util::Json& config_json = json.at("config");
-  HistogramConfig config;
-  config.min_value = config_json.at("min_value").as_number();
-  config.max_value = config_json.at("max_value").as_number();
-  config.buckets_per_decade =
-      static_cast<std::size_t>(config_json.at("buckets_per_decade").as_int());
-  Histogram hist(config);
-  for (const util::Json& pair : json.at("buckets").as_array()) {
-    const std::size_t index = static_cast<std::size_t>(pair.at(0).as_int());
-    if (index >= hist.buckets_.size()) {
-      throw util::JsonError("Histogram::from_json: bucket index out of range");
-    }
-    hist.buckets_[index] = static_cast<std::uint64_t>(pair.at(1).as_int());
-  }
-  hist.count_ = static_cast<std::uint64_t>(json.at("count").as_int());
-  hist.sum_ = json.at("sum").as_number();
-  hist.min_ = json.at("min").as_number();
-  hist.max_ = json.at("max").as_number();
-  // The scalar fields are redundant with the buckets; a snapshot where they
-  // disagree (truncated write, manual edit) must not deserialize into a
-  // histogram whose percentile() and count() contradict each other.
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t b : hist.buckets_) bucket_total += b;
-  if (bucket_total != hist.count_) {
-    throw util::JsonError("Histogram::from_json: count does not match bucket sum");
-  }
-  if (hist.count_ > 0 && !(hist.min_ <= hist.max_)) {
-    throw util::JsonError("Histogram::from_json: min/max inconsistent");
-  }
-  return hist;
-}
-
-bool Histogram::operator==(const Histogram& other) const noexcept {
-  return config_ == other.config_ && buckets_ == other.buckets_ && count_ == other.count_ &&
-         sum_ == other.sum_ && min_ == other.min_ && max_ == other.max_;
-}
-
 }  // namespace dosc::telemetry

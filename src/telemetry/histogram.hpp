@@ -66,10 +66,8 @@ class Histogram {
 
   /// Stable schema: {"config": {...}, "count", "sum", "min", "max",
   /// "buckets": [[index, count], ...]} (sparse; empty buckets omitted).
+  /// Write-only: snapshots are for external tools, nothing reads them back.
   util::Json to_json() const;
-  static Histogram from_json(const util::Json& json);
-
-  bool operator==(const Histogram& other) const noexcept;
 
  private:
   HistogramConfig config_;

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace dosc::traffic {
 
@@ -97,6 +98,18 @@ TrafficSpec TrafficSpec::from_json(const util::Json& json) {
   }
   s.trace_horizon = json.number_or("trace_horizon", s.trace_horizon);
   if (json.contains("trace")) s.trace = RateTrace::from_json(json.at("trace"));
+  // Without an embedded trace, the Simulator generates one segment per
+  // 500 ms of horizon: refuse a horizon make_diurnal_trace would reject
+  // here, by name, before anything is allocated.
+  if (s.kind == ArrivalKind::kTrace && !s.trace.has_value()) {
+    const double segments = s.trace_horizon / DiurnalTraceConfig{}.segment_length;
+    if (!(segments > 1.0 && segments <= kMaxTraceSegments)) {
+      throw util::JsonError(
+          "JSON field 'trace_horizon' must exceed one 500 ms segment and span at most " +
+          std::to_string(static_cast<std::uint64_t>(kMaxTraceSegments)) + " segments, got " +
+          util::Json(s.trace_horizon).dump());
+    }
+  }
   return s;
 }
 

@@ -66,7 +66,8 @@ RateTrace RateTrace::load(const std::string& path) {
 }
 
 RateTrace make_diurnal_trace(const DiurnalTraceConfig& config) {
-  if (config.segment_length <= 0.0 || config.horizon <= config.segment_length) {
+  const double count = config.horizon / config.segment_length;
+  if (config.segment_length <= 0.0 || !(count > 1.0 && count <= kMaxTraceSegments)) {
     throw std::invalid_argument("make_diurnal_trace: bad segment length / horizon");
   }
   util::Rng rng(config.seed);

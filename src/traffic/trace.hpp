@@ -58,8 +58,15 @@ struct DiurnalTraceConfig {
   std::uint64_t seed = 0;
 };
 
+/// Most segments a generated diurnal trace may hold (16 MB; a ~6-day loop
+/// period at the default 500 ms segments). A longer horizon is an error,
+/// not an allocation of one segment per segment length.
+inline constexpr double kMaxTraceSegments = 1048576.0;  // 2^20
+
 /// Generate a diurnal trace: mean inter-arrival follows
 /// base / (1 + amplitude * sin(2*pi*t/horizon)) with per-segment noise.
+/// Throws std::invalid_argument unless the horizon spans more than one and
+/// at most kMaxTraceSegments segments.
 RateTrace make_diurnal_trace(const DiurnalTraceConfig& config);
 
 /// Parameters for the flash-crowd trace: a baseline (optionally diurnal)

@@ -12,6 +12,17 @@
 
 namespace dosc::util {
 
+/// Stable 64-bit mix (splitmix64 finalizer); pure integer arithmetic, so
+/// hashes and derived seeds are identical across platforms and build types.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return x;
+}
+
 /// Deterministic PRNG wrapper around std::mt19937_64 with convenience
 /// distributions. Copyable (copying forks the stream deterministically).
 class Rng {

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "check/corpus.hpp"
 #include "check/digest.hpp"
 #include "core/batched_episode.hpp"
 #include "core/observation.hpp"
@@ -101,56 +100,48 @@ TEST(BatchedRollout, ValidatesActorShape) {
                std::invalid_argument);
 }
 
-/// Drives greedy episodes of each named scenario (a topology, or
-/// "corpus:<entry>") through the batched driver at B in {1, 4, 16} under a
-/// 2 x `hidden` net. Every batched episode must match its sequential twin
-/// digest-for-digest; B = 1 additionally must take the GEMV path on every
-/// round.
-void expect_batched_greedy_matches_sequential(const std::vector<std::string>& scenarios,
+/// Drives greedy episodes of `scenario` through the batched driver at B in
+/// {1, 4, 16} under a 2 x `hidden` net. Every batched episode must match its
+/// sequential twin digest-for-digest; B = 1 additionally must take the GEMV
+/// path on every round.
+void expect_batched_greedy_matches_sequential(const sim::Scenario& scenario,
                                               std::size_t hidden) {
-  for (const std::string& name : scenarios) {
-    const bool corpus = name.rfind("corpus:", 0) == 0;
-    const sim::Scenario scenario =
-        corpus ? check::CorpusGenerator::make(name.substr(7)).with_end_time(150.0)
-               : sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, name,
-                                         300.0);
-    const rl::ActorCritic policy = make_policy(scenario, 42, hidden);
-    const std::size_t obs_dim = policy.config().obs_dim;
-    const std::string label = name + " 2x" + std::to_string(hidden);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-      std::vector<EpisodeFingerprint> expected;
-      for (std::size_t e = 0; e < width; ++e) {
-        expected.push_back(run_sequential_greedy(scenario, policy, 9000 + e));
-      }
+  const rl::ActorCritic policy = make_policy(scenario, 42, hidden);
+  const std::size_t obs_dim = policy.config().obs_dim;
+  const std::string label = scenario.network().name() + " 2x" + std::to_string(hidden);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    std::vector<EpisodeFingerprint> expected;
+    for (std::size_t e = 0; e < width; ++e) {
+      expected.push_back(run_sequential_greedy(scenario, policy, 9000 + e));
+    }
 
-      std::vector<std::unique_ptr<core::DistributedDrlCoordinator>> coordinators;
-      std::vector<std::unique_ptr<core::YieldingEpisode>> episodes;
-      std::vector<check::EventDigest> digests(width);
-      std::vector<rl::BatchedEnv*> envs;
-      for (std::size_t e = 0; e < width; ++e) {
-        coordinators.push_back(std::make_unique<core::DistributedDrlCoordinator>(
-            policy, scenario.network().max_degree()));
-        episodes.push_back(std::make_unique<core::YieldingEpisode>(
-            scenario, 9000 + e, *coordinators.back(), *coordinators.back()));
-        episodes.back()->simulator().set_audit_hook(&digests[e]);
-        envs.push_back(episodes.back().get());
-      }
-      rl::BatchedRollout driver(policy.actor(), obs_dim);
-      const rl::BatchedRolloutStats stats = driver.run(envs);
-      EXPECT_GT(stats.decisions, 0u) << label;
-      EXPECT_LE(stats.max_rows, width) << label;
-      if (width == 1) {
-        // Single env: every round is a single row and must take the GEMV
-        // (predict_row) path — the exact sequential fast path.
-        EXPECT_EQ(stats.gemv_rounds, stats.rounds) << label;
-        EXPECT_EQ(stats.max_rows, 1u) << label;
-      }
-      for (std::size_t e = 0; e < width; ++e) {
-        const sim::SimMetrics metrics = episodes[e]->finish();
-        expect_equal(fingerprint(digests[e].digest(), digests[e].events(), metrics),
-                     expected[e],
-                     label + " B=" + std::to_string(width) + " episode " + std::to_string(e));
-      }
+    std::vector<std::unique_ptr<core::DistributedDrlCoordinator>> coordinators;
+    std::vector<std::unique_ptr<core::YieldingEpisode>> episodes;
+    std::vector<check::EventDigest> digests(width);
+    std::vector<rl::BatchedEnv*> envs;
+    for (std::size_t e = 0; e < width; ++e) {
+      coordinators.push_back(std::make_unique<core::DistributedDrlCoordinator>(
+          policy, scenario.network().max_degree()));
+      episodes.push_back(std::make_unique<core::YieldingEpisode>(
+          scenario, 9000 + e, *coordinators.back(), *coordinators.back()));
+      episodes.back()->simulator().set_audit_hook(&digests[e]);
+      envs.push_back(episodes.back().get());
+    }
+    rl::BatchedRollout driver(policy.actor(), obs_dim);
+    const rl::BatchedRolloutStats stats = driver.run(envs);
+    EXPECT_GT(stats.decisions, 0u) << label;
+    EXPECT_LE(stats.max_rows, width) << label;
+    if (width == 1) {
+      // Single env: every round is a single row and must take the GEMV
+      // (predict_row) path — the exact sequential fast path.
+      EXPECT_EQ(stats.gemv_rounds, stats.rounds) << label;
+      EXPECT_EQ(stats.max_rows, 1u) << label;
+    }
+    for (std::size_t e = 0; e < width; ++e) {
+      const sim::SimMetrics metrics = episodes[e]->finish();
+      expect_equal(fingerprint(digests[e].digest(), digests[e].events(), metrics),
+                   expected[e],
+                   label + " B=" + std::to_string(width) + " episode " + std::to_string(e));
     }
   }
 }
@@ -160,11 +151,17 @@ TEST(BatchedRollout, GreedyEpisodesBitIdenticalAcrossTopologiesAndWidths) {
   // fat-tree/WAN corpus entries at 2x16, then Abilene at the paper's 2x256
   // net (Sec. V-A2), the width perfbench times. Only Abilene runs at 2x256:
   // all six scenarios at that width take ~100 s under ASan.
-  std::vector<std::string> scenarios = net::topology_names();
-  scenarios.push_back("corpus:ft_k4_steady");
-  scenarios.push_back("corpus:wan_100_steady");
-  expect_batched_greedy_matches_sequential(scenarios, 16);
-  expect_batched_greedy_matches_sequential({"abilene"}, 256);
+  const auto topology_scenario = [](const std::string& topology) {
+    return sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, topology,
+                                   300.0);
+  };
+  for (const std::string& topology : net::topology_names()) {
+    expect_batched_greedy_matches_sequential(topology_scenario(topology), 16);
+  }
+  for (const char* entry : {"corpus:ft_k4_steady", "corpus:wan_100_steady"}) {
+    expect_batched_greedy_matches_sequential(sim::load_scenario(entry).with_end_time(150.0), 16);
+  }
+  expect_batched_greedy_matches_sequential(topology_scenario("abilene"), 256);
 }
 
 TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {

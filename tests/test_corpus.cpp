@@ -1,32 +1,43 @@
-// Property tests for the scenario corpus generator (src/check/corpus.hpp):
+// Property tests for the scenario corpus generator (src/sim/corpus.hpp):
 // fat-tree/Clos structure, WAN geometry, flash-crowd and failure-storm load
-// programs, deterministic regeneration, the scenario JSON round-trip fixed
-// point over scenarios/*.json and every corpus entry, and the auditor's
-// sampled mode / fuzzer large-topology guard that make the big entries
-// tractable. DOSC_SOURCE_DIR (a compile definition) locates the checked-in
-// scenario files from the build tree.
+// programs, every library entry pinned by the content hash of its scenario
+// JSON and run under the InvariantAuditor, the scenario JSON round-trip
+// fixed point over scenarios/*.json and every corpus entry, and the
+// auditor's sampled mode / fuzzer large-topology guard that make the big
+// entries tractable. DOSC_SOURCE_DIR (a compile definition) locates the
+// checked-in scenario files from the build tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <ostream>
 #include <queue>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/shortest_path.hpp"
 #include "check/auditor.hpp"
-#include "check/corpus.hpp"
 #include "check/digest.hpp"
 #include "check/fuzzer.hpp"
+#include "sim/corpus.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/trace.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
-namespace dosc::check {
+namespace dosc::sim {
 namespace {
+
+using check::AuditorOptions;
+using check::EventDigest;
+using check::FuzzBounds;
+using check::HookChain;
+using check::InvariantAuditor;
+using check::ScenarioFuzzer;
 
 // --- fat-tree structure -----------------------------------------------------
 
@@ -177,7 +188,7 @@ TEST(FailureStorm, CoLocatedStaggeredAndEgressSafe) {
   const FailureStormParams params;
   const double end_time = 5000.0;
   util::Rng rng(77);
-  const std::vector<sim::FailureEvent> storm =
+  const std::vector<FailureEvent> storm =
       make_failure_storm(network, params, egress, end_time, rng);
   ASSERT_EQ(storm.size(), params.num_node_failures + params.num_link_failures);
 
@@ -186,11 +197,11 @@ TEST(FailureStorm, CoLocatedStaggeredAndEgressSafe) {
   // than being independent uniform draws over the whole fabric.
   std::set<net::NodeId> touched;
   std::size_t node_failures = 0;
-  for (const sim::FailureEvent& failure : storm) {
+  for (const FailureEvent& failure : storm) {
     EXPECT_GE(failure.start, params.start_frac * end_time - 1e-9);
     EXPECT_LT(failure.start, end_time);
     EXPECT_GT(failure.duration, 0.0);
-    if (failure.kind == sim::FailureEvent::Kind::kNode) {
+    if (failure.kind == FailureEvent::Kind::kNode) {
       ++node_failures;
       EXPECT_NE(failure.id, egress);
       touched.insert(failure.id);
@@ -234,30 +245,67 @@ TEST(FailureStorm, CoLocatedStaggeredAndEgressSafe) {
 
 TEST(Catalogs, LongChainVisitsDistinctComponents) {
   util::Rng rng(31);
-  const sim::ServiceCatalog catalog = make_long_chain_catalog(8, rng);
+  const ServiceCatalog catalog = make_long_chain_catalog(8, rng);
   EXPECT_EQ(catalog.num_components(), 8u);
   ASSERT_EQ(catalog.num_services(), 1u);
-  const sim::Service& service = catalog.service(0);
+  const Service& service = catalog.service(0);
   EXPECT_EQ(service.chain.size(), 8u);
-  const std::set<sim::ComponentId> distinct(service.chain.begin(), service.chain.end());
+  const std::set<ComponentId> distinct(service.chain.begin(), service.chain.end());
   EXPECT_EQ(distinct.size(), service.chain.size());
   EXPECT_EQ(catalog.max_chain_length(), 8u);
 }
 
 TEST(Catalogs, MultiTenantSharesThePool) {
   util::Rng rng(32);
-  const sim::ServiceCatalog catalog = make_multi_tenant_catalog(6, 10, rng);
+  const ServiceCatalog catalog = make_multi_tenant_catalog(6, 10, rng);
   EXPECT_EQ(catalog.num_components(), 10u);
   EXPECT_EQ(catalog.num_services(), 6u);
-  for (sim::ServiceId s = 0; s < catalog.num_services(); ++s) {
-    const sim::Service& service = catalog.service(s);
+  for (ServiceId s = 0; s < catalog.num_services(); ++s) {
+    const Service& service = catalog.service(s);
     EXPECT_GE(service.chain.size(), 2u);
     EXPECT_LE(service.chain.size(), 5u);
-    for (const sim::ComponentId c : service.chain) EXPECT_LT(c, 10u);
+    for (const ComponentId c : service.chain) EXPECT_LT(c, 10u);
   }
 }
 
 // --- corpus library ---------------------------------------------------------
+
+/// FNV-1a 64 over raw bytes.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The library's manifest. `fnv1a` is the FNV-1a 64 of the entry's
+/// `to_json().dump(2) + "\n"`: the exact bytes of the scenario file the
+/// entry was once checked in as, so a generator change that alters any
+/// emitted byte trips the pin.
+struct CorpusPin {
+  const char* name;
+  std::uint64_t fnv1a;
+  std::size_t nodes;
+};
+
+void PrintTo(const CorpusPin& pin, std::ostream* os) { *os << pin.name; }
+
+constexpr CorpusPin kCorpusPins[] = {
+    {"ft_k4_steady", 0x7ef75da172bccd2bULL, 36},
+    {"ft_k4_diurnal", 0x28f343a71eb30284ULL, 36},
+    {"ft_k4_chain8", 0xe8bc5d1b278b2c48ULL, 36},
+    {"ft_k6_flash", 0x0f1cb4613de09755ULL, 99},
+    {"ft_k8_steady", 0x3e9bc65d3338479aULL, 208},
+    {"ft_k8_storm", 0x9ebbcdf9449b910dULL, 208},
+    {"wan_100_steady", 0x1dcb52fae043201dULL, 100},
+    {"wan_100_chain10", 0x9c5a9fdd5d81f1ffULL, 100},
+    {"wan_250_diurnal", 0x0800e7fc3be0a5dfULL, 250},
+    {"wan_250_tenants", 0xb91a85c6f9805e61ULL, 250},
+    {"wan_500_flash", 0xe46f8f1bb9932902ULL, 500},
+    {"wan_500_storm", 0xaba7482b11a59b6eULL, 500},
+};
 
 TEST(CorpusLibrary, CoversFamiliesLoadsAndScales) {
   const std::vector<CorpusEntryInfo>& library = CorpusGenerator::library();
@@ -275,76 +323,91 @@ TEST(CorpusLibrary, CoversFamiliesLoadsAndScales) {
   for (const char* load : {"steady", "diurnal", "flash", "storm"}) {
     EXPECT_TRUE(loads.count(load)) << load;
   }
-}
-
-TEST(CorpusLibrary, EntriesValidateAndSpanTheScaleRange) {
+  // Every entry is pinned, and the pinned sizes span the scale range
+  // (CorpusEntry checks each generated entry against its pin).
+  std::set<std::string> pinned;
   std::size_t smallest = SIZE_MAX, largest = 0;
-  for (const CorpusEntryInfo& info : CorpusGenerator::library()) {
-    const sim::Scenario scenario = CorpusGenerator::make(info.name);
-    EXPECT_TRUE(scenario.network().connected()) << info.name;
-    smallest = std::min(smallest, scenario.network().num_nodes());
-    largest = std::max(largest, scenario.network().num_nodes());
+  for (const CorpusPin& pin : kCorpusPins) {
+    pinned.insert(pin.name);
+    smallest = std::min(smallest, pin.nodes);
+    largest = std::max(largest, pin.nodes);
   }
+  EXPECT_EQ(pinned, names);
   EXPECT_LE(smallest, 100u);
   EXPECT_GE(largest, 500u);
 }
 
-TEST(CorpusLibrary, RegenerationIsByteIdentical) {
-  for (const char* name : {"ft_k4_steady", "ft_k6_flash", "wan_100_chain10"}) {
-    const std::string a = CorpusGenerator::make(name).to_json().dump(2);
-    const std::string b = CorpusGenerator::make(name).to_json().dump(2);
-    EXPECT_EQ(a, b) << name;
-  }
+class CorpusEntry : public ::testing::TestWithParam<CorpusPin> {};
+
+TEST_P(CorpusEntry, MatchesItsPinRoundTripsAndPassesTheAuditor) {
+  // One generation per entry serves the pin, the round trip and the audit:
+  // under ASan, building the 500-node entries dominates this suite.
+  const CorpusPin& pin = GetParam();
+  const Scenario scenario = load_scenario(std::string("corpus:") + pin.name);
+  EXPECT_TRUE(scenario.network().connected());
+  EXPECT_EQ(scenario.network().num_nodes(), pin.nodes);
+
+  const std::string text = scenario.to_json().dump(2) + "\n";
+  EXPECT_EQ(fnv1a64(text), pin.fnv1a)
+      << "the generator's output for " << pin.name << " changed; after an intended change, "
+      << "re-pin it to 0x" << std::hex << fnv1a64(text);
+
+  // serialize -> parse -> serialize is the identity on the serialized form,
+  // and keeps the embedded network and catalog.
+  const Scenario reparsed = Scenario::from_json(util::Json::parse(text));
+  EXPECT_EQ(reparsed.to_json().dump(2) + "\n", text);
+
+  // The audited replay: shortest-path decisions, seed 424242, the first
+  // min(end_time, 1000) ms, every event invariant-checked.
+  const Scenario eval = scenario.with_end_time(std::min(scenario.config().end_time, 1000.0));
+  Simulator sim(eval, 424242);
+  InvariantAuditor auditor;
+  auditor.attach(sim);
+  baselines::ShortestPathCoordinator coordinator;
+  const SimMetrics metrics = sim.run(coordinator, &auditor);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_GT(metrics.generated, 0u);
 }
 
-TEST(CorpusLibrary, UnknownNameThrows) {
+INSTANTIATE_TEST_SUITE_P(Library, CorpusEntry, ::testing::ValuesIn(kCorpusPins),
+                         [](const ::testing::TestParamInfo<CorpusPin>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(CorpusLibrary, UnknownNameThrowsNamingIt) {
   EXPECT_THROW(CorpusGenerator::make("ft_k13_lucky"), std::invalid_argument);
-}
-
-TEST(CorpusLibrary, SmallEntriesPassTheAuditor) {
-  for (const char* name : {"ft_k4_steady", "wan_100_steady"}) {
-    const sim::Scenario scenario = CorpusGenerator::make(name).with_end_time(800.0);
-    sim::Simulator sim(scenario, 7);
-    InvariantAuditor auditor;
-    auditor.attach(sim);
-    baselines::ShortestPathCoordinator coordinator;
-    const sim::SimMetrics metrics = sim.run(coordinator, &auditor);
-    EXPECT_TRUE(auditor.ok()) << name << ": " << auditor.report();
-    EXPECT_GT(metrics.generated, 0u) << name;
+  try {
+    load_scenario("corpus:ft_k13_lucky");
+    ADD_FAILURE() << "an unknown corpus entry loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'ft_k13_lucky'"), std::string::npos) << e.what();
   }
 }
 
 // --- JSON round-trip fixed point --------------------------------------------
 
-/// serialize -> parse -> serialize must be the identity on the serialized
-/// form (the fixed point is reached after one round).
-void expect_round_trip_fixed_point(const sim::Scenario& scenario, const std::string& label) {
-  const std::string once = scenario.to_json().dump(2);
-  const sim::Scenario reparsed = sim::Scenario::from_json(util::Json::parse(once));
-  const std::string twice = reparsed.to_json().dump(2);
-  EXPECT_EQ(once, twice) << label;
-}
-
 TEST(ScenarioRoundTrip, FixedPointOnAllCheckedInScenarios) {
-  const std::filesystem::path root = DOSC_SOURCE_DIR;
+  // serialize -> parse -> serialize must be the identity on the serialized
+  // form (the fixed point is reached after one round). CorpusEntry checks
+  // the same on every generated corpus entry.
+  const std::filesystem::path dir = std::filesystem::path(DOSC_SOURCE_DIR) / "scenarios";
+  ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
   std::size_t seen = 0;
-  for (const auto& dir : {root / "scenarios", root / "scenarios" / "corpus"}) {
-    ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().extension() != ".json") continue;
-      ++seen;
-      const sim::Scenario scenario = sim::load_scenario(entry.path().string());
-      expect_round_trip_fixed_point(scenario, entry.path().filename().string());
-    }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    ++seen;
+    const std::string once = load_scenario(entry.path().string()).to_json().dump(2);
+    const Scenario reparsed = Scenario::from_json(util::Json::parse(once));
+    EXPECT_EQ(reparsed.to_json().dump(2), once) << entry.path().filename();
   }
-  EXPECT_GE(seen, 12u);  // the corpus alone has 12 entries
+  EXPECT_GE(seen, 3u);
 }
 
 TEST(ScenarioRoundTrip, CorpusEntriesSurviveWithFullFidelity) {
   // from_json(to_json(s)) must preserve the embedded network and catalog,
   // not fall back to the named-topology defaults.
-  const sim::Scenario scenario = CorpusGenerator::make("wan_100_chain10");
-  const sim::Scenario reparsed = sim::Scenario::from_json(scenario.to_json());
+  const Scenario scenario = load_scenario("corpus:wan_100_chain10");
+  const Scenario reparsed = Scenario::from_json(scenario.to_json());
   EXPECT_EQ(reparsed.network().num_nodes(), scenario.network().num_nodes());
   EXPECT_EQ(reparsed.network().num_links(), scenario.network().num_links());
   EXPECT_EQ(reparsed.catalog().num_components(), scenario.catalog().num_components());
@@ -358,7 +421,7 @@ TEST(ScenarioRoundTrip, BareConfigFilesStillLoadWithDefaults) {
   ASSERT_TRUE(std::filesystem::exists(path));
   const util::Json doc = util::Json::load_file(path.string());
   ASSERT_TRUE(doc.as_object().count("network") == 0);  // bare config on disk
-  const sim::Scenario scenario = sim::load_scenario(path.string());
+  const Scenario scenario = load_scenario(path.string());
   EXPECT_GT(scenario.network().num_nodes(), 0u);
   EXPECT_GT(scenario.catalog().num_services(), 0u);
 }
@@ -370,7 +433,7 @@ TEST(ScaleGuards, FuzzerHandlesLargeNodeBoundsSparsely) {
   bounds.min_nodes = 400;
   bounds.max_nodes = 400;
   const ScenarioFuzzer fuzzer(bounds);
-  const sim::Scenario scenario = fuzzer.make(1);
+  const Scenario scenario = fuzzer.make(1);
   const std::size_t n = scenario.network().num_nodes();
   EXPECT_EQ(n, 400u);
   EXPECT_TRUE(scenario.network().connected());
@@ -389,12 +452,11 @@ TEST(ScaleGuards, FuzzerBelowLimitUnchanged) {
 }
 
 TEST(ScaleGuards, AuditorEntersSampledModeAndStaysClean) {
-  const sim::Scenario scenario =
-      CorpusGenerator::make("ft_k4_steady").with_end_time(600.0);
+  const Scenario scenario = load_scenario("corpus:ft_k4_steady").with_end_time(600.0);
   AuditorOptions options;
   options.full_sweep_cells = 8;  // force sampled mode on a small fabric
   options.sample_stride = 16;
-  sim::Simulator sim(scenario, 7);
+  Simulator sim(scenario, 7);
   InvariantAuditor auditor(options);
   auditor.attach(sim);
   baselines::ShortestPathCoordinator coordinator;
@@ -405,9 +467,8 @@ TEST(ScaleGuards, AuditorEntersSampledModeAndStaysClean) {
 }
 
 TEST(ScaleGuards, AuditorFullModeOnSmallScenarios) {
-  const sim::Scenario scenario =
-      CorpusGenerator::make("ft_k4_steady").with_end_time(300.0);
-  sim::Simulator sim(scenario, 7);
+  const Scenario scenario = load_scenario("corpus:ft_k4_steady").with_end_time(300.0);
+  Simulator sim(scenario, 7);
   InvariantAuditor auditor;
   auditor.attach(sim);
   baselines::ShortestPathCoordinator coordinator;
@@ -419,13 +480,12 @@ TEST(ScaleGuards, AuditorFullModeOnSmallScenarios) {
 TEST(ScaleGuards, SampledAndFullModeAgreeOnTheEventStream) {
   // Sampling changes which invariants are swept, never the simulation
   // itself: the event digest must be identical either way.
-  const sim::Scenario scenario =
-      CorpusGenerator::make("ft_k4_steady").with_end_time(400.0);
+  const Scenario scenario = load_scenario("corpus:ft_k4_steady").with_end_time(400.0);
   std::uint64_t digests[2] = {0, 0};
   for (int mode = 0; mode < 2; ++mode) {
     AuditorOptions options;
     if (mode == 1) options.full_sweep_cells = 8;
-    sim::Simulator sim(scenario, 7);
+    Simulator sim(scenario, 7);
     InvariantAuditor auditor(options);
     EventDigest digest;
     HookChain hooks{&auditor, &digest};
@@ -439,4 +499,4 @@ TEST(ScaleGuards, SampledAndFullModeAgreeOnTheEventStream) {
 }
 
 }  // namespace
-}  // namespace dosc::check
+}  // namespace dosc::sim

@@ -20,12 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "baselines/central_drl.hpp"
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
 #include "check/auditor.hpp"
-#include "check/corpus.hpp"
 #include "check/digest.hpp"
 #include "core/drl_env.hpp"
 #include "core/observation.hpp"
@@ -292,14 +292,15 @@ TEST_P(Golden, AcktrTrainingChecksum) {
 
 // --- corpus goldens ---------------------------------------------------------
 //
-// Pinned episodes on small scenario-corpus entries (check/corpus.hpp) under
+// Pinned episodes on small scenario-corpus entries (sim/corpus.hpp) under
 // the shortest-path baseline. These pin the corpus *generators* end to end:
 // a change to the fat-tree wiring, the WAN geometry, a load program, or the
 // capacity/traffic assembly shifts the event stream and trips the digest.
 // SP is pure scalar code, so the pins hold on any x86-64 libstdc++ build.
 
 GoldenRun run_corpus_golden(const char* entry) {
-  const sim::Scenario scenario = CorpusGenerator::make(entry).with_end_time(kEpisodeTime);
+  const sim::Scenario scenario =
+      sim::load_scenario(std::string("corpus:") + entry).with_end_time(kEpisodeTime);
   baselines::ShortestPathCoordinator coordinator;
   return run_audited(scenario, coordinator, entry);
 }
@@ -348,7 +349,7 @@ TEST(GoldenCorpus, DigestIsComputeThreadInvariant) {
   // Corpus episodes, like the Abilene goldens, must not depend on
   // DOSC_THREADS — the stream is engine-deterministic.
   const sim::Scenario scenario =
-      CorpusGenerator::make("ft_k4_steady").with_end_time(kEpisodeTime);
+      sim::load_scenario("corpus:ft_k4_steady").with_end_time(kEpisodeTime);
   std::uint64_t digests[2] = {0, 0};
   const std::size_t threads[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {

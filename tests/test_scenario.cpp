@@ -191,6 +191,15 @@ TEST(Scenario, HostileIntegerFieldsFailAtLoadNamingTheField) {
          util::Json& b = o["network"].as_object()["links"].as_array()[0].as_object()["b"];
          b = util::Json(b.as_number() + k2p32);
        }},
+      // Not an integer, but a count in disguise: a generated diurnal trace
+      // holds one segment per 500 ms of horizon, so this one asked for
+      // ~4.9e11 segments (~7.8 TB) when the Simulator was built.
+      {"'trace_horizon'",
+       [](util::Json::Object& o) {
+         util::Json::Object& traffic = o["traffic"].as_object();
+         traffic["kind"] = util::Json("trace");
+         traffic["trace_horizon"] = util::Json(242949672960000.0);
+       }},
   };
   for (const auto& c : cases) {
     util::Json doc = base;

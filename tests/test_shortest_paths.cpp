@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "net/shortest_paths.hpp"
+#include "net/topology_io.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace dosc::net {
@@ -109,6 +112,46 @@ TEST(ShortestPaths, PathDelaysAreConsistent) {
       EXPECT_DOUBLE_EQ(sum, sp.delay(u, v));
     }
   }
+}
+
+/// The network of corpus entry `entry` with link `link`'s delay replaced.
+Network with_link_delay(const std::string& entry, std::size_t link, double delay) {
+  util::Json doc = sim::load_scenario("corpus:" + entry).to_json().at("network");
+  doc.as_object()["links"].as_array().at(link).as_object()["delay"] = util::Json(delay);
+  return network_from_json(doc);
+}
+
+/// Every next_hop walk must reach its target in fewer than n hops.
+void expect_next_hop_walks_terminate(const Network& network, const std::string& label) {
+  const ShortestPaths sp(network);
+  const std::size_t n = network.num_nodes();
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      NodeId cur = u;
+      std::size_t hops = 0;
+      while (cur != v && cur != kInvalidNode && hops < n) {
+        cur = sp.next_hop(cur, v);
+        ++hops;
+      }
+      ASSERT_EQ(cur, v) << label << ": walk " << u << " -> " << v << " lost after " << hops
+                        << " hops";
+    }
+  }
+}
+
+TEST(ShortestPaths, ZeroAndVanishingDelaysKeepNextHopsAcyclic) {
+  // An equal-cost tie used to rewrite the predecessor of a node already
+  // settled — the source included — so a zero-delay link closed a
+  // predecessor cycle and the constructor's walk-back never returned. A
+  // 2^64 ms link does the same: the small delays vanish when added to it.
+  const std::size_t links = sim::load_scenario("corpus:ft_k4_steady").network().num_links();
+  ASSERT_EQ(links, 48u);
+  for (std::size_t link = 0; link < links; ++link) {
+    expect_next_hop_walks_terminate(with_link_delay("ft_k4_steady", link, 0.0),
+                                    "ft_k4_steady link " + std::to_string(link) + " delay 0");
+  }
+  expect_next_hop_walks_terminate(with_link_delay("ft_k4_chain8", 10, 18446744073709551616.0),
+                                  "ft_k4_chain8 link 10 delay 2^64");
 }
 
 }  // namespace

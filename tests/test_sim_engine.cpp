@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "baselines/shortest_path.hpp"
+#include "check/auditor.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
@@ -119,6 +120,43 @@ TEST(SimEngine, RecycledFlowSlotsInvalidateStaleEvents) {
   EXPECT_GT(stats.flows_recycled, 0u);
   EXPECT_GT(stats.events_skipped, 0u);
   EXPECT_EQ(sim.num_active_flows(), 0u);
+}
+
+TEST(SimEngine, FarFutureEventsDispatchInOrder) {
+  // A 1e300 ms deadline, hold or inter-arrival schedules an event ~3e301
+  // calendar buckets out; the bucket index cast from double used to
+  // overflow (undefined behaviour, caught by UBSan's float-cast-overflow).
+  // Far buckets now saturate, and the near heap keeps (time, seq) order.
+  const util::Json base = make_base_scenario(2).to_json();
+  using Edit = void (*)(util::Json::Object&);
+  const struct {
+    const char* field;
+    Edit edit;
+  } cases[] = {
+      {"deadline",
+       [](util::Json::Object& o) {
+         o["flows"].as_array()[0].as_object()["deadline"] = util::Json(1e300);
+       }},
+      {"duration",
+       [](util::Json::Object& o) {
+         o["flows"].as_array()[0].as_object()["duration"] = util::Json(1e300);
+       }},
+      {"mean_interarrival",
+       [](util::Json::Object& o) {
+         o["traffic"].as_object()["mean_interarrival"] = util::Json(1e300);
+       }},
+  };
+  for (const auto& c : cases) {
+    util::Json doc = base;
+    c.edit(doc.as_object());
+    const Scenario scenario = Scenario::from_json(doc).with_end_time(200.0);
+    Simulator sim(scenario, 7);
+    check::InvariantAuditor auditor;
+    auditor.attach(sim);
+    baselines::ShortestPathCoordinator coordinator;
+    sim.run(coordinator, &auditor);
+    EXPECT_TRUE(auditor.ok()) << c.field << " 1e300: " << auditor.report();
+  }
 }
 
 }  // namespace
