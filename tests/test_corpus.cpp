@@ -28,6 +28,7 @@
 #include "traffic/trace.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace dosc::sim {
 namespace {
@@ -38,6 +39,7 @@ using check::FuzzBounds;
 using check::HookChain;
 using check::InvariantAuditor;
 using check::ScenarioFuzzer;
+using test::fnv1a64;
 
 // --- fat-tree structure -----------------------------------------------------
 
@@ -269,16 +271,6 @@ TEST(Catalogs, MultiTenantSharesThePool) {
 }
 
 // --- corpus library ---------------------------------------------------------
-
-/// FNV-1a 64 over raw bytes.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// The library's manifest. `fnv1a` is the FNV-1a 64 of the entry's
 /// `to_json().dump(2) + "\n"`: the exact bytes of the scenario file the

@@ -19,6 +19,7 @@
 // digest pin.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
 
@@ -29,6 +30,7 @@
 #include "check/digest.hpp"
 #include "core/drl_env.hpp"
 #include "core/observation.hpp"
+#include "core/online.hpp"
 #include "core/policy_io.hpp"
 #include "core/trainer.hpp"
 #include "gemm_tiers.hpp"
@@ -181,6 +183,40 @@ TEST(Golden, CentralTrainingChecksum) {
               static_cast<unsigned long long>(checksum));
   EXPECT_EQ(policy.per_seed_success, (std::vector<double>{1.0, 1.0}));
   EXPECT_EQ(checksum, 3179301300505001459ULL);
+}
+
+TEST(Golden, OnlineTrainingChecksum) {
+  // The online learner end to end: sampled decisions, per-flow
+  // trajectories, the shaped reward and the periodic ACKTR updates of one
+  // live episode (OnlineTraining.PerformsUpdatesDuringEpisode's settings on
+  // the base scenario).
+  if (!exact_nn_pins()) GTEST_SKIP() << "NN goldens pinned for avx2+fma";
+  const sim::Scenario scenario = sim::make_base_scenario(2).with_end_time(2000.0);
+  rl::ActorCriticConfig net;
+  net.obs_dim = core::observation_dim(scenario.network().max_degree());
+  net.num_actions = scenario.num_actions();
+  net.hidden = {16, 16};
+  net.seed = 1;
+  core::OnlineTrainerConfig config;
+  config.update_period = 250.0;
+  config.min_batch = 16;
+  core::OnlineTrainingCoordinator coordinator(rl::ActorCritic(net), config,
+                                              scenario.network().max_degree(), util::Rng(2));
+  sim::Simulator sim(scenario, 3);
+  const sim::SimMetrics metrics = sim.run(coordinator, &coordinator);
+  const std::uint64_t checksum = core::policy_checksum(coordinator.policy().get_parameters());
+  const double reward = coordinator.episode_reward();
+  std::printf("golden online gen=%llu succ=%llu updates=%zu reward=%.17g (0x%016llx) "
+              "checksum=%lluULL\n",
+              static_cast<unsigned long long>(metrics.generated),
+              static_cast<unsigned long long>(metrics.succeeded), coordinator.updates_done(),
+              reward, static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(reward)),
+              static_cast<unsigned long long>(checksum));
+  EXPECT_EQ(metrics.generated, 376u);
+  EXPECT_EQ(metrics.succeeded, 45u);
+  EXPECT_EQ(coordinator.updates_done(), 8u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reward), 0xc0a71fd56f921c88ULL);
+  EXPECT_EQ(checksum, 9156312343148118305ULL);
 }
 
 TEST(Golden, ShortestPathNodeFailureCasualtyOrder) {

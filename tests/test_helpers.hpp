@@ -3,8 +3,10 @@
 // by hand.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <string_view>
 
 #include "net/network.hpp"
 #include "sim/coordinator.hpp"
@@ -156,6 +158,16 @@ inline sim::Scenario tiny_scenario(net::Network network, sim::ServiceCatalog cat
                                     .deadline = options.deadline,
                                     .weight = 1.0}};
   return sim::Scenario(std::move(config), std::move(catalog), std::move(network));
+}
+
+/// FNV-1a 64 over raw bytes: the content pin of generated scenarios.
+inline std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 }  // namespace dosc::test
