@@ -17,17 +17,10 @@ CentralDrlCoordinator::CentralDrlCoordinator(const rl::ActorCritic& policy,
                                              const CentralDrlConfig& config,
                                              const core::RewardConfig& reward,
                                              rl::TrajectoryBuffer* buffer, util::Rng rng)
-    : policy_(policy),
-      config_(config),
-      reward_config_(reward),
-      buffer_(buffer),
-      rng_(rng) {}
+    : RewardTally(reward), policy_(policy), config_(config), buffer_(buffer), rng_(rng) {}
 
 void CentralDrlCoordinator::on_episode_start(const sim::Simulator& sim) {
-  sim_ = &sim;
-  shaper_ = std::make_unique<core::RewardShaper>(reward_config_,
-                                                 sim.shortest_paths().diameter());
-  episode_reward_ = 0.0;
+  start(sim);
   const std::size_t n = sim.network().num_nodes();
   // Before the first monitoring round the central agent only knows the
   // nominal capacities (no utilisation yet) — that is also the freshest
@@ -151,33 +144,15 @@ int CentralDrlCoordinator::decide(const sim::Simulator& sim, const sim::Flow& fl
   return action > 0 ? action : sim::kActionProcessLocal;
 }
 
-void CentralDrlCoordinator::reward(double r) {
-  episode_reward_ += r;
+void CentralDrlCoordinator::credit(const sim::Flow& /*flow*/, double reward,
+                                   bool /*terminal*/) {
   if (buffer_ == nullptr) return;
   // Flow-level rewards cannot be attributed to one component's rule;
   // split them evenly across the per-component rule trajectories.
   const std::size_t n = targets_.size();
   if (n == 0) return;
-  const double share = r / static_cast<double>(n);
+  const double share = reward / static_cast<double>(n);
   for (sim::ComponentId c = 0; c < n; ++c) buffer_->record_reward(c, share);
-}
-
-void CentralDrlCoordinator::on_completed(const sim::Flow&, double) {
-  reward(shaper_->on_completed());
-}
-void CentralDrlCoordinator::on_dropped(const sim::Flow&, sim::DropReason, double) {
-  reward(shaper_->on_dropped());
-}
-void CentralDrlCoordinator::on_component_processed(const sim::Flow& flow, net::NodeId,
-                                                   double) {
-  reward(shaper_->on_component_processed(sim_->service_of(flow).length()));
-}
-void CentralDrlCoordinator::on_forwarded(const sim::Flow&, net::NodeId, net::LinkId link,
-                                         double) {
-  reward(shaper_->on_forwarded(sim_->network().link(link).delay));
-}
-void CentralDrlCoordinator::on_parked(const sim::Flow&, net::NodeId, double) {
-  reward(shaper_->on_parked());
 }
 
 core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -46,7 +45,7 @@ std::size_t central_observation_dim(const sim::Scenario& scenario);
 /// policy's rules; in training mode (buffer != nullptr) it samples rule
 /// decisions and records one trajectory per component, with the flow
 /// rewards split evenly across the per-component rule trajectories.
-class CentralDrlCoordinator final : public sim::Coordinator, public sim::FlowObserver {
+class CentralDrlCoordinator final : public sim::Coordinator, public core::RewardTally {
  public:
   CentralDrlCoordinator(const rl::ActorCritic& policy, const CentralDrlConfig& config,
                         const core::RewardConfig& reward, rl::TrajectoryBuffer* buffer = nullptr,
@@ -57,34 +56,22 @@ class CentralDrlCoordinator final : public sim::Coordinator, public sim::FlowObs
   double periodic_interval() const override { return config_.monitoring_interval; }
   void on_periodic(const sim::Simulator& sim, double time) override;
 
-  // FlowObserver: shaped rewards for training, split across the
-  // per-component rule trajectories.
-  void on_completed(const sim::Flow& flow, double time) override;
-  void on_dropped(const sim::Flow& flow, sim::DropReason reason, double time) override;
-  void on_component_processed(const sim::Flow& flow, net::NodeId node, double time) override;
-  void on_forwarded(const sim::Flow& flow, net::NodeId from, net::LinkId link,
-                    double time) override;
-  void on_parked(const sim::Flow& flow, net::NodeId node, double time) override;
-
   // The wall-clock time of each centralized rule update (the baseline's
   // "inference time" in Fig. 9b — grows with the network size) is measured
   // by the simulator: Simulator::enable_decision_timing →
   // SimMetrics::rule_update_time.
-  double episode_reward() const noexcept { return episode_reward_; }
 
  private:
+  /// Training: split the flow's reward across the rule trajectories.
+  void credit(const sim::Flow& flow, double reward, bool terminal) override;
   void refresh_rules(const sim::Simulator& sim, double time);
   std::vector<double> build_observation(const sim::Simulator& sim, sim::ComponentId component,
                                         double time) const;
-  void reward(double r);
 
   const rl::ActorCritic& policy_;
   CentralDrlConfig config_;
-  core::RewardConfig reward_config_;
-  std::unique_ptr<core::RewardShaper> shaper_;
   rl::TrajectoryBuffer* buffer_;
   util::Rng rng_;
-  const sim::Simulator* sim_ = nullptr;
 
   std::vector<double> stale_free_;  ///< per-node free capacity, one interval old
   /// A coarse forwarding rule per component: a small set of instance nodes
@@ -99,7 +86,6 @@ class CentralDrlCoordinator final : public sim::Coordinator, public sim::FlowObs
     std::vector<double> cumulative;  ///< same length; last element == 1
   };
   std::vector<Rule> targets_;
-  double episode_reward_ = 0.0;
 };
 
 struct CentralTrainingConfig {

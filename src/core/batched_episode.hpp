@@ -36,8 +36,8 @@ class YieldingEpisode final : public rl::BatchedEnv {
 
   /// Replaces the observer before the simulation starts (it is consumed
   /// lazily at the first advance_to_decision). Lets callers build an
-  /// observer that needs the simulator reference — e.g. RewardTally —
-  /// after constructing the episode that owns it.
+  /// observer that needs the simulator reference after constructing the
+  /// episode that owns it.
   void set_observer(sim::FlowObserver* observer) noexcept { observer_ = observer; }
 
   bool advance_to_decision() override;

@@ -11,21 +11,49 @@ RewardShaper::RewardShaper(const RewardConfig& config, double network_diameter)
   if (diameter_ <= 0.0) diameter_ = 1.0;  // degenerate single-link networks
 }
 
+void RewardTally::start(const sim::Simulator& sim) {
+  sim_ = &sim;
+  shaper_ = RewardShaper(config_, sim.shortest_paths().diameter());
+  total_ = 0.0;
+}
+
+void RewardTally::on_completed(const sim::Flow& flow, double /*time*/) {
+  add(flow, shaper_.on_completed(), /*terminal=*/true);
+}
+
+void RewardTally::on_dropped(const sim::Flow& flow, sim::DropReason /*reason*/,
+                             double /*time*/) {
+  add(flow, shaper_.on_dropped(), /*terminal=*/true);
+}
+
+void RewardTally::on_component_processed(const sim::Flow& flow, net::NodeId /*node*/,
+                                         double /*time*/) {
+  add(flow, shaper_.on_component_processed(sim_->service_of(flow).length()),
+      /*terminal=*/false);
+}
+
+void RewardTally::on_forwarded(const sim::Flow& flow, net::NodeId /*from*/, net::LinkId link,
+                               double /*time*/) {
+  add(flow, shaper_.on_forwarded(sim_->network().link(link).delay), /*terminal=*/false);
+}
+
+void RewardTally::on_parked(const sim::Flow& flow, net::NodeId /*node*/, double /*time*/) {
+  add(flow, shaper_.on_parked(), /*terminal=*/false);
+}
+
 TrainingEnv::TrainingEnv(const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
                          const RewardConfig& reward, std::size_t max_degree, util::Rng rng,
                          ObservationMask mask, bool record_behavior_logp)
-    : policy_(policy),
+    : RewardTally(reward),
+      policy_(policy),
       buffer_(buffer),
-      reward_config_(reward),
       obs_(max_degree, mask),
       rng_(rng),
       record_behavior_logp_(record_behavior_logp) {}
 
 void TrainingEnv::on_episode_start(const sim::Simulator& sim) {
-  sim_ = &sim;
-  shaper_ = std::make_unique<RewardShaper>(reward_config_, sim.shortest_paths().diameter());
+  start(sim);
   obs_.bind(sim);
-  episode_reward_ = 0.0;
 }
 
 int TrainingEnv::decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) {
@@ -63,39 +91,9 @@ int TrainingEnv::decide_from_logits(const sim::Flow& flow, std::span<const doubl
   return action;
 }
 
-void TrainingEnv::on_completed(const sim::Flow& flow, double /*time*/) {
-  const double r = shaper_->on_completed();
-  buffer_.record_reward(flow.id, r);
-  buffer_.finish(flow.id);
-  episode_reward_ += r;
-}
-
-void TrainingEnv::on_dropped(const sim::Flow& flow, sim::DropReason /*reason*/,
-                             double /*time*/) {
-  const double r = shaper_->on_dropped();
-  buffer_.record_reward(flow.id, r);
-  buffer_.finish(flow.id);
-  episode_reward_ += r;
-}
-
-void TrainingEnv::on_component_processed(const sim::Flow& flow, net::NodeId /*node*/,
-                                         double /*time*/) {
-  const double r = shaper_->on_component_processed(sim_->service_of(flow).length());
-  buffer_.record_reward(flow.id, r);
-  episode_reward_ += r;
-}
-
-void TrainingEnv::on_forwarded(const sim::Flow& flow, net::NodeId /*from*/, net::LinkId link,
-                               double /*time*/) {
-  const double r = shaper_->on_forwarded(sim_->network().link(link).delay);
-  buffer_.record_reward(flow.id, r);
-  episode_reward_ += r;
-}
-
-void TrainingEnv::on_parked(const sim::Flow& flow, net::NodeId /*node*/, double /*time*/) {
-  const double r = shaper_->on_parked();
-  buffer_.record_reward(flow.id, r);
-  episode_reward_ += r;
+void TrainingEnv::credit(const sim::Flow& flow, double reward, bool terminal) {
+  buffer_.record_reward(flow.id, reward);
+  if (terminal) buffer_.finish(flow.id);
 }
 
 DistributedDrlCoordinator::DistributedDrlCoordinator(const rl::ActorCritic& policy,

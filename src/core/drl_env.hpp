@@ -3,7 +3,6 @@
 // trajectories, and the fully distributed inference coordinator.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,6 +46,46 @@ class RewardShaper {
   double diameter_;
 };
 
+/// The shaped reward of one episode, credited flow by flow: the only code
+/// that maps the simulator's flow-lifecycle callbacks onto RewardShaper
+/// terms. start() binds an episode (the shaper needs its diameter D_G) and
+/// zeroes the total; each callback then adds its term to episode_reward()
+/// and hands it to credit(), which users override to record it. Plugged in
+/// as a Simulator's FlowObserver, a bare RewardTally only sums (greedy
+/// evaluation).
+class RewardTally : public sim::FlowObserver {
+ public:
+  explicit RewardTally(const RewardConfig& config) : config_(config) {}
+
+  void start(const sim::Simulator& sim);
+
+  /// Sum of all rewards handed out since start().
+  double episode_reward() const noexcept { return total_; }
+
+  void on_completed(const sim::Flow& flow, double time) final;
+  void on_dropped(const sim::Flow& flow, sim::DropReason reason, double time) final;
+  void on_component_processed(const sim::Flow& flow, net::NodeId node, double time) final;
+  void on_forwarded(const sim::Flow& flow, net::NodeId from, net::LinkId link,
+                    double time) final;
+  void on_parked(const sim::Flow& flow, net::NodeId node, double time) final;
+
+ protected:
+  /// One reward term for `flow`; `terminal` when the flow completed or was
+  /// dropped (its last term).
+  virtual void credit(const sim::Flow& /*flow*/, double /*reward*/, bool /*terminal*/) {}
+
+ private:
+  void add(const sim::Flow& flow, double reward, bool terminal) {
+    total_ += reward;
+    credit(flow, reward, terminal);
+  }
+
+  RewardConfig config_;
+  RewardShaper shaper_{config_, 1.0};  ///< rebuilt by start() with the episode's D_G
+  const sim::Simulator* sim_ = nullptr;
+  double total_ = 0.0;
+};
+
 /// The decision pipeline split around the actor forward, for batched
 /// rollout (rl::BatchedRollout): build_observation exposes the pending
 /// decision's observation row so the driver can gather it into a fused
@@ -72,9 +111,9 @@ class BatchedDecisionAgent {
 /// from the policy being trained, records (observation, action) per flow,
 /// and credits shaped rewards to the flow's most recent decision. Implements
 /// both simulator callbacks; plug one instance into one Simulator episode.
-class TrainingEnv final : public sim::Coordinator,
-                          public sim::FlowObserver,
-                          public BatchedDecisionAgent {
+class TrainingEnv : public sim::Coordinator,
+                    public RewardTally,
+                    public BatchedDecisionAgent {
  public:
   /// `record_behavior_logp` additionally stores log pi(a|o) with every
   /// decision (overlapped training's clipped-IS correction needs it). The
@@ -91,25 +130,13 @@ class TrainingEnv final : public sim::Coordinator,
                                                net::NodeId node) override;
   int decide_from_logits(const sim::Flow& flow, std::span<const double> logits) override;
 
-  void on_completed(const sim::Flow& flow, double time) override;
-  void on_dropped(const sim::Flow& flow, sim::DropReason reason, double time) override;
-  void on_component_processed(const sim::Flow& flow, net::NodeId node, double time) override;
-  void on_forwarded(const sim::Flow& flow, net::NodeId from, net::LinkId link,
-                    double time) override;
-  void on_parked(const sim::Flow& flow, net::NodeId node, double time) override;
-
-  /// Sum of all rewards handed out this episode (training diagnostic).
-  double episode_reward() const noexcept { return episode_reward_; }
-
  private:
+  void credit(const sim::Flow& flow, double reward, bool terminal) override;
+
   const rl::ActorCritic& policy_;
   rl::TrajectoryBuffer& buffer_;
-  RewardConfig reward_config_;
-  std::unique_ptr<RewardShaper> shaper_;  ///< built per episode (needs D_G)
   ObservationBuilder obs_;
   util::Rng rng_;
-  const sim::Simulator* sim_ = nullptr;
-  double episode_reward_ = 0.0;
   bool record_behavior_logp_ = false;
   /// Observation of the in-flight split decision (build_observation →
   /// decide_from_logits); points into obs_'s buffer, valid until next build.

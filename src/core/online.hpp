@@ -30,47 +30,38 @@ struct OnlineTrainerConfig {
   std::size_t min_batch = 64;       ///< skip updates with fewer experiences
 };
 
-/// Coordinator that keeps training its policy while coordinating. Owns a
-/// mutable copy of the starting policy; read the adapted policy back with
-/// policy() after the episode.
-class OnlineTrainingCoordinator final : public sim::Coordinator, public sim::FlowObserver {
+/// What an online learner trains and records into. It is the learner's
+/// first base class, so both exist before the TrainingEnv base that samples
+/// from the policy and records into the buffer.
+struct OnlineLearnerState {
+  rl::ActorCritic live_policy;
+  rl::TrajectoryBuffer trajectories;
+};
+
+/// A TrainingEnv that keeps training its policy while coordinating: every
+/// update_period ms it turns the closed trajectories into one update of its
+/// own mutable copy of the starting policy. Decisions are always sampled
+/// (an online learner must keep exploring); read the adapted policy back
+/// with policy() after the episode.
+class OnlineTrainingCoordinator final : private OnlineLearnerState, public TrainingEnv {
  public:
   OnlineTrainingCoordinator(rl::ActorCritic policy, const OnlineTrainerConfig& config,
                             std::size_t max_degree, util::Rng rng);
 
-  int decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) override;
-  void on_episode_start(const sim::Simulator& sim) override;
   double periodic_interval() const override { return config_.update_period; }
   void on_periodic(const sim::Simulator& sim, double time) override;
 
-  void on_completed(const sim::Flow& flow, double time) override;
-  void on_dropped(const sim::Flow& flow, sim::DropReason reason, double time) override;
-  void on_component_processed(const sim::Flow& flow, net::NodeId node, double time) override;
-  void on_forwarded(const sim::Flow& flow, net::NodeId from, net::LinkId link,
-                    double time) override;
-  void on_parked(const sim::Flow& flow, net::NodeId node, double time) override;
-
-  const rl::ActorCritic& policy() const noexcept { return policy_; }
+  const rl::ActorCritic& policy() const noexcept { return live_policy; }
   std::size_t updates_done() const noexcept { return updater_.updates_done(); }
-  double episode_reward() const noexcept { return episode_reward_; }
   /// Wall clock (us) of each executed policy refresh (drain + update): the
   /// coordination downtime an online update would cost a live node. Also
   /// exported as the "online.refresh_us" telemetry histogram.
   const util::RunningStats& refresh_time_us() const noexcept { return refresh_time_us_; }
 
  private:
-  void reward_flow(sim::FlowId flow, double r);
-
-  rl::ActorCritic policy_;
   OnlineTrainerConfig config_;
   rl::Updater updater_;
-  rl::TrajectoryBuffer buffer_;
   rl::Batch batch_scratch_;  ///< drained into, reused across refreshes
-  std::unique_ptr<RewardShaper> shaper_;
-  ObservationBuilder obs_;
-  util::Rng rng_;
-  const sim::Simulator* sim_ = nullptr;
-  double episode_reward_ = 0.0;
   util::RunningStats refresh_time_us_;
 };
 

@@ -47,35 +47,6 @@ std::uint64_t episode_seed(std::uint64_t base, std::size_t seed_index, std::size
 
 namespace {
 
-/// Observer that tallies the shaped reward of an episode driven by an
-/// arbitrary (e.g. greedy) coordinator — used for evaluation.
-class RewardTally final : public sim::FlowObserver {
- public:
-  RewardTally(const RewardConfig& config, const sim::Simulator& sim)
-      : shaper_(config, sim.shortest_paths().diameter()), sim_(sim) {}
-
-  void on_completed(const sim::Flow&, double) override { total_ += shaper_.on_completed(); }
-  void on_dropped(const sim::Flow&, sim::DropReason, double) override {
-    total_ += shaper_.on_dropped();
-  }
-  void on_component_processed(const sim::Flow& flow, net::NodeId, double) override {
-    total_ += shaper_.on_component_processed(sim_.service_of(flow).length());
-  }
-  void on_forwarded(const sim::Flow&, net::NodeId, net::LinkId link, double) override {
-    total_ += shaper_.on_forwarded(sim_.network().link(link).delay);
-  }
-  void on_parked(const sim::Flow&, net::NodeId, double) override {
-    total_ += shaper_.on_parked();
-  }
-
-  double total() const noexcept { return total_; }
-
- private:
-  RewardShaper shaper_;
-  const sim::Simulator& sim_;
-  double total_ = 0.0;
-};
-
 /// Greedy evaluation outcome of one episode.
 struct EpisodeResult {
   double success = 0.0;
@@ -94,19 +65,15 @@ class EvalSlot final : public rl::BatchedEnv {
  public:
   EvalSlot(const sim::Scenario& scenario, const rl::ActorCritic& policy,
            const RewardConfig& reward, std::size_t max_degree, const ObservationMask& mask)
-      : scenario_(scenario), policy_(policy), reward_(reward), max_degree_(max_degree),
-        mask_(mask) {}
+      : scenario_(scenario), policy_(policy), max_degree_(max_degree), mask_(mask),
+        tally_(reward) {}
 
   bool busy() const noexcept { return episode_.has_value(); }
 
   void start(std::uint64_t seed, EpisodeResult& out) {
     coordinator_.emplace(policy_, max_degree_, /*stochastic=*/false, util::Rng(0), mask_);
-    episode_.emplace(scenario_, seed, *coordinator_, *coordinator_);
-    // The tally needs the simulator reference, which the episode owns; the
-    // observer is consumed lazily at the first advance, so attaching it
-    // after construction is safe.
-    tally_.emplace(reward_, episode_->simulator());
-    episode_->set_observer(&*tally_);
+    episode_.emplace(scenario_, seed, *coordinator_, *coordinator_, &tally_);
+    tally_.start(episode_->simulator());
     out_ = &out;
   }
 
@@ -114,10 +81,9 @@ class EvalSlot final : public rl::BatchedEnv {
     if (episode_->advance_to_decision()) return true;
     const sim::SimMetrics metrics = episode_->finish();
     out_->success = metrics.success_ratio();
-    out_->reward = tally_->total();
+    out_->reward = tally_.episode_reward();
     out_->has_delay = metrics.e2e_delay.count() > 0;
     if (out_->has_delay) out_->delay = metrics.e2e_delay.mean();
-    tally_.reset();
     episode_.reset();
     coordinator_.reset();
     return false;
@@ -130,14 +96,12 @@ class EvalSlot final : public rl::BatchedEnv {
  private:
   const sim::Scenario& scenario_;
   const rl::ActorCritic& policy_;
-  const RewardConfig& reward_;
   std::size_t max_degree_;
   const ObservationMask& mask_;
-  // Declared in dependency order, so destruction runs tally, episode,
-  // coordinator.
+  RewardTally tally_;  ///< restarted for each claimed episode
+  // Declared in dependency order, so destruction runs episode, coordinator.
   std::optional<DistributedDrlCoordinator> coordinator_;
   std::optional<YieldingEpisode> episode_;
-  std::optional<RewardTally> tally_;
   EpisodeResult* out_ = nullptr;
 };
 
