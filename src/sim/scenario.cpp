@@ -118,16 +118,16 @@ ScenarioConfig ScenarioConfig::from_json(const util::Json& json) {
 Scenario::Scenario(ScenarioConfig config, ServiceCatalog catalog)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
-      network_(std::make_unique<net::Network>(net::by_name(config_.topology))),
-      shortest_paths_(std::make_unique<net::ShortestPaths>(*network_)) {
+      network_(std::make_shared<const net::Network>(net::by_name(config_.topology))),
+      shortest_paths_(std::make_shared<const net::ShortestPaths>(*network_)) {
   validate();
 }
 
 Scenario::Scenario(ScenarioConfig config, ServiceCatalog catalog, net::Network network)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
-      network_(std::make_unique<net::Network>(std::move(network))),
-      shortest_paths_(std::make_unique<net::ShortestPaths>(*network_)) {
+      network_(std::make_shared<const net::Network>(std::move(network))),
+      shortest_paths_(std::make_shared<const net::ShortestPaths>(*network_)) {
   validate();
 }
 
@@ -162,9 +162,10 @@ Scenario load_scenario(const std::string& path) {
 }
 
 Scenario Scenario::with_end_time(double end_time) const {
-  ScenarioConfig config = config_;
-  config.end_time = end_time;
-  return Scenario(std::move(config), catalog_, net::Network(*network_));
+  Scenario copy = *this;
+  copy.config_.end_time = end_time;
+  copy.validate();
+  return copy;
 }
 
 void Scenario::validate() const {

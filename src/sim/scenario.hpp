@@ -2,9 +2,10 @@
 // topology, capacity ranges, service catalog, ingress/egress sets, traffic
 // pattern, flow template, and episode length (Sec. V-A1).
 //
-// A Scenario owns the (capacity-free) topology and its precomputed shortest
-// paths; Simulators instantiated from it draw per-seed capacities on their
-// own copy, so one Scenario can back many parallel episodes.
+// A Scenario holds the (capacity-free) topology and its precomputed shortest
+// paths, both immutable and shared by its copies (with_end_time costs no
+// path rebuild); Simulators instantiated from it draw per-seed capacities on
+// their own copy, so one Scenario can back many parallel episodes.
 #pragma once
 
 #include <memory>
@@ -82,6 +83,7 @@ class Scenario {
 
   /// Copy of this scenario with a different traffic-generation horizon
   /// (training episodes are shorter than the 20000 ms evaluation episodes).
+  /// The copy shares this scenario's network and shortest paths.
   Scenario with_end_time(double end_time) const;
 
   /// Self-contained scenario document: the config plus the embedded
@@ -102,8 +104,8 @@ class Scenario {
 
   ScenarioConfig config_;
   ServiceCatalog catalog_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<net::ShortestPaths> shortest_paths_;
+  std::shared_ptr<const net::Network> network_;
+  std::shared_ptr<const net::ShortestPaths> shortest_paths_;  ///< refers to *network_
 };
 
 /// The paper's base scenario (Sec. V-A1): Abilene, video streaming chain

@@ -253,6 +253,19 @@ TEST(Scenario, WithEndTimePreservesEverythingElse) {
   EXPECT_EQ(ma.succeeded, mb.succeeded);
 }
 
+TEST(Scenario, WithEndTimeSharesTheTopology) {
+  // The copy shares the immutable network and its all-pairs shortest paths
+  // instead of rebuilding them, and still validates its new horizon.
+  const Scenario base = make_base_scenario(2);
+  const Scenario shorter = base.with_end_time(500.0);
+  EXPECT_EQ(&shorter.network(), &base.network());
+  EXPECT_EQ(&shorter.shortest_paths(), &base.shortest_paths());
+  EXPECT_THROW(base.with_end_time(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(base.with_end_time(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+}
+
 TEST(Scenario, MultiServiceTemplatesAreSampled) {
   // Two templates with very different deadlines; both must occur.
   ServiceCatalog catalog = make_video_streaming_catalog();
