@@ -7,6 +7,11 @@ namespace dosc::check {
 
 namespace {
 
+/// Slack on floating-point comparisons (capacities, delay sums).
+constexpr double kEps = 1e-6;
+/// At most this many violation messages are kept (all are counted).
+constexpr std::size_t kMaxRecorded = 32;
+
 std::size_t instance_slot(net::NodeId v, sim::ComponentId c, std::size_t num_components) {
   return static_cast<std::size_t>(v) * num_components + c;
 }
@@ -15,7 +20,7 @@ std::size_t instance_slot(net::NodeId v, sim::ComponentId c, std::size_t num_com
 
 void InvariantAuditor::fail(double time, const std::string& message) {
   ++total_violations_;
-  if (violations_.size() < options_.max_recorded) {
+  if (violations_.size() < kMaxRecorded) {
     std::ostringstream out;
     out << "t=" << time << ": " << message;
     violations_.push_back(out.str());
@@ -40,10 +45,10 @@ void InvariantAuditor::check_capacities(const sim::Simulator& sim, double time) 
   const net::Network& network = sim.network();
   for (net::NodeId v = 0; v < network.num_nodes(); ++v) {
     const double used = sim.node_used(v);
-    if (used < -options_.eps) {
+    if (used < -kEps) {
       fail(time, "node " + std::to_string(v) + " usage negative: " + std::to_string(used));
     }
-    if (used > network.node(v).capacity + options_.eps) {
+    if (used > network.node(v).capacity + kEps) {
       fail(time, "node " + std::to_string(v) + " capacity exceeded: used " +
                      std::to_string(used) + " > cap " +
                      std::to_string(network.node(v).capacity));
@@ -51,10 +56,10 @@ void InvariantAuditor::check_capacities(const sim::Simulator& sim, double time) 
   }
   for (net::LinkId l = 0; l < network.num_links(); ++l) {
     const double used = sim.link_used(l);
-    if (used < -options_.eps) {
+    if (used < -kEps) {
       fail(time, "link " + std::to_string(l) + " usage negative: " + std::to_string(used));
     }
-    if (used > network.link(l).capacity + options_.eps) {
+    if (used > network.link(l).capacity + kEps) {
       fail(time, "link " + std::to_string(l) + " capacity exceeded: used " +
                      std::to_string(used) + " > cap " +
                      std::to_string(network.link(l).capacity));
@@ -100,7 +105,7 @@ void InvariantAuditor::diff_instances(const sim::Simulator& sim, const sim::SimE
                           sim::event_kind_name(cause->kind));
           }
           const double startup = sim.catalog().component(c).startup_delay;
-          if (std::abs(cur.ready_time - (cause->time + startup)) > options_.eps) {
+          if (std::abs(cur.ready_time - (cause->time + startup)) > kEps) {
             fail(now, slot() + " ready_time " + std::to_string(cur.ready_time) +
                           " != creation time " + std::to_string(cause->time) +
                           " + startup " + std::to_string(startup));
@@ -121,7 +126,7 @@ void InvariantAuditor::diff_instances(const sim::Simulator& sim, const sim::SimE
           }
           const double timeout = sim.catalog().component(c).idle_timeout;
           const double idle_for = cause->time - prev.idle_since;
-          if (idle_for < timeout - options_.eps) {
+          if (idle_for < timeout - kEps) {
             fail(now, slot() + " removed after only " + std::to_string(idle_for) +
                           " ms idle (timeout " + std::to_string(timeout) + ")");
           }
@@ -175,7 +180,7 @@ void InvariantAuditor::on_event(const sim::Simulator& sim, const sim::SimEvent& 
     case sim::EventKind::kFlowArrival: {
       if (const sim::Flow* flow = sim.find_flow(event.flow)) {
         last_arrival_[event.flow] = event.time;
-        if (event.time > flow->expiry_time() + options_.eps) {
+        if (event.time > flow->expiry_time() + kEps) {
           fail(event.time, "flow " + std::to_string(event.flow) +
                                " sees an arrival after its deadline (expiry " +
                                std::to_string(flow->expiry_time()) + ")");
@@ -200,7 +205,7 @@ void InvariantAuditor::on_event(const sim::Simulator& sim, const sim::SimEvent& 
                                " finished at node " + std::to_string(event.a) +
                                " without a live pinned instance of comp " +
                                std::to_string(comp));
-        } else if (inst.ready_time > event.time - component.processing_delay + options_.eps) {
+        } else if (inst.ready_time > event.time - component.processing_delay + kEps) {
           fail(event.time, "flow " + std::to_string(event.flow) +
                                " processed before instance startup completed (ready " +
                                std::to_string(inst.ready_time) + ")");
@@ -209,7 +214,7 @@ void InvariantAuditor::on_event(const sim::Simulator& sim, const sim::SimEvent& 
         if (it == last_arrival_.end()) {
           fail(event.time,
                "flow " + std::to_string(event.flow) + " processed without a prior arrival");
-        } else if (event.time - it->second < component.processing_delay - options_.eps) {
+        } else if (event.time - it->second < component.processing_delay - kEps) {
           fail(event.time, "flow " + std::to_string(event.flow) + " processed in " +
                                std::to_string(event.time - it->second) + " ms < d_c " +
                                std::to_string(component.processing_delay));
@@ -219,7 +224,7 @@ void InvariantAuditor::on_event(const sim::Simulator& sim, const sim::SimEvent& 
     }
     case sim::EventKind::kFlowExpiry: {
       if (const sim::Flow* flow = sim.find_flow(event.flow)) {
-        if (std::abs(event.time - flow->expiry_time()) > options_.eps) {
+        if (std::abs(event.time - flow->expiry_time()) > kEps) {
           fail(event.time, "flow " + std::to_string(event.flow) + " expires at " +
                                std::to_string(event.time) + " != t_in + tau " +
                                std::to_string(flow->expiry_time()));
@@ -248,13 +253,13 @@ void InvariantAuditor::on_episode_end(const sim::Simulator& sim) {
   }
   const net::Network& network = sim.network();
   for (net::NodeId v = 0; v < network.num_nodes(); ++v) {
-    if (std::abs(sim.node_used(v)) > options_.eps) {
+    if (std::abs(sim.node_used(v)) > kEps) {
       fail(now, "node " + std::to_string(v) + " still holds " +
                     std::to_string(sim.node_used(v)) + " at episode end");
     }
   }
   for (net::LinkId l = 0; l < network.num_links(); ++l) {
-    if (std::abs(sim.link_used(l)) > options_.eps) {
+    if (std::abs(sim.link_used(l)) > kEps) {
       fail(now, "link " + std::to_string(l) + " still holds " +
                     std::to_string(sim.link_used(l)) + " at episode end");
     }
@@ -286,7 +291,7 @@ void InvariantAuditor::on_completed(const sim::Flow& flow, double time) {
   ++completions_seen_;
   if (sim_ == nullptr) return;
   const double e2e = time - flow.arrival_time;
-  if (e2e > flow.deadline + options_.eps) {
+  if (e2e > flow.deadline + kEps) {
     fail(time, "flow " + std::to_string(flow.id) + " completed after its deadline (e2e " +
                    std::to_string(e2e) + " > tau " + std::to_string(flow.deadline) + ")");
   }
@@ -294,12 +299,12 @@ void InvariantAuditor::on_completed(const sim::Flow& flow, double time) {
   // with the startup wait in [0, sum of traversed startup delays].
   const FlowTrack& track = tracks_[flow.id];
   const double waiting = e2e - track.proc_sum - track.link_sum - track.park_sum;
-  if (waiting < -options_.eps) {
+  if (waiting < -kEps) {
     fail(time, "flow " + std::to_string(flow.id) + " e2e " + std::to_string(e2e) +
                    " smaller than its processing+link+park components " +
                    std::to_string(track.proc_sum + track.link_sum + track.park_sum));
   }
-  if (waiting > track.startup_cap + options_.eps) {
+  if (waiting > track.startup_cap + kEps) {
     fail(time, "flow " + std::to_string(flow.id) + " has " + std::to_string(waiting) +
                    " ms unaccounted waiting (> startup bound " +
                    std::to_string(track.startup_cap) + ")");
@@ -312,7 +317,7 @@ void InvariantAuditor::on_dropped(const sim::Flow& flow, sim::DropReason reason,
   ++drops_seen_;
   if (sim_ == nullptr) return;
   if (reason == sim::DropReason::kExpired &&
-      std::abs(time - flow.expiry_time()) > options_.eps) {
+      std::abs(time - flow.expiry_time()) > kEps) {
     fail(time, "flow " + std::to_string(flow.id) + " dropped as expired at " +
                    std::to_string(time) + " != t_in + tau " +
                    std::to_string(flow.expiry_time()));

@@ -56,10 +56,6 @@
 namespace dosc::check {
 
 struct AuditorOptions {
-  /// Slack on floating-point comparisons (capacities, delay sums).
-  double eps = 1e-6;
-  /// At most this many violation messages are kept (all are counted).
-  std::size_t max_recorded = 32;
   /// Full-state sweeps run per event only while V+E and V*C are at or
   /// below this; larger scenarios degrade to sampled mode (see above).
   std::size_t full_sweep_cells = 4096;

@@ -17,10 +17,13 @@ namespace dosc::check {
 
 namespace {
 
-CoordinatorRun audited_run(const sim::Scenario& scenario, const DifferentialOptions& options,
-                           std::string name, sim::Coordinator& coordinator) {
-  sim::Simulator sim(scenario, options.episode_seed);
-  InvariantAuditor auditor(options.auditor);
+constexpr std::uint64_t kEpisodeSeed = 1;
+constexpr std::uint64_t kPolicySeed = 42;
+
+CoordinatorRun audited_run(const sim::Scenario& scenario, std::string name,
+                           sim::Coordinator& coordinator) {
+  sim::Simulator sim(scenario, kEpisodeSeed);
+  InvariantAuditor auditor;
   EventDigest digest;
   HookChain chain{&auditor, &digest};
   sim.set_audit_hook(&chain);
@@ -37,8 +40,7 @@ CoordinatorRun audited_run(const sim::Scenario& scenario, const DifferentialOpti
 
 }  // namespace
 
-DifferentialResult run_differential(const sim::Scenario& scenario,
-                                    const DifferentialOptions& options) {
+DifferentialResult run_differential(const sim::Scenario& scenario) {
   const std::size_t max_degree = scenario.network().max_degree();
   DifferentialResult result;
 
@@ -47,29 +49,29 @@ DifferentialResult run_differential(const sim::Scenario& scenario,
     config.obs_dim = core::observation_dim(max_degree);
     config.num_actions = max_degree + 1;
     config.hidden = {32, 32};
-    config.seed = options.policy_seed;
+    config.seed = kPolicySeed;
     const rl::ActorCritic policy(config);
     core::DistributedDrlCoordinator coordinator(policy, max_degree);
-    result.runs.push_back(audited_run(scenario, options, "dist_drl", coordinator));
+    result.runs.push_back(audited_run(scenario, "dist_drl", coordinator));
   }
   {
     rl::ActorCriticConfig config;
     config.obs_dim = baselines::central_observation_dim(scenario);
     config.num_actions = scenario.network().num_nodes();
     config.hidden = {32, 32};
-    config.seed = options.policy_seed + 1;
+    config.seed = kPolicySeed + 1;
     const rl::ActorCritic policy(config);
     baselines::CentralDrlCoordinator coordinator(policy, baselines::CentralDrlConfig{},
                                                  core::RewardConfig{});
-    result.runs.push_back(audited_run(scenario, options, "central_drl", coordinator));
+    result.runs.push_back(audited_run(scenario, "central_drl", coordinator));
   }
   {
     baselines::GcaspCoordinator coordinator;
-    result.runs.push_back(audited_run(scenario, options, "gcasp", coordinator));
+    result.runs.push_back(audited_run(scenario, "gcasp", coordinator));
   }
   {
     baselines::ShortestPathCoordinator coordinator;
-    result.runs.push_back(audited_run(scenario, options, "shortest_path", coordinator));
+    result.runs.push_back(audited_run(scenario, "shortest_path", coordinator));
   }
 
   // Cross-run accounting: identical arrival stream => identical `generated`,

@@ -30,14 +30,6 @@
 
 namespace dosc::check {
 
-struct DifferentialOptions {
-  /// Simulator seed shared by all runs (same capacities, same traffic).
-  std::uint64_t episode_seed = 1;
-  /// Weight-init seed of the randomly initialised DRL policies.
-  std::uint64_t policy_seed = 42;
-  AuditorOptions auditor;
-};
-
 struct CoordinatorRun {
   std::string name;
   sim::SimMetrics metrics;
@@ -63,8 +55,10 @@ struct DifferentialResult {
   std::string report() const;
 };
 
-/// Run all four coordinators on the scenario under full auditing.
-DifferentialResult run_differential(const sim::Scenario& scenario,
-                                    const DifferentialOptions& options = {});
+/// Run all four coordinators on the scenario under the default auditor,
+/// all at simulator seed 1 (same capacities, same traffic); the DRL
+/// policies are initialised from weight seeds 42 (distributed) and 43
+/// (central).
+DifferentialResult run_differential(const sim::Scenario& scenario);
 
 }  // namespace dosc::check

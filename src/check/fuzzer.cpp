@@ -13,10 +13,40 @@ namespace dosc::check {
 
 namespace {
 
-net::Network fuzz_network(util::Rng& rng, const FuzzBounds& b, std::uint64_t seed) {
-  const std::size_t n = static_cast<std::size_t>(
-      rng.uniform_int(static_cast<std::int64_t>(b.min_nodes),
-                      static_cast<std::int64_t>(b.max_nodes)));
+// Topology.
+constexpr std::int64_t kMinNodes = 4;
+constexpr std::int64_t kMaxNodes = 12;
+constexpr double kExtraEdgeProb = 0.25;  ///< per node pair beyond the spanning tree
+constexpr double kLinkDelayLo = 1.0;
+constexpr double kLinkDelayHi = 7.0;
+// Component catalog.
+constexpr std::int64_t kMinComponents = 1;
+constexpr std::int64_t kMaxComponents = 4;
+constexpr double kProcDelayLo = 1.0;
+constexpr double kProcDelayHi = 8.0;
+constexpr double kStartupProb = 0.4;  ///< chance a component has a startup delay
+constexpr double kStartupDelayHi = 5.0;
+constexpr double kIdleTimeoutLo = 10.0;
+constexpr double kIdleTimeoutHi = 80.0;
+// Services.
+constexpr std::int64_t kMaxServices = 2;
+constexpr std::int64_t kMaxChainLength = 4;
+// Scenario / traffic.
+constexpr std::size_t kMaxIngress = 3;
+constexpr double kMeanInterarrivalLo = 2.0;
+constexpr double kMeanInterarrivalHi = 12.0;
+constexpr double kDeadlineLo = 40.0;
+constexpr double kDeadlineHi = 120.0;
+constexpr double kNodeCapHiLo = 1.0;
+constexpr double kNodeCapHiHi = 4.0;
+constexpr double kLinkCapHiLo = 2.0;
+constexpr double kLinkCapHiHi = 6.0;
+constexpr double kEndTimeLo = 200.0;
+constexpr double kEndTimeHi = 500.0;
+constexpr double kFailureProb = 0.3;  ///< chance the scenario injects one failure
+
+net::Network fuzz_network(util::Rng& rng, std::uint64_t seed) {
+  const auto n = static_cast<std::size_t>(rng.uniform_int(kMinNodes, kMaxNodes));
   net::NetworkBuilder builder("fuzz-" + std::to_string(seed));
   for (std::size_t v = 0; v < n; ++v) {
     builder.add_node("v" + std::to_string(v + 1));
@@ -26,62 +56,38 @@ net::Network fuzz_network(util::Rng& rng, const FuzzBounds& b, std::uint64_t see
   for (net::NodeId v = 1; v < n; ++v) {
     const net::NodeId parent =
         static_cast<net::NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(v) - 1));
-    builder.add_link(parent, v, rng.uniform(b.link_delay_lo, b.link_delay_hi), 0.0);
+    builder.add_link(parent, v, rng.uniform(kLinkDelayLo, kLinkDelayHi), 0.0);
   }
-  if (n <= FuzzBounds::kPairwiseNodeLimit) {
-    for (net::NodeId a = 0; a < n; ++a) {
-      for (net::NodeId c = a + 1; c < n; ++c) {
-        if (!builder.has_link(a, c) && rng.bernoulli(b.extra_edge_prob)) {
-          builder.add_link(a, c, rng.uniform(b.link_delay_lo, b.link_delay_hi), 0.0);
-        }
+  for (net::NodeId a = 0; a < n; ++a) {
+    for (net::NodeId c = a + 1; c < n; ++c) {
+      if (!builder.has_link(a, c) && rng.bernoulli(kExtraEdgeProb)) {
+        builder.add_link(a, c, rng.uniform(kLinkDelayLo, kLinkDelayHi), 0.0);
       }
-    }
-  } else {
-    // Beyond the pairwise limit the per-pair Bernoulli sweep is O(n^2);
-    // draw the expected number of extra edges directly instead (sparse
-    // target: ~extra_edge_prob * n extras, matching the spanning tree's
-    // O(n) edge count rather than a dense n^2/2 blow-up).
-    const std::size_t extras =
-        static_cast<std::size_t>(b.extra_edge_prob * static_cast<double>(n));
-    std::size_t added = 0;
-    for (std::size_t attempt = 0; attempt < 4 * extras && added < extras; ++attempt) {
-      const auto a = static_cast<net::NodeId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const auto c = static_cast<net::NodeId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      if (a == c || builder.has_link(a, c)) continue;
-      builder.add_link(std::min(a, c), std::max(a, c),
-                       rng.uniform(b.link_delay_lo, b.link_delay_hi), 0.0);
-      ++added;
     }
   }
   return std::move(builder).build();
 }
 
-sim::ServiceCatalog fuzz_catalog(util::Rng& rng, const FuzzBounds& b) {
+sim::ServiceCatalog fuzz_catalog(util::Rng& rng) {
   sim::ServiceCatalog catalog;
-  const std::size_t num_components = static_cast<std::size_t>(
-      rng.uniform_int(static_cast<std::int64_t>(b.min_components),
-                      static_cast<std::int64_t>(b.max_components)));
+  const auto num_components =
+      static_cast<std::size_t>(rng.uniform_int(kMinComponents, kMaxComponents));
   for (std::size_t c = 0; c < num_components; ++c) {
     sim::Component component;
     component.name = "c" + std::to_string(c);
-    component.processing_delay = rng.uniform(b.proc_delay_lo, b.proc_delay_hi);
+    component.processing_delay = rng.uniform(kProcDelayLo, kProcDelayHi);
     component.resource_per_rate = rng.uniform(0.5, 1.5);
     component.resource_fixed = rng.bernoulli(0.25) ? rng.uniform(0.0, 0.3) : 0.0;
-    component.startup_delay = rng.bernoulli(b.startup_prob)
-                                  ? rng.uniform(0.5, b.startup_delay_hi)
-                                  : 0.0;
-    component.idle_timeout = rng.uniform(b.idle_timeout_lo, b.idle_timeout_hi);
+    component.startup_delay =
+        rng.bernoulli(kStartupProb) ? rng.uniform(0.5, kStartupDelayHi) : 0.0;
+    component.idle_timeout = rng.uniform(kIdleTimeoutLo, kIdleTimeoutHi);
     catalog.add_component(std::move(component));
   }
-  const std::size_t num_services =
-      static_cast<std::size_t>(rng.uniform_int(1, static_cast<std::int64_t>(b.max_services)));
+  const auto num_services = static_cast<std::size_t>(rng.uniform_int(1, kMaxServices));
   for (std::size_t s = 0; s < num_services; ++s) {
     sim::Service service;
     service.name = "s" + std::to_string(s);
-    const std::size_t length = static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(b.max_chain_length)));
+    const auto length = static_cast<std::size_t>(rng.uniform_int(1, kMaxChainLength));
     for (std::size_t i = 0; i < length; ++i) {
       service.chain.push_back(static_cast<sim::ComponentId>(
           rng.uniform_int(0, static_cast<std::int64_t>(num_components) - 1)));
@@ -96,10 +102,8 @@ sim::ServiceCatalog fuzz_catalog(util::Rng& rng, const FuzzBounds& b) {
 sim::Scenario ScenarioFuzzer::make(std::uint64_t seed) const {
   // Decorrelate consecutive fuzz seeds before seeding the engine.
   util::Rng rng(util::mix64(seed + 0x5CE4A1105EEDULL));
-  const FuzzBounds& b = bounds_;
-
-  net::Network network = fuzz_network(rng, b, seed);
-  sim::ServiceCatalog catalog = fuzz_catalog(rng, b);
+  net::Network network = fuzz_network(rng, seed);
+  sim::ServiceCatalog catalog = fuzz_catalog(rng);
   const std::size_t n = network.num_nodes();
 
   sim::ScenarioConfig config;
@@ -111,7 +115,7 @@ sim::Scenario ScenarioFuzzer::make(std::uint64_t seed) const {
     if (v != config.egress) candidates.push_back(v);
   }
   const std::size_t num_ingress = static_cast<std::size_t>(rng.uniform_int(
-      1, static_cast<std::int64_t>(std::min(b.max_ingress, candidates.size()))));
+      1, static_cast<std::int64_t>(std::min(kMaxIngress, candidates.size()))));
   config.ingress.clear();
   for (std::size_t i = 0; i < num_ingress; ++i) {
     const std::size_t pick = static_cast<std::size_t>(
@@ -120,7 +124,7 @@ sim::Scenario ScenarioFuzzer::make(std::uint64_t seed) const {
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
   }
 
-  const double mean = rng.uniform(b.mean_interarrival_lo, b.mean_interarrival_hi);
+  const double mean = rng.uniform(kMeanInterarrivalLo, kMeanInterarrivalHi);
   switch (rng.uniform_int(0, 2)) {
     case 0:
       config.traffic = traffic::TrafficSpec::fixed(mean);
@@ -142,18 +146,18 @@ sim::Scenario ScenarioFuzzer::make(std::uint64_t seed) const {
         rng.uniform_int(0, static_cast<std::int64_t>(catalog.num_services()) - 1));
     tmpl.rate = rng.uniform(0.5, 2.0);
     tmpl.duration = rng.uniform(0.5, 2.0);
-    tmpl.deadline = rng.uniform(b.deadline_lo, b.deadline_hi);
+    tmpl.deadline = rng.uniform(kDeadlineLo, kDeadlineHi);
     tmpl.weight = rng.uniform(0.5, 2.0);
     config.flows.push_back(tmpl);
   }
 
   config.node_cap_lo = 0.0;
-  config.node_cap_hi = rng.uniform(b.node_cap_hi_lo, b.node_cap_hi_hi);
+  config.node_cap_hi = rng.uniform(kNodeCapHiLo, kNodeCapHiHi);
   config.link_cap_lo = 1.0;
-  config.link_cap_hi = rng.uniform(b.link_cap_hi_lo, b.link_cap_hi_hi);
-  config.end_time = rng.uniform(b.end_time_lo, b.end_time_hi);
+  config.link_cap_hi = rng.uniform(kLinkCapHiLo, kLinkCapHiHi);
+  config.end_time = rng.uniform(kEndTimeLo, kEndTimeHi);
 
-  if (rng.bernoulli(b.failure_prob)) {
+  if (rng.bernoulli(kFailureProb)) {
     sim::FailureEvent failure;
     const bool node_failure = rng.bernoulli(0.5);
     failure.kind =

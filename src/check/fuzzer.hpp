@@ -8,12 +8,13 @@
 // All draws come from one Rng seeded by `seed`, so a failing seed can be
 // replayed exactly.
 //
-// The bounds default to the neighbourhood of the paper's evaluation setup
-// (Sec. V-A1) but are deliberately wider — short deadlines, tight
-// capacities, startup delays and failures included — so the fuzzed runs
-// exercise every drop path and the instance lifecycle, not just the happy
-// path. Keep generated scenarios small/short: the differential runner
-// executes each one four times under the O(V*C)-per-event auditor.
+// The bounds (fixed, in fuzzer.cpp) cover the neighbourhood of the paper's
+// evaluation setup (Sec. V-A1) but are deliberately wider — short
+// deadlines, tight capacities, startup delays and failures included — so
+// the fuzzed runs exercise every drop path and the instance lifecycle, not
+// just the happy path. Generated scenarios are small (4-12 nodes) and
+// short: the differential runner executes each one four times under the
+// O(V*C)-per-event auditor.
 #pragma once
 
 #include <cstdint>
@@ -22,59 +23,10 @@
 
 namespace dosc::check {
 
-struct FuzzBounds {
-  /// Above this node count the per-pair extra-edge sweep (O(n^2) Bernoulli
-  /// draws) switches to drawing ~extra_edge_prob * n random extra edges
-  /// directly (O(n)). Scenarios at or below the limit are byte-identical
-  /// to the historical generator for any given seed.
-  static constexpr std::size_t kPairwiseNodeLimit = 100;
-
-  // Topology.
-  std::size_t min_nodes = 4;
-  std::size_t max_nodes = 12;
-  /// Per node pair beyond the spanning tree (below kPairwiseNodeLimit);
-  /// above it, the expected extras per node.
-  double extra_edge_prob = 0.25;
-  double link_delay_lo = 1.0;
-  double link_delay_hi = 7.0;
-  // Component catalog.
-  std::size_t min_components = 1;
-  std::size_t max_components = 4;
-  double proc_delay_lo = 1.0;
-  double proc_delay_hi = 8.0;
-  double startup_prob = 0.4;  ///< chance a component has a startup delay
-  double startup_delay_hi = 5.0;
-  double idle_timeout_lo = 10.0;
-  double idle_timeout_hi = 80.0;
-  // Services.
-  std::size_t max_services = 2;
-  std::size_t max_chain_length = 4;
-  // Scenario / traffic.
-  std::size_t max_ingress = 3;
-  double mean_interarrival_lo = 2.0;
-  double mean_interarrival_hi = 12.0;
-  double deadline_lo = 40.0;
-  double deadline_hi = 120.0;
-  double node_cap_hi_lo = 1.0;
-  double node_cap_hi_hi = 4.0;
-  double link_cap_hi_lo = 2.0;
-  double link_cap_hi_hi = 6.0;
-  double end_time_lo = 200.0;
-  double end_time_hi = 500.0;
-  double failure_prob = 0.3;  ///< chance the scenario injects one failure
-};
-
 class ScenarioFuzzer {
  public:
-  explicit ScenarioFuzzer(FuzzBounds bounds = {}) : bounds_(bounds) {}
-
   /// Deterministically generate the scenario for this fuzz seed.
   sim::Scenario make(std::uint64_t seed) const;
-
-  const FuzzBounds& bounds() const noexcept { return bounds_; }
-
- private:
-  FuzzBounds bounds_;
 };
 
 }  // namespace dosc::check

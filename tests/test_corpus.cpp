@@ -3,8 +3,7 @@
 // programs, every library entry pinned by the content hash of its scenario
 // JSON and run under the InvariantAuditor, the scenario JSON round-trip
 // fixed point over scenarios/*.json and every corpus entry, and the
-// auditor's sampled mode / fuzzer large-topology guard that make the big
-// entries tractable. DOSC_SOURCE_DIR (a compile definition) locates the
+// auditor's sampled mode that makes the big entries tractable. DOSC_SOURCE_DIR (a compile definition) locates the
 // checked-in scenario files from the build tree.
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "baselines/shortest_path.hpp"
 #include "check/auditor.hpp"
 #include "check/digest.hpp"
-#include "check/fuzzer.hpp"
 #include "sim/corpus.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -35,10 +33,8 @@ namespace {
 
 using check::AuditorOptions;
 using check::EventDigest;
-using check::FuzzBounds;
 using check::HookChain;
 using check::InvariantAuditor;
-using check::ScenarioFuzzer;
 using test::fnv1a64;
 
 // --- fat-tree structure -----------------------------------------------------
@@ -418,30 +414,7 @@ TEST(ScenarioRoundTrip, BareConfigFilesStillLoadWithDefaults) {
   EXPECT_GT(scenario.catalog().num_services(), 0u);
 }
 
-// --- scale guards: fuzzer O(n^2) limit and auditor sampled mode -------------
-
-TEST(ScaleGuards, FuzzerHandlesLargeNodeBoundsSparsely) {
-  FuzzBounds bounds;
-  bounds.min_nodes = 400;
-  bounds.max_nodes = 400;
-  const ScenarioFuzzer fuzzer(bounds);
-  const Scenario scenario = fuzzer.make(1);
-  const std::size_t n = scenario.network().num_nodes();
-  EXPECT_EQ(n, 400u);
-  EXPECT_TRUE(scenario.network().connected());
-  // Sparse: spanning tree + ~extra_edge_prob * n extras, not ~n^2/2.
-  EXPECT_LT(scenario.network().num_links(),
-            (n - 1) + static_cast<std::size_t>(bounds.extra_edge_prob * n) + 1);
-}
-
-TEST(ScaleGuards, FuzzerBelowLimitUnchanged) {
-  // Seeds at or below the pairwise limit must keep their historical
-  // byte-identical scenarios (golden digests depend on this).
-  const ScenarioFuzzer fuzzer;
-  const std::string a = fuzzer.make(3).to_json().dump(2);
-  const std::string b = ScenarioFuzzer(FuzzBounds{}).make(3).to_json().dump(2);
-  EXPECT_EQ(a, b);
-}
+// --- scale guards: auditor sampled mode --------------------------------------
 
 TEST(ScaleGuards, AuditorEntersSampledModeAndStaysClean) {
   const Scenario scenario = load_scenario("corpus:ft_k4_steady").with_end_time(600.0);
