@@ -253,7 +253,7 @@ void run_seed(rl::ActorCritic& net, const TrainingConfig& config,
     // Merge the env batches; cap the update size with a uniform subsample
     // so one update's cost stays bounded regardless of episode length.
     util::Rng sample_rng(episode_seed(config.seed_base, seed_index, iteration, 777));
-    rl::merge_batches_into(merged, window.batches, obs_dim, config.max_update_steps,
+    rl::merge_batches_into(merged, window.batches, obs_dim, TrainingConfig::max_update_steps,
                            sample_rng);
 
     rl::UpdateStats stats;

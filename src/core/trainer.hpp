@@ -35,7 +35,7 @@ struct TrainingConfig {
   double train_episode_time = 1000.0;  ///< T of each training episode (ms)
   /// Updates use at most this many experiences (uniform row subsample);
   /// keeps the per-update cost bounded when episodes produce many steps.
-  std::size_t max_update_steps = 4096;
+  static constexpr std::size_t max_update_steps = 4096;
   std::size_t eval_episodes = 3;   ///< greedy evaluation for agent selection
   double eval_episode_time = 2000.0;
   /// Ignored: the l training environments always roll out through one

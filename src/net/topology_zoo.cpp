@@ -103,7 +103,8 @@ Network synthetic_topology(const SyntheticTopologyConfig& config) {
     const double angle = 2.0 * std::numbers::pi * static_cast<double>(i) / static_cast<double>(n);
     builder.add_node("n" + std::to_string(i), 0.0, std::cos(angle), std::sin(angle));
   }
-  const auto delay = [&] { return rng.uniform(config.delay_lo, config.delay_hi); };
+  // Per-link delays are uniform in [1, 4] ms.
+  const auto delay = [&] { return rng.uniform(1.0, 4.0); };
   std::vector<std::size_t> degree(n, 0);
   const auto link = [&](NodeId a, NodeId b) {
     builder.add_link(a, b, delay(), 0.0);

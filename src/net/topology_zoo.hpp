@@ -69,8 +69,6 @@ struct SyntheticTopologyConfig {
   std::size_t max_degree = 0;
   std::size_t leaves = 0;
   std::uint64_t seed = 0;
-  double delay_lo = 1.0;  ///< per-link delay range in ms
-  double delay_hi = 4.0;
 };
 
 Network synthetic_topology(const SyntheticTopologyConfig& config);

@@ -66,7 +66,7 @@ void Kfac::update_factors(Mlp& net) {
     // batch; grad_preact already carries the 1/batch loss scaling applied
     // by the trainer, so rescale to per-sample magnitude.
     for (std::size_t i = 0; i < gb.size(); ++i) {
-      gb.data()[i] *= batch * config_.fisher_coef;
+      gb.data()[i] *= batch * KfacConfig::fisher_coef;
     }
 
     if (!f.initialised) {
@@ -74,8 +74,8 @@ void Kfac::update_factors(Mlp& net) {
       f.g = gb;
       f.initialised = true;
     } else {
-      ema_update(f.a, ab, config_.ema_decay);
-      ema_update(f.g, gb, config_.ema_decay);
+      ema_update(f.a, ab, KfacConfig::ema_decay);
+      ema_update(f.g, gb, KfacConfig::ema_decay);
     }
   });
 }
@@ -116,7 +116,7 @@ void Kfac::step(Mlp& net) {
       const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
       const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
       const double pi = std::sqrt(tr_a / tr_g);
-      const double damp = std::sqrt(config_.damping);
+      const double damp = std::sqrt(KfacConfig::damping);
 
       // Each intermediate overwrites a workspace whose contents are dead.
       cholesky_solve_into(f.work_b, f.a_batch, f.a, grad, pi * damp);  // A⁻¹ Ḡ
@@ -150,8 +150,8 @@ void Kfac::step(Mlp& net) {
   double v_norm_sq = 0.0;
   for (const LayerFactors& f : factors_) v_norm_sq += dot(f.natural, f.natural);
   const double v_norm = std::sqrt(v_norm_sq);
-  if (v_norm * eta > config_.step_norm_cap && v_norm > 0.0) {
-    eta = config_.step_norm_cap / v_norm;
+  if (v_norm * eta > KfacConfig::step_norm_cap && v_norm > 0.0) {
+    eta = KfacConfig::step_norm_cap / v_norm;
   }
 
   for (std::size_t li = 0; li < layers.size(); ++li) {

@@ -62,15 +62,6 @@ ActorCritic::ActorCritic(const ActorCriticConfig& config)
   }
 }
 
-nn::Matrix ActorCritic::to_row(std::span<const double> obs) const {
-  if (obs.size() != config_.obs_dim) {
-    throw std::invalid_argument("ActorCritic: observation size mismatch");
-  }
-  nn::Matrix row(1, obs.size());
-  std::copy(obs.begin(), obs.end(), row.data());
-  return row;
-}
-
 namespace {
 // Per-thread scratch for the allocation-free inference fast path; safe for
 // concurrent use of one shared const ActorCritic across worker threads.

@@ -79,8 +79,6 @@ class ActorCritic {
   void set_parameters(const std::vector<double>& flat);
 
  private:
-  nn::Matrix to_row(std::span<const double> obs) const;
-
   ActorCriticConfig config_;
   nn::Mlp actor_;
   nn::Mlp critic_;

@@ -45,14 +45,6 @@ void optimizer_step(nn::Optimizer& opt, nn::Mlp& net, bool kfac, const char* spa
 
 }  // namespace
 
-OptimizerKind parse_optimizer_kind(std::string_view name) {
-  if (name == "rmsprop") return OptimizerKind::kRmsProp;
-  if (name == "adam") return OptimizerKind::kAdam;
-  if (name == "sgd") return OptimizerKind::kSgd;
-  if (name == "acktr") return OptimizerKind::kAcktr;
-  throw std::invalid_argument("unknown optimizer: " + std::string(name));
-}
-
 Updater::Updater(const UpdaterConfig& config) : config_(config) {
   actor_opt_ = make_optimizer(/*is_critic=*/false);
   critic_opt_ = make_optimizer(/*is_critic=*/true);
@@ -74,8 +66,6 @@ std::unique_ptr<nn::Optimizer> Updater::make_optimizer(bool is_critic) const {
       nn::KfacConfig kfac;
       kfac.learning_rate = config_.learning_rate;
       kfac.kl_clip = config_.kl_clip;
-      kfac.fisher_coef = config_.fisher_coef;
-      kfac.damping = config_.kfac_damping;
       // The critic's trust region is on value change, conventionally wider.
       if (is_critic) kfac.kl_clip = config_.kl_clip * 10.0;
       return std::make_unique<nn::Kfac>(kfac);

@@ -22,7 +22,6 @@ namespace dosc::rl {
 enum class OptimizerKind { kRmsProp, kAdam, kSgd, kAcktr };
 
 const char* optimizer_kind_name(OptimizerKind kind) noexcept;
-OptimizerKind parse_optimizer_kind(std::string_view name);
 
 struct UpdaterConfig {
   OptimizerKind optimizer = OptimizerKind::kAcktr;
@@ -31,8 +30,6 @@ struct UpdaterConfig {
   double value_coef = 0.25;      ///< paper: loss on V_phi 0.25
   double max_grad_norm = 0.5;    ///< paper: max gradient 0.5
   double kl_clip = 0.001;        ///< paper: KL clipping (ACKTR only)
-  double fisher_coef = 1.0;      ///< paper: Fisher coefficient (ACKTR only)
-  double kfac_damping = 0.01;
   bool normalize_advantage = true;
   /// Linear learning-rate decay towards 0 over this many updates (0 = off).
   std::size_t lr_decay_updates = 0;

@@ -29,8 +29,6 @@ struct BatcherConfig {
   std::uint64_t wait_budget_us = 50;
   /// EWMA batch size at/above which waiting is considered worthwhile.
   double gemm_threshold = 2.0;
-  /// EWMA smoothing factor per observed batch.
-  double ewma_alpha = 0.2;
 };
 
 class AdaptiveBatcher {
@@ -48,7 +46,7 @@ class AdaptiveBatcher {
   /// Record a completed batch and update the load estimate.
   void on_batch(std::size_t size) noexcept {
     if (size == 0) return;
-    ewma_ += config_.ewma_alpha * (static_cast<double>(size) - ewma_);
+    ewma_ += kSmoothing * (static_cast<double>(size) - ewma_);
     ++batches_;
   }
 
@@ -56,6 +54,8 @@ class AdaptiveBatcher {
   std::uint64_t batches() const noexcept { return batches_; }
 
  private:
+  static constexpr double kSmoothing = 0.2;  ///< EWMA factor per observed batch
+
   BatcherConfig config_;
   double ewma_ = 1.0;  ///< start in the idle regime: first requests never wait
   std::uint64_t batches_ = 0;

@@ -22,6 +22,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Kernel socket buffer request (bursts at 100k+ req/s overflow the
+/// defaults long before the workers are saturated). Applied with the
+/// privileged *FORCE options when possible, so it may exceed rmem_max.
+constexpr int kSocketBufferBytes = 1 << 24;
+
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
@@ -92,7 +97,7 @@ UdpServer::UdpServer(const sim::Scenario& scenario, const core::TrainedPolicy& p
                      ServerConfig config)
     : scenario_(scenario),
       config_(std::move(config)),
-      oracle_(scenario_, config_.oracle_seed) {
+      oracle_(scenario_, ServerConfig::oracle_seed) {
   if (config_.threads == 0) config_.threads = 1;
   if (config_.batcher.max_batch == 0) config_.batcher.max_batch = 1;
   store_.publish(make_serve_policy(policy, scenario_.network().max_degree(),
@@ -130,15 +135,13 @@ void UdpServer::start() {
   // FORCE variants bypass the rmem_max/wmem_max caps when privileged; a
   // deep receive queue is what rides out scheduling stalls at 100k+ req/s.
   // Unprivileged processes fall back to the capped request.
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVBUFFORCE, &config_.socket_buffer_bytes,
-                   sizeof(config_.socket_buffer_bytes)) != 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &config_.socket_buffer_bytes,
-                 sizeof(config_.socket_buffer_bytes));
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVBUFFORCE, &kSocketBufferBytes,
+                   sizeof(kSocketBufferBytes)) != 0) {
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes, sizeof(kSocketBufferBytes));
   }
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDBUFFORCE, &config_.socket_buffer_bytes,
-                   sizeof(config_.socket_buffer_bytes)) != 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &config_.socket_buffer_bytes,
-                 sizeof(config_.socket_buffer_bytes));
+  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDBUFFORCE, &kSocketBufferBytes,
+                   sizeof(kSocketBufferBytes)) != 0) {
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes, sizeof(kSocketBufferBytes));
   }
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);

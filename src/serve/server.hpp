@@ -46,12 +46,8 @@ struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   std::size_t threads = 1;
   BatcherConfig batcher;
-  /// Kernel socket buffer request (bursts at 100k+ req/s overflow the
-  /// defaults long before the workers are saturated). Applied with the
-  /// privileged *FORCE options when possible, so it may exceed rmem_max.
-  int socket_buffer_bytes = 1 << 24;
   /// Capacity seed of the state oracle (the serving-time network snapshot).
-  std::uint64_t oracle_seed = 424242;
+  static constexpr std::uint64_t oracle_seed = 424242;
 };
 
 struct ServerStats {

@@ -102,7 +102,7 @@ TrafficSpec TrafficSpec::from_json(const util::Json& json) {
   // 500 ms of horizon: refuse a horizon make_diurnal_trace would reject
   // here, by name, before anything is allocated.
   if (s.kind == ArrivalKind::kTrace && !s.trace.has_value()) {
-    const double segments = s.trace_horizon / DiurnalTraceConfig{}.segment_length;
+    const double segments = s.trace_horizon / DiurnalTraceConfig::segment_length;
     if (!(segments > 1.0 && segments <= kMaxTraceSegments)) {
       throw util::JsonError(
           "JSON field 'trace_horizon' must exceed one 500 ms segment and span at most " +

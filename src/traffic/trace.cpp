@@ -67,7 +67,7 @@ RateTrace RateTrace::load(const std::string& path) {
 
 RateTrace make_diurnal_trace(const DiurnalTraceConfig& config) {
   const double count = config.horizon / config.segment_length;
-  if (config.segment_length <= 0.0 || !(count > 1.0 && count <= kMaxTraceSegments)) {
+  if (!(count > 1.0 && count <= kMaxTraceSegments)) {
     throw std::invalid_argument("make_diurnal_trace: bad segment length / horizon");
   }
   util::Rng rng(config.seed);
@@ -85,11 +85,10 @@ RateTrace make_diurnal_trace(const DiurnalTraceConfig& config) {
 }
 
 RateTrace make_flash_crowd_trace(const FlashCrowdConfig& config) {
-  if (config.segment_length <= 0.0 || config.horizon <= config.segment_length) {
+  if (config.horizon <= config.segment_length) {
     throw std::invalid_argument("make_flash_crowd_trace: bad segment length / horizon");
   }
-  if (config.crowd_intensity < 1.0 || config.crowd_duration <= 0.0 ||
-      config.ramp_fraction < 0.0 || config.ramp_fraction > 0.5) {
+  if (config.crowd_intensity < 1.0 || config.crowd_duration <= 0.0) {
     throw std::invalid_argument("make_flash_crowd_trace: bad crowd shape");
   }
   if (static_cast<double>(config.num_crowds) * config.crowd_duration >
@@ -109,17 +108,16 @@ RateTrace make_flash_crowd_trace(const FlashCrowdConfig& config) {
   }
   std::vector<RateTrace::Segment> segments;
   for (double t = 0.0; t < config.horizon; t += config.segment_length) {
-    const double phase = 2.0 * std::numbers::pi * t / config.horizon;
-    double load = 1.0 + config.diurnal_amplitude * std::sin(phase);
+    double load = 1.0;
     for (const double start : starts) {
       const double into = t - start;
       if (into < 0.0 || into >= config.crowd_duration) continue;
       // Trapezoidal spike: ramp up, plateau at crowd_intensity, ramp down.
       const double ramp = config.ramp_fraction * config.crowd_duration;
       double shape = 1.0;
-      if (ramp > 0.0 && into < ramp) {
+      if (into < ramp) {
         shape = into / ramp;
-      } else if (ramp > 0.0 && into > config.crowd_duration - ramp) {
+      } else if (into > config.crowd_duration - ramp) {
         shape = (config.crowd_duration - into) / ramp;
       }
       load *= 1.0 + (config.crowd_intensity - 1.0) * shape;

@@ -50,12 +50,12 @@ class RateTrace {
 /// Parameters for the synthetic diurnal trace.
 struct DiurnalTraceConfig {
   double horizon = 20000.0;          ///< trace length / loop period (ms)
-  double segment_length = 500.0;     ///< rate update granularity
   double base_interarrival = 10.0;   ///< mean inter-arrival at average load
-  double diurnal_amplitude = 0.4;    ///< relative swing of the day profile
-  double noise_stddev = 0.15;        ///< relative multiplicative burst noise
-  double min_interarrival = 2.0;     ///< clamp to keep rates finite
   std::uint64_t seed = 0;
+  static constexpr double segment_length = 500.0;    ///< rate update granularity
+  static constexpr double diurnal_amplitude = 0.4;   ///< relative swing of the day profile
+  static constexpr double noise_stddev = 0.15;       ///< relative multiplicative burst noise
+  static constexpr double min_interarrival = 2.0;    ///< clamp to keep rates finite
 };
 
 /// Most segments a generated diurnal trace may hold (16 MB; a ~6-day loop
@@ -69,20 +69,19 @@ inline constexpr double kMaxTraceSegments = 1048576.0;  // 2^20
 /// at most kMaxTraceSegments segments.
 RateTrace make_diurnal_trace(const DiurnalTraceConfig& config);
 
-/// Parameters for the flash-crowd trace: a baseline (optionally diurnal)
-/// rate with a few short, deep arrival-rate spikes at seeded times — the
-/// "everyone opens the app at once" load program the corpus scenarios use.
+/// Parameters for the flash-crowd trace: a flat baseline rate with a few
+/// short, deep arrival-rate spikes at seeded times — the "everyone opens
+/// the app at once" load program the corpus scenarios use.
 struct FlashCrowdConfig {
   double horizon = 20000.0;         ///< trace length / loop period (ms)
-  double segment_length = 250.0;    ///< rate update granularity
   double base_interarrival = 10.0;  ///< mean inter-arrival off-crowd
-  double diurnal_amplitude = 0.0;   ///< optional underlying day profile
   std::size_t num_crowds = 3;       ///< spikes per horizon
   double crowd_duration = 1000.0;   ///< how long each spike lasts (ms)
   double crowd_intensity = 6.0;     ///< rate multiplier at the spike peak
-  double ramp_fraction = 0.25;      ///< leading/trailing ramp share of a spike
-  double min_interarrival = 0.25;   ///< clamp to keep rates finite
   std::uint64_t seed = 0;
+  static constexpr double segment_length = 250.0;   ///< rate update granularity
+  static constexpr double ramp_fraction = 0.25;     ///< leading/trailing ramp share of a spike
+  static constexpr double min_interarrival = 0.25;  ///< clamp to keep rates finite
 };
 
 /// Generate a flash-crowd trace: `num_crowds` seeded spikes where the

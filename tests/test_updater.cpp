@@ -177,12 +177,6 @@ TEST(Updater, LearningRateDecaysLinearly) {
   EXPECT_LT(last_step, first_step);
 }
 
-TEST(Updater, ParseOptimizerKind) {
-  EXPECT_EQ(parse_optimizer_kind("acktr"), OptimizerKind::kAcktr);
-  EXPECT_EQ(parse_optimizer_kind("rmsprop"), OptimizerKind::kRmsProp);
-  EXPECT_THROW(parse_optimizer_kind("lbfgs"), std::invalid_argument);
-}
-
 TEST(Updater, ClippedIsWeightMatchesHandComputedValues) {
   // rho = min(clip, exp(logp_current - logp_behavior)).
   const double log_half = std::log(0.5);
@@ -287,7 +281,7 @@ TEST(Updater, PaperHyperparametersAreDefaults) {
   EXPECT_DOUBLE_EQ(config.value_coef, 0.25);
   EXPECT_DOUBLE_EQ(config.max_grad_norm, 0.5);
   EXPECT_DOUBLE_EQ(config.kl_clip, 0.001);
-  EXPECT_DOUBLE_EQ(config.fisher_coef, 1.0);
+  EXPECT_DOUBLE_EQ(nn::KfacConfig::fisher_coef, 1.0);
 }
 
 }  // namespace
