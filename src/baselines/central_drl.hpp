@@ -54,12 +54,11 @@ class CentralDrlCoordinator final : public sim::Coordinator, public core::Reward
   int decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) override;
   void on_episode_start(const sim::Simulator& sim) override;
   double periodic_interval() const override { return config_.monitoring_interval; }
+  /// The centralized rule update. Its wall-clock time (the baseline's
+  /// "inference time" in Fig. 9b — grows with the network size) is measured
+  /// by the simulator: Simulator::enable_decision_timing →
+  /// SimMetrics::rule_update_time.
   void on_periodic(const sim::Simulator& sim, double time) override;
-
-  // The wall-clock time of each centralized rule update (the baseline's
-  // "inference time" in Fig. 9b — grows with the network size) is measured
-  // by the simulator: Simulator::enable_decision_timing →
-  // SimMetrics::rule_update_time.
 
  private:
   /// Training: split the flow's reward across the rule trajectories.
