@@ -19,8 +19,8 @@ namespace dosc::nn {
 struct KfacConfig {
   double learning_rate = 0.25;  ///< paper: initial learning rate 0.25
   double kl_clip = 0.001;       ///< paper: Kullback-Leibler clipping 0.001
-  static constexpr double damping = 0.01;    ///< Tikhonov damping added to both factors
-  static constexpr double ema_decay = 0.99;  ///< running-average decay for A and G
+  static constexpr double damping = 0.01;     ///< Tikhonov damping added to both factors
+  static constexpr double ema_decay = 0.99;   ///< running-average decay for A and G
   static constexpr double fisher_coef = 1.0;  ///< paper: Fisher coefficient 1.0
   /// Euclidean cap on one step's parameter change. Guards against the
   /// natural gradient blowing up when the gradient covariance G collapses
