@@ -152,13 +152,8 @@ AlgoStats evaluate(const sim::Scenario& scenario, Algo algo, const BenchScale& s
     }
     // The central baseline's Fig. 9b "decision" is its periodic rule
     // refresh, not the per-flow rule lookup.
-    if (algo == Algo::kCentralDrl) {
-      stats.decision_us.merge(metrics.rule_update_time);
-      stats.decision_hist.merge(metrics.rule_update_time_hist);
-    } else {
-      stats.decision_us.merge(metrics.decision_time);
-      stats.decision_hist.merge(metrics.decision_time_hist);
-    }
+    stats.decision_hist.merge(algo == Algo::kCentralDrl ? metrics.rule_update_time
+                                                        : metrics.decision_time);
     stats.success.add(metrics.success_ratio());
     if (metrics.e2e_delay.count() > 0) stats.e2e_delay.add(metrics.e2e_delay.mean());
   }
@@ -211,7 +206,7 @@ std::string write_bench_json(const std::string& benchmark,
         {"stddev", util::Json(r.stats.e2e_delay.stddev())},
     };
     util::Json::Object decision{
-        {"mean", util::Json(r.stats.decision_us.mean())},
+        {"mean", util::Json(r.stats.decision_hist.mean())},
         {"p50", util::Json(r.stats.decision_hist.percentile(50.0))},
         {"p90", util::Json(r.stats.decision_hist.percentile(90.0))},
         {"p99", util::Json(r.stats.decision_hist.percentile(99.0))},

@@ -47,14 +47,13 @@ struct BenchScale {
 
 /// mean/stddev of the per-seed success ratios, plus delay diagnostics.
 /// Per-decision timing comes from the simulator (SimMetrics) — one code
-/// path for all four algorithms. For CentralDRL, decision_us holds the
+/// path for all four algorithms. For CentralDRL, decision_hist holds the
 /// periodic rule-refresh latency (its Fig. 9b "decision").
 struct AlgoStats {
   util::RunningStats success;
-  util::RunningStats e2e_delay;      ///< mean delay of completed flows (ms)
-  util::RunningStats decision_us;    ///< per-decision wall clock (us)
-  /// Same samples as decision_us in a log-scale histogram, merged across
-  /// all eval episodes — the source for reported p50/p90/p99.
+  util::RunningStats e2e_delay;  ///< mean delay of completed flows (ms)
+  /// Per-decision wall clock (us), merged across all eval episodes — the
+  /// source for the reported mean and p50/p90/p99.
   telemetry::Histogram decision_hist{telemetry::latency_histogram_config()};
 };
 

@@ -85,19 +85,6 @@ inline constexpr DaemonFlag kDaemonFlags[] = {
      [](serve::DaemonOptions& o, const char* f, const char* t) {
        o.server.threads = parse_count<std::size_t>(f, t);
      }},
-    {"--max-batch", "--max-batch B      max requests per forward pass (default 32)",
-     [](serve::DaemonOptions& o, const char* f, const char* t) {
-       o.server.batcher.max_batch = parse_count<std::size_t>(f, t);
-     }},
-    {"--wait-us", "--wait-us U        straggler wait budget when loaded (default 50)",
-     [](serve::DaemonOptions& o, const char* f, const char* t) {
-       o.server.batcher.wait_budget_us = parse_count<std::uint64_t>(f, t);
-     }},
-    {"--gemm-threshold",
-     "--gemm-threshold X EWMA batch size that enables waiting (default 2.0)",
-     [](serve::DaemonOptions& o, const char* f, const char* t) {
-       o.server.batcher.gemm_threshold = parse_real(f, t);
-     }},
     {"--reload-ms",
      "--reload-ms MS     policy file change poll interval, 0 = off (default 1000)",
      [](serve::DaemonOptions& o, const char* f, const char* t) {

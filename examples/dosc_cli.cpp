@@ -79,7 +79,6 @@ int usage() {
                "  dosc_cli fuzz [--seeds N] [--time MS]\n"
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
                "  dosc_cli serve <scenario.json> <policy.json> [--port P] [--threads N]\n"
-               "                [--max-batch B] [--wait-us U] [--gemm-threshold X]\n"
                "                [--reload-ms MS] [--duration S]\n"
                "  dosc_cli load <scenario.json> --port P [--address A] [--rate R]\n"
                "                [--requests N] [--seed S] [--drain-ms MS]\n"

@@ -15,6 +15,7 @@
 #include "net/topology_zoo.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/histogram.hpp"
 
 using namespace dosc;
 
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
   util::RunningStats drl;
   util::RunningStats gcasp;
   util::RunningStats sp;
-  util::RunningStats decision_us;
+  telemetry::Histogram decision_us{telemetry::latency_histogram_config()};
   for (std::uint64_t seed = 300; seed < 303; ++seed) {
     {
       core::DistributedDrlCoordinator coordinator(net, degree);
@@ -63,8 +64,9 @@ int main(int argc, char** argv) {
       sp.add(sim.run(coordinator).success_ratio());
     }
   }
-  std::printf("  DistDRL : success %.3f  (%.1f us per local decision, %zu decisions)\n",
-              drl.mean(), decision_us.mean(), decision_us.count());
+  std::printf("  DistDRL : success %.3f  (%.1f us per local decision, %llu decisions)\n",
+              drl.mean(), decision_us.mean(),
+              static_cast<unsigned long long>(decision_us.count()));
   std::printf("  GCASP   : success %.3f\n", gcasp.mean());
   std::printf("  SP      : success %.3f  (the paper: SP fails on Interroute)\n", sp.mean());
   return 0;

@@ -65,7 +65,7 @@ std::size_t packed_size(std::size_t in, std::size_t out) noexcept;
 void pack(std::size_t in, std::size_t out, const double* w, double* packed);
 
 /// y[0..out) = act(bias + x^T W) over a packed weight matrix. `activation`
-/// uses the nn::Activation enum encoding (0 = linear, 1 = tanh, 2 = relu).
+/// uses the nn::Activation enum encoding (0 = linear, 1 = tanh).
 /// Allocation-free; y must not alias x.
 void bias_act(std::size_t in, std::size_t out, const double* x, const double* packed,
               const double* bias, int activation, double* y);

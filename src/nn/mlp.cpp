@@ -97,9 +97,6 @@ void Mlp::apply_activation(Matrix& m, Activation act) noexcept {
     case Activation::kTanh:
       vecmath::tanh_inplace(m.data(), m.size());
       return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = std::max(0.0, m.data()[i]);
-      return;
   }
 }
 
@@ -188,9 +185,6 @@ std::size_t Mlp::predict_batch(const double* input, std::size_t rows, std::vecto
       case Activation::kTanh:
         vecmath::tanh_inplace(dst, rows * n_out);
         break;
-      case Activation::kRelu:
-        for (std::size_t i = 0; i < rows * n_out; ++i) dst[i] = std::max(0.0, dst[i]);
-        break;
     }
     cur = dst;
   }
@@ -217,9 +211,6 @@ void Mlp::predict_row_legacy(std::span<const double> input, std::vector<double>&
       case Activation::kTanh:
         vecmath::tanh_inplace(scratch.b.data(), scratch.b.size());
         break;
-      case Activation::kRelu:
-        for (double& v : scratch.b) v = std::max(0.0, v);
-        break;
     }
     scratch.a.swap(scratch.b);
   }
@@ -241,11 +232,6 @@ const Matrix& Mlp::backward(const Matrix& grad_output) {
         for (std::size_t i = 0; i < grad.size(); ++i) {
           const double y = layer.output.data()[i];
           grad.data()[i] *= (1.0 - y * y);
-        }
-        break;
-      case Activation::kRelu:
-        for (std::size_t i = 0; i < grad.size(); ++i) {
-          if (layer.output.data()[i] <= 0.0) grad.data()[i] = 0.0;
         }
         break;
     }

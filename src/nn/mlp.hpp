@@ -17,7 +17,7 @@
 
 namespace dosc::nn {
 
-enum class Activation { kLinear, kTanh, kRelu };
+enum class Activation { kLinear, kTanh };
 
 /// One fully-connected layer. Public data: the trainer and the KFAC
 /// optimizer both need direct access to weights, gradients, and caches.

@@ -44,47 +44,34 @@ double us_between(Clock::time_point a, Clock::time_point b) {
 struct UdpServer::Worker {
   static constexpr std::uint64_t kFlushBatches = 256;
 
-  Worker(const sim::Simulator& oracle, std::size_t max_degree, const BatcherConfig& batcher_config)
-      : engine(oracle, max_degree, batcher_config.max_batch),
-        batcher(batcher_config),
-        max_batch(batcher_config.max_batch) {
-    recv_bufs.resize(max_batch);
-    recv_addrs.resize(max_batch);
-    recv_iov.resize(max_batch);
-    recv_msgs.resize(max_batch);
-    send_bufs.resize(max_batch);
-    send_msgs.resize(max_batch);
-    send_iov.resize(max_batch);
-    requests.resize(max_batch);
-    row_of.resize(max_batch);
-    for (std::size_t i = 0; i < max_batch; ++i) {
+  Worker(const sim::Simulator& oracle, std::size_t max_degree)
+      : engine(oracle, max_degree, ServerConfig::max_batch) {
+    for (std::size_t i = 0; i < ServerConfig::max_batch; ++i) {
       recv_iov[i].iov_base = recv_bufs[i].data();
       recv_iov[i].iov_len = recv_bufs[i].size();
-      std::memset(&recv_msgs[i], 0, sizeof(recv_msgs[i]));
       recv_msgs[i].msg_hdr.msg_iov = &recv_iov[i];
       recv_msgs[i].msg_hdr.msg_iovlen = 1;
       send_iov[i].iov_base = send_bufs[i].data();
       send_iov[i].iov_len = wire::kResponseSize;
-      std::memset(&send_msgs[i], 0, sizeof(send_msgs[i]));
       send_msgs[i].msg_hdr.msg_iov = &send_iov[i];
       send_msgs[i].msg_hdr.msg_iovlen = 1;
     }
   }
 
   DecisionEngine engine;
-  AdaptiveBatcher batcher;
-  std::size_t max_batch;
 
-  std::vector<std::array<std::uint8_t, wire::kMaxDatagram>> recv_bufs;
-  std::vector<sockaddr_in> recv_addrs;
-  std::vector<iovec> recv_iov;
-  std::vector<mmsghdr> recv_msgs;
-  std::vector<std::array<std::uint8_t, wire::kResponseSize>> send_bufs;
-  std::vector<iovec> send_iov;
-  std::vector<mmsghdr> send_msgs;
+  template <typename T>
+  using PerDatagram = std::array<T, ServerConfig::max_batch>;
+  PerDatagram<std::array<std::uint8_t, wire::kMaxDatagram>> recv_bufs{};
+  PerDatagram<sockaddr_in> recv_addrs{};
+  PerDatagram<iovec> recv_iov{};
+  PerDatagram<mmsghdr> recv_msgs{};
+  PerDatagram<std::array<std::uint8_t, wire::kResponseSize>> send_bufs{};
+  PerDatagram<iovec> send_iov{};
+  PerDatagram<mmsghdr> send_msgs{};
 
-  std::vector<wire::Request> requests;
-  std::vector<int> row_of;  ///< row slot per datagram; -1 invalid, -2 protocol error
+  PerDatagram<wire::Request> requests{};
+  PerDatagram<int> row_of{};  ///< row slot per datagram; -1 invalid, -2 protocol error
   std::vector<int> actions;
 
   telemetry::Histogram batch_size_hist;
@@ -99,7 +86,6 @@ UdpServer::UdpServer(const sim::Scenario& scenario, const core::TrainedPolicy& p
       config_(std::move(config)),
       oracle_(scenario_, ServerConfig::oracle_seed) {
   if (config_.threads == 0) config_.threads = 1;
-  if (config_.batcher.max_batch == 0) config_.batcher.max_batch = 1;
   store_.publish(make_serve_policy(policy, scenario_.network().max_degree(),
                                    next_version_.fetch_add(1)));
   // The observation layout (padded degree) is frozen at construction; every
@@ -150,7 +136,7 @@ void UdpServer::start() {
   workers_.clear();
   threads_.clear();
   for (std::size_t t = 0; t < config_.threads; ++t) {
-    workers_.push_back(std::make_unique<Worker>(oracle_, degree, config_.batcher));
+    workers_.push_back(std::make_unique<Worker>(oracle_, degree));
   }
   running_ = true;
   for (std::size_t t = 0; t < config_.threads; ++t) {
@@ -158,7 +144,7 @@ void UdpServer::start() {
   }
   util::Log(util::LogLevel::kInfo, "serve")
       << "listening on " << config_.bind_address << ":" << port_ << " (" << config_.threads
-      << " threads, max batch " << config_.batcher.max_batch << ")";
+      << " threads, max batch " << ServerConfig::max_batch << ")";
 }
 
 void UdpServer::stop() {
@@ -212,7 +198,6 @@ telemetry::Histogram UdpServer::request_decide_us_histogram() const {
 }
 
 void UdpServer::worker_loop(Worker& worker) {
-  const std::size_t max_batch = worker.max_batch;
   const auto flush_hists = [&] {
     std::lock_guard<std::mutex> lock(hist_mu_);
     batch_size_hist_.merge(worker.batch_size_hist);
@@ -224,13 +209,14 @@ void UdpServer::worker_loop(Worker& worker) {
   };
 
   while (!stop_.load(std::memory_order_acquire)) {
+    // One drain, one forward: the batch is whatever this recvmmsg returns.
     // recvmmsg overwrites msg_namelen; it must be re-armed every pass.
-    for (std::size_t i = 0; i < max_batch; ++i) {
+    for (std::size_t i = 0; i < ServerConfig::max_batch; ++i) {
       worker.recv_msgs[i].msg_hdr.msg_name = &worker.recv_addrs[i];
       worker.recv_msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
     }
-    int n = ::recvmmsg(fd_, worker.recv_msgs.data(), static_cast<unsigned>(max_batch),
-                       MSG_DONTWAIT, nullptr);
+    const int n = ::recvmmsg(fd_, worker.recv_msgs.data(), ServerConfig::max_batch,
+                             MSG_DONTWAIT, nullptr);
     if (n <= 0) {
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
         if (stop_.load(std::memory_order_acquire)) break;
@@ -239,23 +225,6 @@ void UdpServer::worker_loop(Worker& worker) {
       pollfd pfd{fd_, POLLIN, 0};
       ::poll(&pfd, 1, /*timeout_ms=*/50);
       continue;
-    }
-
-    // Top the batch up within the adaptive wait budget: only worthwhile in
-    // the loaded regime, where the next requests are microseconds away.
-    const std::uint64_t budget_us = worker.batcher.wait_budget_us();
-    if (static_cast<std::size_t>(n) < max_batch && budget_us > 0) {
-      const Clock::time_point deadline = Clock::now() + std::chrono::microseconds(budget_us);
-      while (static_cast<std::size_t>(n) < max_batch && Clock::now() < deadline &&
-             !stop_.load(std::memory_order_relaxed)) {
-        for (std::size_t i = n; i < max_batch; ++i) {
-          worker.recv_msgs[i].msg_hdr.msg_name = &worker.recv_addrs[i];
-          worker.recv_msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-        }
-        const int more = ::recvmmsg(fd_, worker.recv_msgs.data() + n,
-                                    static_cast<unsigned>(max_batch - n), MSG_DONTWAIT, nullptr);
-        if (more > 0) n += more;
-      }
     }
 
     // Decode + bind. row_of maps datagram -> observation row (or error).
@@ -339,7 +308,6 @@ void UdpServer::worker_loop(Worker& worker) {
     responses_.fetch_add(sent, std::memory_order_relaxed);
     if (proto_errors != 0) protocol_errors_.fetch_add(proto_errors, std::memory_order_relaxed);
     if (invalid != 0) invalid_requests_.fetch_add(invalid, std::memory_order_relaxed);
-    worker.batcher.on_batch(rows);
     if (++worker.batches_since_flush >= Worker::kFlushBatches) {
       worker.batches_since_flush = 0;
       flush_hists();

@@ -1,11 +1,11 @@
 // dosc_serve: the UDP decision daemon.
 //
 // A small number of worker threads share one datagram socket. Each worker
-// drains up to max_batch requests per pass (recvmmsg), tops the batch up
-// within the AdaptiveBatcher's load-dependent wait budget, runs the
-// per-decision pipeline over the batch (DecisionEngine: validate -> bound
-// observation build -> one Mlp::predict_batch forward -> greedy action),
-// and replies with one response datagram per request (sendmmsg). Policy
+// pass drains up to ServerConfig::max_batch requests with one recvmmsg,
+// runs the per-decision pipeline over exactly what that drain returned
+// (DecisionEngine: validate -> bound observation build -> one
+// Mlp::predict_batch forward -> greedy action), and replies with one
+// response datagram per request (sendmmsg). Policy
 // snapshots are hot-swapped through the epoch-published PolicyStore:
 // publish() installs a new snapshot without ever blocking a decide —
 // in-flight batches finish on the snapshot they pinned, the next batch
@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/policy_store.hpp"
 #include "sim/scenario.hpp"
@@ -45,7 +44,8 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   std::size_t threads = 1;
-  BatcherConfig batcher;
+  /// Datagrams one recvmmsg drains at most: the rows of one forward pass.
+  static constexpr std::size_t max_batch = 32;
   /// Capacity seed of the state oracle (the serving-time network snapshot).
   static constexpr std::uint64_t oracle_seed = 424242;
 };

@@ -4,10 +4,11 @@
 //
 // Per-decision timing is recorded by the *simulator* (one place for all
 // algorithms, DRL and baselines alike) when Simulator::enable_decision_timing
-// is on: both a RunningStats mean and a log-scale telemetry histogram, so
-// Fig. 9b can report tail latency (p50/p99), not just means. The central
-// baseline's periodic rule refresh is timed separately (rule_update_time),
-// since that — not its cheap per-flow rule lookup — is its "inference".
+// is on, into a log-scale telemetry histogram: it keeps the count, mean,
+// min and max, and Fig. 9b reads tail latency (p50/p99) from it too. The
+// central baseline's periodic rule refresh is timed separately
+// (rule_update_time), since that — not its cheap per-flow rule lookup — is
+// its "inference".
 #pragma once
 
 #include <array>
@@ -25,13 +26,12 @@ struct SimMetrics {
   std::uint64_t dropped = 0;
   std::array<std::uint64_t, kNumDropReasons> drops_by_reason{};  ///< by DropReason
 
-  util::RunningStats e2e_delay;       ///< of successful flows only (ms)
-  util::RunningStats decision_time;   ///< per-decision wall clock (us), if timed
-  telemetry::Histogram decision_time_hist{telemetry::latency_histogram_config()};
+  util::RunningStats e2e_delay;  ///< of successful flows only (ms)
+  /// Per-decision wall clock (us), if timed.
+  telemetry::Histogram decision_time{telemetry::latency_histogram_config()};
   /// Centralized rule refresh wall clock (us), if timed — the central
   /// baseline's Fig. 9b "decision"; empty for distributed algorithms.
-  util::RunningStats rule_update_time;
-  telemetry::Histogram rule_update_time_hist{telemetry::latency_histogram_config()};
+  telemetry::Histogram rule_update_time{telemetry::latency_histogram_config()};
   std::uint64_t decisions = 0;
 
   void record_success(double delay) noexcept {
@@ -42,14 +42,8 @@ struct SimMetrics {
     ++dropped;
     ++drops_by_reason[static_cast<std::size_t>(reason)];
   }
-  void record_decision_time(double us) noexcept {
-    decision_time.add(us);
-    decision_time_hist.add(us);
-  }
-  void record_rule_update_time(double us) noexcept {
-    rule_update_time.add(us);
-    rule_update_time_hist.add(us);
-  }
+  void record_decision_time(double us) noexcept { decision_time.add(us); }
+  void record_rule_update_time(double us) noexcept { rule_update_time.add(us); }
 
   /// Objective o_f = |F_succ| / (|F_succ| + |F_drop|); 0 when undefined.
   double success_ratio() const noexcept {

@@ -796,11 +796,11 @@ void Simulator::flush_telemetry() const {
         .add(events_by_kind_[k]);
   }
   registry.counter("sim.events.skipped").add(events_skipped_);
-  if (metrics_.decision_time_hist.count() > 0) {
-    registry.merge_histogram("sim.decision_us", metrics_.decision_time_hist);
+  if (metrics_.decision_time.count() > 0) {
+    registry.merge_histogram("sim.decision_us", metrics_.decision_time);
   }
-  if (metrics_.rule_update_time_hist.count() > 0) {
-    registry.merge_histogram("sim.rule_update_us", metrics_.rule_update_time_hist);
+  if (metrics_.rule_update_time.count() > 0) {
+    registry.merge_histogram("sim.rule_update_us", metrics_.rule_update_time);
   }
   registry.gauge("sim.last_success_ratio").set(metrics_.success_ratio());
   // Engine gauges: peak queue depth, how tightly the flow pool was packed

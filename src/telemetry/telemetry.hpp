@@ -13,7 +13,7 @@
 //      trainer workers) — zero overhead until the flush.
 //   2. `if (telemetry::enabled()) { ... }` guards — one relaxed atomic load.
 //   3. DOSC_TRACE_SCOPE/DOSC_TRACE_INSTANT macros — one relaxed atomic load
-//      when tracing is off; compiled out with -DDOSC_TELEMETRY_DISABLED.
+//      when tracing is off.
 #pragma once
 
 #include "telemetry/exporters.hpp"

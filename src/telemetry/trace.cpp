@@ -1,8 +1,6 @@
 #include "telemetry/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 
 namespace dosc::telemetry {
 
@@ -132,19 +130,6 @@ util::Json Tracer::to_chrome_json() const {
 
 void Tracer::save_chrome_json(const std::string& path) const {
   to_chrome_json().save_file(path, /*indent=*/-1);
-}
-
-void Tracer::save_jsonl(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    throw std::runtime_error("Tracer::save_jsonl: cannot open " + path);
-  }
-  for (const util::Json& entry : to_chrome_json().at("traceEvents").as_array()) {
-    const std::string line = entry.dump();
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fputc('\n', file);
-  }
-  std::fclose(file);
 }
 
 void Tracer::clear() {

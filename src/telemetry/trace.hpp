@@ -1,6 +1,6 @@
 // Lightweight event tracer: scoped spans and instant events recorded into
 // per-thread ring buffers, exported as Chrome trace-event JSON
-// (chrome://tracing / Perfetto "Open with legacy UI") or JSONL.
+// (chrome://tracing / Perfetto "Open with legacy UI").
 //
 // Design constraints, in order:
 //  * Disabled cost ~0: every record call first checks one relaxed atomic.
@@ -60,8 +60,6 @@ class Tracer {
   /// format chrome://tracing loads directly.
   util::Json to_chrome_json() const;
   void save_chrome_json(const std::string& path) const;
-  /// One compact JSON object per line (streaming-friendly).
-  void save_jsonl(const std::string& path) const;
 
   void clear();
 
@@ -119,16 +117,7 @@ class ScopedSpan {
   double start_us_ = 0.0;
 };
 
-/// Trace macros: compiled out entirely with -DDOSC_TELEMETRY_DISABLED;
-/// otherwise one relaxed atomic load when tracing is off.
-#if defined(DOSC_TELEMETRY_DISABLED)
-#define DOSC_TRACE_SCOPE(category, name) \
-  do {                                   \
-  } while (false)
-#define DOSC_TRACE_INSTANT(category, name) \
-  do {                                     \
-  } while (false)
-#else
+/// Trace macros: one relaxed atomic load when tracing is off.
 #define DOSC_TRACE_CONCAT_INNER(a, b) a##b
 #define DOSC_TRACE_CONCAT(a, b) DOSC_TRACE_CONCAT_INNER(a, b)
 #define DOSC_TRACE_SCOPE(category, name) \
@@ -141,6 +130,5 @@ class ScopedSpan {
       dosc_trace_tracer.instant(category, name);           \
     }                                                      \
   } while (false)
-#endif
 
 }  // namespace dosc::telemetry

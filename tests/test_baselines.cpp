@@ -278,7 +278,6 @@ TEST(Timing, SimulatorRecordsDecisionTimesForBaselines) {
   const sim::SimMetrics metrics = sim.run(sp);
   EXPECT_GT(metrics.decision_time.count(), 0u);
   EXPECT_GE(metrics.decision_time.mean(), 0.0);
-  EXPECT_EQ(metrics.decision_time_hist.count(), metrics.decision_time.count());
 }
 
 TEST(Timing, DecisionTimingOffByDefault) {
@@ -293,7 +292,6 @@ TEST(Timing, DecisionTimingOffByDefault) {
   const sim::SimMetrics metrics = sim.run(sp);
   EXPECT_GT(metrics.decisions, 0u);
   EXPECT_EQ(metrics.decision_time.count(), 0u);
-  EXPECT_EQ(metrics.decision_time_hist.count(), 0u);
 }
 
 }  // namespace

@@ -147,10 +147,8 @@ TEST(Integration, DistributedInferenceTimingIsCollected) {
   // The paper reports ~1 ms per decision on 2017-era hardware with
   // TensorFlow; our native implementation must comfortably stay under that.
   EXPECT_LT(metrics.decision_time.mean(), 1000.0);
-  // The histogram sees the same samples as the RunningStats.
-  EXPECT_EQ(metrics.decision_time_hist.count(), metrics.decision_time.count());
-  EXPECT_GT(metrics.decision_time_hist.percentile(99.0),
-            metrics.decision_time_hist.percentile(50.0) * 0.999);
+  EXPECT_GT(metrics.decision_time.percentile(99.0),
+            metrics.decision_time.percentile(50.0) * 0.999);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Decision daemon: adaptive batcher policy, GEMM/GEMV decision
-// equivalence, snapshot validation, and the UDP server's behaviour on
-// valid, invalid, and hostile datagrams.
+// Decision daemon: GEMM/GEMV decision equivalence, snapshot validation,
+// and the UDP server's behaviour on valid, invalid, and hostile datagrams.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batcher.hpp"
 #include "serve/daemon.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
@@ -69,44 +67,13 @@ serve::wire::Request valid_request(const sim::Scenario& scenario, std::uint64_t 
 
 }  // namespace
 
-// ---------------------------------------------------------------- batcher
-
-TEST(ServeBatcher, IdleRegimeHasZeroWaitBudget) {
-  serve::AdaptiveBatcher batcher({});
-  // Starts idle: a lone request must never be delayed.
-  EXPECT_EQ(batcher.wait_budget_us(), 0u);
-  for (int i = 0; i < 100; ++i) batcher.on_batch(1);
-  EXPECT_EQ(batcher.wait_budget_us(), 0u);
-  EXPECT_NEAR(batcher.ewma(), 1.0, 1e-9);
-}
-
-TEST(ServeBatcher, LoadedRegimeEnablesBudgetAndIdleDecaysIt) {
-  serve::BatcherConfig config;
-  config.wait_budget_us = 75;
-  serve::AdaptiveBatcher batcher(config);
-  for (int i = 0; i < 50; ++i) batcher.on_batch(16);
-  EXPECT_EQ(batcher.wait_budget_us(), 75u);
-  EXPECT_GT(batcher.ewma(), config.gemm_threshold);
-  // Load disappears: the EWMA decays below threshold and the budget drops.
-  for (int i = 0; i < 50; ++i) batcher.on_batch(1);
-  EXPECT_EQ(batcher.wait_budget_us(), 0u);
-}
-
-TEST(ServeBatcher, EmptyBatchesDoNotPerturbTheEstimate) {
-  serve::AdaptiveBatcher batcher({});
-  batcher.on_batch(8);
-  const double before = batcher.ewma();
-  batcher.on_batch(0);
-  EXPECT_EQ(batcher.ewma(), before);
-  EXPECT_EQ(batcher.batches(), 1u);
-}
-
 // ----------------------------------------------------------------- engine
 
 TEST(ServeEngine, DecideAtEveryBatchSizeEqualsPerRowGreedyAction) {
-  // One engine, every batch size the daemon can coalesce: each row's action
-  // must be ActorCritic::greedy_action on that row's observation, whichever
-  // kernel predict_batch ran the block on (GEMV for one row, GEMM for more).
+  // One engine, every batch size one socket drain can return: each row's
+  // action must be ActorCritic::greedy_action on that row's observation,
+  // whichever kernel predict_batch ran the block on (GEMV for one row, GEMM
+  // for more).
   const sim::Scenario scenario = sim::make_base_scenario();
   const sim::Simulator oracle(scenario, 424242);
   const std::size_t degree = scenario.network().max_degree();
@@ -114,7 +81,7 @@ TEST(ServeEngine, DecideAtEveryBatchSizeEqualsPerRowGreedyAction) {
   const core::TrainedPolicy policy = serve::make_untrained_policy(scenario, 24, 11);
   const auto snapshot = serve::make_serve_policy(policy, degree, 1);
 
-  constexpr std::size_t kMaxBatch = 32;
+  constexpr std::size_t kMaxBatch = serve::ServerConfig::max_batch;
   serve::DecisionEngine engine(oracle, degree, kMaxBatch);
   const std::vector<serve::wire::Request> requests =
       serve::make_request_mix(scenario, kMaxBatch * (kMaxBatch + 1) / 2, 77);
@@ -316,16 +283,15 @@ TEST_F(ServeServerTest, StatsAndHistogramsTrackTheLoad) {
 TEST(ServeServer, ServedActionsEqualLocalBatchOneDecisions) {
   // End to end: every action the server sends back must equal the serving
   // pipeline run locally on that request alone (a batch-1 decide against
-  // the same oracle seed), however the server coalesced it. The batcher
-  // starts in its loaded regime, so short batches wait for stragglers and
-  // many requests are decided inside multi-row GEMM blocks.
+  // the same oracle seed), however the server coalesced it. The load
+  // generator sends in sendmmsg bursts, so one socket drain often returns
+  // several requests and many are decided inside multi-row GEMM blocks.
   const sim::Scenario scenario = sim::make_base_scenario();
   const core::TrainedPolicy policy = serve::make_untrained_policy(scenario, 16, 5);
   const std::vector<serve::wire::Request> requests =
       serve::make_request_mix(scenario, 5000, 13);
 
   serve::ServerConfig config;
-  config.batcher.gemm_threshold = 1.0;
   serve::UdpServer server(scenario, policy, config);
   server.start();
   serve::LoadConfig load;
@@ -340,6 +306,9 @@ TEST(ServeServer, ServedActionsEqualLocalBatchOneDecisions) {
   const serve::ServerStats stats = server.stats();
   EXPECT_GT(stats.gemm_batches, 0u);
   EXPECT_LT(stats.gemv_decides, requests.size());
+  // A batch is one drain: never wider than the recvmmsg it came from.
+  EXPECT_GT(report.max_batch_seen, 1u);
+  EXPECT_LE(report.max_batch_seen, serve::ServerConfig::max_batch);
 
   const rl::ActorCritic net = policy.instantiate();
   const sim::Simulator oracle(scenario, config.oracle_seed);
