@@ -17,17 +17,11 @@ using namespace dosc;
 
 namespace {
 
+/// Trains one seed of `config` (a copy of scale.training with one ablated
+/// setting) and evaluates it greedily.
 double train_and_eval(const sim::Scenario& scenario, const bench::BenchScale& scale,
                       core::TrainingConfig config) {
-  config.hidden = scale.hidden;
   config.num_seeds = 1;
-  config.iterations = scale.train_iterations;
-  config.train_episode_time = scale.train_episode_time;
-  if (config.updater.lr_decay_updates == 0) {
-    config.updater.lr_decay_updates = config.iterations;
-  }
-  config.eval_episodes = 2;
-  config.eval_episode_time = 2000.0;
   const core::TrainedPolicy policy = core::train_distributed_policy(scenario, config);
   const rl::ActorCritic net = policy.instantiate();
   // Evaluate under the same observation mask the policy was trained with.
@@ -41,14 +35,14 @@ double train_and_eval(const sim::Scenario& scenario, const bench::BenchScale& sc
 int main() {
   const bench::BenchScale scale = bench::BenchScale::from_env();
   std::printf("Ablations on the base scenario (%s scale, %zu iterations each)\n",
-              scale.full ? "full" : "quick", scale.train_iterations);
+              scale.full ? "full" : "quick", scale.training.iterations);
   const sim::Scenario scenario =
       sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0));
 
   bench::print_header("Ablation 1: training optimizer", {"success"});
   for (const rl::OptimizerKind kind :
        {rl::OptimizerKind::kAcktr, rl::OptimizerKind::kRmsProp, rl::OptimizerKind::kAdam}) {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     config.updater.optimizer = kind;
     if (kind != rl::OptimizerKind::kAcktr) config.updater.learning_rate = 0.002;
     const double success = train_and_eval(scenario, scale, config);
@@ -57,12 +51,12 @@ int main() {
 
   bench::print_header("Ablation 2: reward shaping", {"success"});
   {
-    core::TrainingConfig config;  // full shaping (paper)
+    core::TrainingConfig config = scale.training;  // full shaping (paper)
     bench::print_row("full shaping (paper)",
                      {util::format_double(train_and_eval(scenario, scale, config), 3)});
   }
   {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     config.reward.instance_bonus_scale = 0.0;
     config.reward.link_penalty_scale = 0.0;
     config.reward.park_penalty_scale = 0.0;
@@ -70,7 +64,7 @@ int main() {
                      {util::format_double(train_and_eval(scenario, scale, config), 3)});
   }
   {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     config.reward.instance_bonus_scale = 20.0;  // shaping rivals the terminal reward
     bench::print_row("over-weighted shaping",
                      {util::format_double(train_and_eval(scenario, scale, config), 3)});
@@ -78,7 +72,7 @@ int main() {
 
   bench::print_header("Ablation 3: parallel training environments", {"success"});
   for (const std::size_t envs : {std::size_t{1}, std::size_t{4}}) {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     config.parallel_envs = envs;
     const double success = train_and_eval(scenario, scale, config);
     bench::print_row("l = " + std::to_string(envs), {util::format_double(success, 3)});
@@ -88,7 +82,7 @@ int main() {
   // evaluate with one part zeroed at a time.
   bench::print_header("Ablation 4: observation components", {"success"});
   {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     bench::print_row("full observation",
                      {util::format_double(train_and_eval(scenario, scale, config), 3)});
   }
@@ -103,7 +97,7 @@ int main() {
       {"without X (instances)", [](core::ObservationMask& m) { m.instances = false; }},
   };
   for (const auto& part : parts) {
-    core::TrainingConfig config;
+    core::TrainingConfig config = scale.training;
     part.disable(config.observation_mask);
     const double success = train_and_eval(scenario, scale, config);
     bench::print_row(part.label, {util::format_double(success, 3)});

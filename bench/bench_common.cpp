@@ -14,7 +14,7 @@ namespace {
 const char* kCacheDir = "dosc_bench_cache";
 
 std::string cache_path(const std::string& key, const BenchScale& scale) {
-  return std::string(kCacheDir) + "/" + key + (scale.full ? "_full" : "_quick") + ".json";
+  return std::string(kCacheDir) + "/" + key + (scale.full ? "_paper" : "_quick") + ".json";
 }
 
 std::optional<core::TrainedPolicy> load_cached(const std::string& path) {
@@ -34,19 +34,17 @@ void store_cached(const std::string& path, const core::TrainedPolicy& policy) {
 
 BenchScale BenchScale::from_env() {
   BenchScale scale;
-  scale.central_iterations = 150;
   const char* env = std::getenv("DOSC_BENCH_SCALE");
   if (env != nullptr && std::string(env) == "full") {
     scale.full = true;
-    scale.train_iterations = 600;
-    scale.train_seeds = 5;
-    scale.central_iterations = 300;
-    scale.central_seeds = 3;
+    scale.training = core::TrainingConfig::paper_scale();
     scale.eval_seeds = 30;       // paper: 30 random seeds
     scale.eval_time = 20000.0;   // paper: T = 20000 time steps
-    scale.train_episode_time = 2000.0;
-    scale.hidden = {256, 256};   // paper: 2x256 hidden units
+  } else {
+    scale.training.num_seeds = 1;
+    scale.training.eval_episodes = 2;
   }
+  scale.training.updater.lr_decay_updates = scale.training.iterations;
   return scale;
 }
 
@@ -62,19 +60,13 @@ core::TrainedPolicy distributed_policy(const sim::Scenario& scenario,
   // network degree relative to Abilene's (3).
   const double degree_factor =
       std::max(1.0, static_cast<double>(scenario.network().max_degree()) / 3.0);
-  const std::size_t iterations = static_cast<std::size_t>(
-      static_cast<double>(scale.train_iterations) * std::min(4.0, degree_factor));
+  core::TrainingConfig config = scale.training;
+  config.iterations = static_cast<std::size_t>(static_cast<double>(config.iterations) *
+                                               std::min(4.0, degree_factor));
+  config.updater.lr_decay_updates = config.iterations;
   std::printf("  [policy %s: training %zu seeds x %zu iterations...]\n", cache_key.c_str(),
-              scale.train_seeds, iterations);
+              config.num_seeds, config.iterations);
   std::fflush(stdout);
-  core::TrainingConfig config;
-  config.hidden = scale.hidden;
-  config.num_seeds = scale.train_seeds;
-  config.iterations = iterations;
-  config.train_episode_time = scale.train_episode_time;
-  config.updater.lr_decay_updates = iterations;
-  config.eval_episodes = 2;
-  config.eval_episode_time = 2000.0;
   const core::TrainedPolicy policy = core::train_distributed_policy(scenario, config);
   store_cached(path, policy);
   return policy;
@@ -88,17 +80,9 @@ core::TrainedPolicy central_policy(const sim::Scenario& scenario,
     return *cached;
   }
   std::printf("  [central policy %s: training %zu seeds x %zu iterations...]\n",
-              cache_key.c_str(), scale.central_seeds, scale.central_iterations);
+              cache_key.c_str(), scale.training.num_seeds, scale.training.iterations);
   std::fflush(stdout);
-  baselines::CentralTrainingConfig config;
-  config.central.hidden = scale.hidden;
-  config.num_seeds = scale.central_seeds;
-  config.iterations = scale.central_iterations;
-  config.train_episode_time = scale.train_episode_time;
-  config.updater.lr_decay_updates = scale.central_iterations;
-  config.eval_episodes = 2;
-  config.eval_episode_time = 2000.0;
-  const core::TrainedPolicy policy = baselines::train_central_policy(scenario, config);
+  const core::TrainedPolicy policy = baselines::train_central_policy(scenario, scale.training);
   store_cached(path, policy);
   return policy;
 }
@@ -133,9 +117,7 @@ AlgoStats evaluate(const sim::Scenario& scenario, Algo algo, const BenchScale& s
         break;
       }
       case Algo::kCentralDrl: {
-        baselines::CentralDrlConfig config;
-        config.hidden = scale.hidden;
-        baselines::CentralDrlCoordinator c(*net, config, core::RewardConfig{});
+        baselines::CentralDrlCoordinator c(*net, core::RewardConfig{});
         metrics = sim.run(c, &c);
         break;
       }

@@ -8,9 +8,9 @@
 // share a configuration (e.g. Fig. 6 and Fig. 8) do not retrain.
 //
 // Scale: DOSC_BENCH_SCALE=quick (default) runs reduced-but-faithful sizes;
-// DOSC_BENCH_SCALE=full approaches the paper's setup (more training seeds
-// and iterations, 30 evaluation seeds, T = 20000). EXPERIMENTS.md discusses
-// the fidelity of both.
+// DOSC_BENCH_SCALE=full trains at core::TrainingConfig::paper_scale() and
+// evaluates on 30 seeds of T = 20000. EXPERIMENTS.md discusses the
+// fidelity of both.
 #pragma once
 
 #include <optional>
@@ -32,14 +32,13 @@ namespace dosc::bench {
 
 struct BenchScale {
   bool full = false;
-  std::size_t train_iterations = 150;
-  std::size_t train_seeds = 1;
-  std::size_t central_iterations = 80;
-  std::size_t central_seeds = 1;
+  /// How both DRL agents train, with the learning rate decayed over the
+  /// iterations. Quick: TrainingConfig{} at one seed, seed selection on 2
+  /// episodes. Full: TrainingConfig::paper_scale(). distributed_policy
+  /// scales the iterations by the topology's degree on top of this.
+  core::TrainingConfig training;
   std::size_t eval_seeds = 5;
   double eval_time = 3000.0;
-  double train_episode_time = 1000.0;
-  std::vector<std::size_t> hidden{64, 64};
 
   /// Reads DOSC_BENCH_SCALE ("quick" default, "full" = paper scale).
   static BenchScale from_env();

@@ -75,16 +75,14 @@ int main() {
   std::vector<std::string> retr_row;
   std::vector<std::string> gcasp_row;
   std::vector<std::string> sp_row;
-  // The retrained row gets the same training budget as the generalizing
-  // policy — an unequal budget would bias the comparison the paper makes.
-  const bench::BenchScale retrain_scale = scale;
-
   for (std::size_t ingress = 1; ingress <= 5; ++ingress) {
     const sim::Scenario scenario = sim::make_base_scenario(ingress, poisson);
     gen_row.push_back(bench::fmt_mean_std(
         bench::evaluate(scenario, bench::Algo::kDistributedDrl, scale, &gen_policy).success));
+    // The same training budget as the generalizing policy: an unequal
+    // budget would bias the comparison the paper makes.
     const core::TrainedPolicy retrained = bench::distributed_policy(
-        scenario, "fig8b_poisson_in" + std::to_string(ingress), retrain_scale);
+        scenario, "fig8b_poisson_in" + std::to_string(ingress), scale);
     retr_row.push_back(bench::fmt_mean_std(
         bench::evaluate(scenario, bench::Algo::kDistributedDrl, scale, &retrained).success));
     gcasp_row.push_back(

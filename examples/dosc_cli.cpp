@@ -38,7 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -63,6 +62,7 @@
 #include "telemetry/telemetry.hpp"
 #include "traffic/trace.hpp"
 #include "util/logging.hpp"
+#include "util/workers.hpp"
 
 using namespace dosc;
 
@@ -299,30 +299,10 @@ int cmd_eval(int argc, char** argv) {
     if (stats) out.engine = sim.engine_stats();
   };
 
-  const std::size_t workers = std::max<std::size_t>(1, std::min(parallel, episodes));
-  if (workers <= 1) {
-    for (std::size_t e = 0; e < episodes; ++e) run_episode(e);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t e = next.fetch_add(1); e < episodes; e = next.fetch_add(1)) {
-          try {
-            run_episode(e);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  std::atomic<std::size_t> next{0};
+  util::run_workers(std::min(parallel, episodes), [&](std::size_t) {
+    for (std::size_t e = next.fetch_add(1); e < episodes; e = next.fetch_add(1)) run_episode(e);
+  });
 
   util::RunningStats success;
   util::RunningStats delay;

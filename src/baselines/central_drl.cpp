@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "baselines/shortest_path.hpp"
+#include "util/workers.hpp"
 
 namespace dosc::baselines {
 
@@ -14,10 +14,9 @@ std::size_t central_observation_dim(const sim::Scenario& scenario) {
 }
 
 CentralDrlCoordinator::CentralDrlCoordinator(const rl::ActorCritic& policy,
-                                             const CentralDrlConfig& config,
                                              const core::RewardConfig& reward,
                                              rl::TrajectoryBuffer* buffer, util::Rng rng)
-    : RewardTally(reward), policy_(policy), config_(config), buffer_(buffer), rng_(rng) {}
+    : RewardTally(reward), policy_(policy), buffer_(buffer), rng_(rng) {}
 
 void CentralDrlCoordinator::on_episode_start(const sim::Simulator& sim) {
   start(sim);
@@ -59,8 +58,7 @@ void CentralDrlCoordinator::refresh_rules(const sim::Simulator& sim, double time
     // Trained decision (recorded for the policy gradient): the sampled /
     // greedy node from the pure policy distribution.
     if (buffer_ != nullptr) {
-      const int action = static_cast<int>(rng_.categorical(
-          const_cast<std::vector<double>&>(policy_probs)));
+      const int action = static_cast<int>(rng_.categorical(policy_probs));
       buffer_->record_decision(/*key=*/c, obs, action);
     }
 
@@ -155,18 +153,21 @@ void CentralDrlCoordinator::credit(const sim::Flow& /*flow*/, double reward,
   for (sim::ComponentId c = 0; c < n; ++c) buffer_->record_reward(c, share);
 }
 
+namespace {
+
+/// Greedy evaluation of a central policy, one episode after another (the
+/// central agent's counterpart of core::evaluate_policy).
 core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,
                                          const rl::ActorCritic& policy,
-                                         const CentralTrainingConfig& config,
-                                         std::size_t episodes, double episode_time,
-                                         std::uint64_t seed_base) {
+                                         const core::RewardConfig& reward, std::size_t episodes,
+                                         double episode_time, std::uint64_t seed_base) {
   const sim::Scenario eval_scenario = scenario.with_end_time(episode_time);
   util::RunningStats success;
   util::RunningStats rewards;
   util::RunningStats delays;
   for (std::size_t e = 0; e < episodes; ++e) {
     sim::Simulator sim(eval_scenario, seed_base + e);
-    CentralDrlCoordinator coordinator(policy, config.central, config.reward);
+    CentralDrlCoordinator coordinator(policy, reward);
     const sim::SimMetrics metrics = sim.run(coordinator, &coordinator);
     success.add(metrics.success_ratio());
     rewards.add(coordinator.episode_reward());
@@ -175,84 +176,54 @@ core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,
   return {success.mean(), rewards.mean(), delays.mean()};
 }
 
+}  // namespace
+
 core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
-                                         const CentralTrainingConfig& config) {
+                                         const core::TrainingConfig& config) {
+  if (config.async) {
+    throw std::invalid_argument(
+        "train_central_policy: async must be false (no overlapped schedule)");
+  }
+  if (config.observation_mask != core::ObservationMask{}) {
+    throw std::invalid_argument(
+        "train_central_policy: observation_mask must be the default (the central agent "
+        "builds its own observation)");
+  }
   const std::size_t obs_dim = central_observation_dim(scenario);
-  const std::size_t num_actions = scenario.network().num_nodes();
-  const sim::Scenario train_scenario =
-      scenario.with_end_time(config.train_episode_time);
+  const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
 
-  core::TrainedPolicy best;
-  best.max_degree = scenario.network().max_degree();
-  best.eval_success_ratio = -1.0;
-  double best_reward = -1e300;
-
-  for (std::size_t seed_index = 0; seed_index < config.num_seeds; ++seed_index) {
-    rl::ActorCriticConfig net_config;
-    net_config.obs_dim = obs_dim;
-    net_config.num_actions = num_actions;
-    net_config.hidden = config.central.hidden;
-    net_config.seed = config.seed_base + seed_index;
-    rl::ActorCritic net(net_config);
+  const auto train_seed = [&](rl::ActorCritic& net, std::size_t seed_index) {
     rl::Updater updater(config.updater);
     rl::Batch merged;
     util::Rng merge_rng(0);
-
+    std::vector<rl::Batch> batches(config.parallel_envs);
     for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-      // The envs read `net` concurrently: inference is const and
-      // thread-safe, and the update below runs only after every env joined.
-      std::vector<rl::Batch> batches(config.parallel_envs);
-      std::vector<std::exception_ptr> errors(config.parallel_envs);
-
-      auto worker = [&](std::size_t env_index) {
-        try {
-          rl::TrajectoryBuffer buffer(config.gamma);
-          const std::uint64_t es =
-              core::episode_seed(config.seed_base, seed_index, iteration, env_index);
-          CentralDrlCoordinator env(net, config.central, config.reward, &buffer,
-                                    util::Rng(es * 17 + 3));
-          sim::Simulator sim(train_scenario, es);
-          sim.run(env, &env);
-          buffer.truncate_all();
-          batches[env_index] = buffer.drain(net, obs_dim);
-        } catch (...) {
-          errors[env_index] = std::current_exception();
-        }
-      };
-
-      if (config.parallel_envs == 1) {
-        worker(0);
-      } else {
-        std::vector<std::thread> threads;
-        for (std::size_t e = 0; e < config.parallel_envs; ++e) threads.emplace_back(worker, e);
-        for (std::thread& t : threads) t.join();
-      }
-      for (const std::exception_ptr& err : errors) {
-        if (err) std::rethrow_exception(err);
-      }
-
+      // One env per worker. The envs read `net` concurrently: inference is
+      // const and thread-safe, and the update below runs only after every
+      // env joined.
+      util::run_workers(config.parallel_envs, [&](std::size_t env_index) {
+        rl::TrajectoryBuffer buffer(config.gamma);
+        const std::uint64_t es =
+            core::episode_seed(config.seed_base, seed_index, iteration, env_index);
+        CentralDrlCoordinator env(net, config.reward, &buffer, util::Rng(es * 17 + 3));
+        sim::Simulator sim(train_scenario, es);
+        sim.run(env, &env);
+        buffer.truncate_all();
+        batches[env_index] = buffer.drain(net, obs_dim);
+      });
       // Uncapped, the merge keeps every row in env order and draws no rng.
       rl::merge_batches_into(merged, batches, obs_dim,
                              std::numeric_limits<std::size_t>::max(), merge_rng);
       updater.update(net, merged);
     }
-
-    const core::EvalResult eval =
-        evaluate_central_policy(scenario, net, config, config.eval_episodes,
-                                config.eval_episode_time, 9000 + seed_index);
-    best.per_seed_success.push_back(eval.success_ratio);
-    const bool better = eval.success_ratio > best.eval_success_ratio ||
-                        (eval.success_ratio == best.eval_success_ratio &&
-                         eval.mean_reward > best_reward);
-    if (better) {
-      best.net_config = net_config;
-      best.parameters = net.get_parameters();
-      best.eval_success_ratio = eval.success_ratio;
-      best.eval_reward = eval.mean_reward;
-      best_reward = eval.mean_reward;
-    }
-  }
-  return best;
+  };
+  const auto evaluate = [&](const rl::ActorCritic& net, std::uint64_t seed_base) {
+    return evaluate_central_policy(scenario, net, config.reward, config.eval_episodes,
+                                   config.eval_episode_time, seed_base);
+  };
+  return core::train_best_seed(scenario, config, obs_dim,
+                               /*num_actions=*/scenario.network().num_nodes(), train_seed,
+                               evaluate);
 }
 
 }  // namespace dosc::baselines

@@ -31,12 +31,6 @@
 
 namespace dosc::baselines {
 
-struct CentralDrlConfig {
-  /// Monitoring + rule-update period; observations are this stale.
-  double monitoring_interval = 50.0;
-  std::vector<std::size_t> hidden{64, 64};
-};
-
 /// Observation size of the central agent: stale free capacity per node,
 /// one-hot of the component being placed, normalised episode time.
 std::size_t central_observation_dim(const sim::Scenario& scenario);
@@ -47,13 +41,15 @@ std::size_t central_observation_dim(const sim::Scenario& scenario);
 /// rewards split evenly across the per-component rule trajectories.
 class CentralDrlCoordinator final : public sim::Coordinator, public core::RewardTally {
  public:
-  CentralDrlCoordinator(const rl::ActorCritic& policy, const CentralDrlConfig& config,
-                        const core::RewardConfig& reward, rl::TrajectoryBuffer* buffer = nullptr,
-                        util::Rng rng = util::Rng(0));
+  /// Monitoring + rule-update period (ms); observations are this stale.
+  static constexpr double kMonitoringInterval = 50.0;
+
+  CentralDrlCoordinator(const rl::ActorCritic& policy, const core::RewardConfig& reward,
+                        rl::TrajectoryBuffer* buffer = nullptr, util::Rng rng = util::Rng(0));
 
   int decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) override;
   void on_episode_start(const sim::Simulator& sim) override;
-  double periodic_interval() const override { return config_.monitoring_interval; }
+  double periodic_interval() const override { return kMonitoringInterval; }
   /// The centralized rule update. Its wall-clock time (the baseline's
   /// "inference time" in Fig. 9b — grows with the network size) is measured
   /// by the simulator: Simulator::enable_decision_timing →
@@ -68,7 +64,6 @@ class CentralDrlCoordinator final : public sim::Coordinator, public core::Reward
                                         double time) const;
 
   const rl::ActorCritic& policy_;
-  CentralDrlConfig config_;
   rl::TrajectoryBuffer* buffer_;
   util::Rng rng_;
 
@@ -87,31 +82,15 @@ class CentralDrlCoordinator final : public sim::Coordinator, public core::Reward
   std::vector<Rule> targets_;
 };
 
-struct CentralTrainingConfig {
-  CentralDrlConfig central;
-  rl::UpdaterConfig updater;
-  core::RewardConfig reward;
-  double gamma = 0.99;
-  std::size_t num_seeds = 2;
-  std::size_t parallel_envs = 4;
-  std::size_t iterations = 60;
-  double train_episode_time = 2000.0;
-  std::size_t eval_episodes = 3;
-  double eval_episode_time = 2000.0;
-  std::uint64_t seed_base = 1;
-};
-
-/// Train the central agent on a scenario; returns the best seed's policy
-/// (net_config.obs_dim == central_observation_dim, num_actions == V).
+/// Train the central agent on a scenario through core::train_best_seed;
+/// returns the best seed's policy (net_config.obs_dim ==
+/// central_observation_dim, num_actions == V). Each iteration rolls out
+/// config.parallel_envs episodes, one per thread, and applies one ACKTR
+/// update to all of their rows. Throws std::invalid_argument for a config
+/// the central agent cannot honour: `async` set (it has no overlapped
+/// schedule) or a non-default `observation_mask` (it builds its own
+/// observation).
 core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
-                                         const CentralTrainingConfig& config);
-
-/// Greedy evaluation of a trained central policy (mirrors
-/// core::evaluate_policy for the distributed agent).
-core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,
-                                         const rl::ActorCritic& policy,
-                                         const CentralTrainingConfig& config,
-                                         std::size_t episodes, double episode_time,
-                                         std::uint64_t seed_base);
+                                         const core::TrainingConfig& config);
 
 }  // namespace dosc::baselines

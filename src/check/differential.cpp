@@ -61,8 +61,7 @@ DifferentialResult run_differential(const sim::Scenario& scenario) {
     config.hidden = {32, 32};
     config.seed = kPolicySeed + 1;
     const rl::ActorCritic policy(config);
-    baselines::CentralDrlCoordinator coordinator(policy, baselines::CentralDrlConfig{},
-                                                 core::RewardConfig{});
+    baselines::CentralDrlCoordinator coordinator(policy, core::RewardConfig{});
     result.runs.push_back(audited_run(scenario, "central_drl", coordinator));
   }
   {

@@ -44,6 +44,8 @@ struct ObservationMask {
   bool node_util = true;   ///< R^V
   bool delays = true;      ///< D_{v,f}
   bool instances = true;   ///< X_v
+
+  friend bool operator==(const ObservationMask&, const ObservationMask&) = default;
 };
 
 class ObservationBuilder {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <semaphore>
 #include <stdexcept>
@@ -15,6 +14,7 @@
 #include "rl/batched_rollout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/timer.hpp"
+#include "util/workers.hpp"
 
 namespace dosc::core {
 
@@ -321,31 +321,10 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
     rl::BatchedRollout driver(policy.actor(), policy.actor().input_size());
     driver.run(width, source);
   };
+  // Workers fill only their own claims' result slots, so no cross-thread
+  // state is touched during a run.
   const std::size_t claim_units = (episodes + width - 1) / width;
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(parallel_episodes, claim_units));
-  if (workers <= 1) {
-    run_claims();
-  } else {
-    // Workers fill only their own claims' result slots, so no cross-thread
-    // state is touched during a run.
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        try {
-          run_claims();
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  util::run_workers(std::min(parallel_episodes, claim_units), [&](std::size_t) { run_claims(); });
 
   // Deterministic merge in ascending episode order: the RunningStats see the
   // exact update sequence of the sequential loop, so the result is
@@ -365,19 +344,14 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
   return result;
 }
 
-TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
-                                       const TrainingConfig& config,
-                                       const ProgressCallback& progress) {
+TrainedPolicy train_best_seed(const sim::Scenario& scenario, const TrainingConfig& config,
+                              std::size_t obs_dim, std::size_t num_actions,
+                              const SeedTrainer& train, const SeedEvaluator& evaluate) {
   if (config.parallel_envs == 0 || config.num_seeds == 0) {
-    throw std::invalid_argument("train_distributed_policy: seeds/envs must be > 0");
+    throw std::invalid_argument("TrainingConfig: num_seeds and parallel_envs must be > 0");
   }
-  const std::size_t max_degree = scenario.network().max_degree();
-  const std::size_t obs_dim = observation_dim(max_degree);
-  const std::size_t num_actions = max_degree + 1;
-  const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
-
   TrainedPolicy best;
-  best.max_degree = max_degree;
+  best.max_degree = scenario.network().max_degree();
   best.eval_success_ratio = -1.0;
   double best_reward = -1e300;
 
@@ -388,13 +362,10 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
     net_config.hidden = config.hidden;
     net_config.seed = config.seed_base + seed_index;
     rl::ActorCritic net(net_config);
-    run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
+    train(net, seed_index);
 
     // Greedy evaluation; the best seed's network is deployed (Alg. 1 l.13).
-    const EvalResult eval =
-        evaluate_policy(scenario, net, config.reward, config.eval_episodes,
-                        config.eval_episode_time, /*seed_base=*/9000 + seed_index,
-                        config.observation_mask);
+    const EvalResult eval = evaluate(net, /*seed_base=*/9000 + seed_index);
     best.per_seed_success.push_back(eval.success_ratio);
     const bool better = eval.success_ratio > best.eval_success_ratio ||
                         (eval.success_ratio == best.eval_success_ratio &&
@@ -408,6 +379,23 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
     }
   }
   return best;
+}
+
+TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
+                                       const TrainingConfig& config,
+                                       const ProgressCallback& progress) {
+  const std::size_t max_degree = scenario.network().max_degree();
+  const std::size_t obs_dim = observation_dim(max_degree);
+  const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
+  return train_best_seed(
+      scenario, config, obs_dim, /*num_actions=*/max_degree + 1,
+      [&](rl::ActorCritic& net, std::size_t seed_index) {
+        run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
+      },
+      [&](const rl::ActorCritic& net, std::uint64_t seed_base) {
+        return evaluate_policy(scenario, net, config.reward, config.eval_episodes,
+                               config.eval_episode_time, seed_base, config.observation_mask);
+      });
 }
 
 }  // namespace dosc::core

@@ -20,6 +20,9 @@
 
 namespace dosc::core {
 
+/// One DRL training run (Alg. 1). Both agents train from it: the
+/// distributed agent here, the central baseline in
+/// baselines::train_central_policy.
 struct TrainingConfig {
   rl::UpdaterConfig updater;            ///< ACKTR with the paper's hyperparameters
   std::vector<std::size_t> hidden{64, 64};
@@ -107,6 +110,26 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
                            double episode_time, std::uint64_t seed_base,
                            ObservationMask mask = {}, std::size_t parallel_episodes = 1,
                            std::size_t batch_envs = 1);
+
+/// Trains one seed's freshly initialised network in place.
+using SeedTrainer = std::function<void(rl::ActorCritic& net, std::size_t seed_index)>;
+/// Greedy evaluation of a trained network on simulator seeds seed_base,
+/// seed_base + 1, ...
+using SeedEvaluator =
+    std::function<EvalResult(const rl::ActorCritic& net, std::uint64_t seed_base)>;
+
+/// The k-seed recipe of Alg. 1, the one loop both DRL agents (distributed
+/// and the central baseline) train through. For seed i = 0 .. num_seeds-1,
+/// in order: a fresh ActorCritic (obs_dim -> config.hidden -> num_actions)
+/// seeded config.seed_base + i is trained by `train`, then evaluated by
+/// `evaluate` on seeds 9000 + i, and its success ratio is recorded in
+/// per_seed_success. The deployed seed has the highest success ratio, then
+/// the highest mean reward; the earlier seed wins a tie. Throws
+/// std::invalid_argument unless config.num_seeds and config.parallel_envs
+/// are > 0.
+TrainedPolicy train_best_seed(const sim::Scenario& scenario, const TrainingConfig& config,
+                              std::size_t obs_dim, std::size_t num_actions,
+                              const SeedTrainer& train, const SeedEvaluator& evaluate);
 
 /// Deterministic per-episode simulator seed, decorrelated across
 /// (training seed, iteration, environment) so the l parallel workers of an

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/central_drl.hpp"
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
@@ -185,11 +190,11 @@ TEST(Gcasp, SkipsDeadlineInfeasibleNeighbors) {
             0u);
 }
 
-rl::ActorCritic central_net(const sim::Scenario& scenario, const CentralDrlConfig& config) {
+rl::ActorCritic central_net(const sim::Scenario& scenario, std::vector<std::size_t> hidden) {
   rl::ActorCriticConfig net_config;
   net_config.obs_dim = central_observation_dim(scenario);
   net_config.num_actions = scenario.network().num_nodes();
-  net_config.hidden = config.hidden;
+  net_config.hidden = std::move(hidden);
   net_config.seed = 1;
   return rl::ActorCritic(net_config);
 }
@@ -206,10 +211,8 @@ TEST(CentralDrl, RunsAndAppliesRules) {
   options.end_time = 300.0;
   const sim::Scenario scenario =
       tiny_scenario(test::line3(), test::one_component_catalog(), options);
-  CentralDrlConfig config;
-  config.hidden = {8};
-  const rl::ActorCritic net = central_net(scenario, config);
-  CentralDrlCoordinator coordinator(net, config, core::RewardConfig{});
+  const rl::ActorCritic net = central_net(scenario, {8});
+  CentralDrlCoordinator coordinator(net, core::RewardConfig{});
   sim::Simulator sim(scenario, 1);
   const sim::SimMetrics metrics = sim.run(coordinator, &coordinator);
   EXPECT_EQ(metrics.generated, 30u);
@@ -231,11 +234,9 @@ TEST(CentralDrl, MonitoringSnapshotIsStale) {
   options.end_time = 300.0;
   const sim::Scenario scenario =
       tiny_scenario(test::line3(), test::one_component_catalog(), options);
-  CentralDrlConfig config;
-  config.hidden = {8};
-  config.monitoring_interval = 50.0;
-  const rl::ActorCritic net = central_net(scenario, config);
-  CentralDrlCoordinator coordinator(net, config, core::RewardConfig{});
+  static_assert(CentralDrlCoordinator::kMonitoringInterval == 50.0);
+  const rl::ActorCritic net = central_net(scenario, {8});
+  CentralDrlCoordinator coordinator(net, core::RewardConfig{});
   sim::Simulator sim(scenario, 2);
   const sim::SimMetrics metrics = sim.run(coordinator, &coordinator);
   // Behavioural smoke: the episode runs to completion with periodic rules.
@@ -251,9 +252,8 @@ TEST(CentralDrl, TrainingImprovesOverRandomPolicy) {
   const sim::Scenario scenario =
       tiny_scenario(test::line3(), test::one_component_catalog(), options);
 
-  CentralTrainingConfig config;
-  config.central.hidden = {8};
-  config.central.monitoring_interval = 50.0;
+  core::TrainingConfig config;
+  config.hidden = {8};
   config.num_seeds = 1;
   config.parallel_envs = 2;
   config.iterations = 30;
@@ -263,6 +263,60 @@ TEST(CentralDrl, TrainingImprovesOverRandomPolicy) {
   const core::TrainedPolicy policy = train_central_policy(scenario, config);
   EXPECT_EQ(policy.net_config.num_actions, 3u);
   EXPECT_GT(policy.eval_success_ratio, 0.3);
+}
+
+/// train_central_policy must refuse `config` with std::invalid_argument
+/// whose message names `field`, before training anything.
+void expect_central_training_rejected(const core::TrainingConfig& config, const char* field) {
+  TinyScenarioOptions options;
+  options.ingress = {0};
+  options.egress = 2;
+  const sim::Scenario scenario =
+      tiny_scenario(test::line3(), test::one_component_catalog(), options);
+  try {
+    train_central_policy(scenario, config);
+    ADD_FAILURE() << "no exception for " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+core::TrainingConfig small_central_training() {
+  core::TrainingConfig config;
+  config.hidden = {8};
+  config.num_seeds = 1;
+  config.parallel_envs = 2;
+  config.iterations = 1;
+  config.train_episode_time = 100.0;
+  config.eval_episodes = 1;
+  config.eval_episode_time = 100.0;
+  return config;
+}
+
+TEST(CentralDrl, TrainingRejectsZeroSeeds) {
+  core::TrainingConfig config = small_central_training();
+  config.num_seeds = 0;
+  expect_central_training_rejected(config, "num_seeds");
+}
+
+TEST(CentralDrl, TrainingRejectsZeroEnvs) {
+  core::TrainingConfig config = small_central_training();
+  config.parallel_envs = 0;
+  expect_central_training_rejected(config, "parallel_envs");
+}
+
+TEST(CentralDrl, TrainingRejectsAsync) {
+  // The central trainer has no overlapped schedule.
+  core::TrainingConfig config = small_central_training();
+  config.async = true;
+  expect_central_training_rejected(config, "async");
+}
+
+TEST(CentralDrl, TrainingRejectsObservationMask) {
+  // The central agent builds its own observation; a mask would be ignored.
+  core::TrainingConfig config = small_central_training();
+  config.observation_mask.link_util = false;
+  expect_central_training_rejected(config, "observation_mask");
 }
 
 TEST(Timing, SimulatorRecordsDecisionTimesForBaselines) {

@@ -142,8 +142,7 @@ TEST(Golden, DistributedDrlAbilene) {
 TEST(Golden, CentralDrlAbilene) {
   const sim::Scenario scenario = golden_scenario();
   const rl::ActorCritic policy = central_policy(scenario);
-  baselines::CentralDrlCoordinator coordinator(policy, baselines::CentralDrlConfig{},
-                                               core::RewardConfig{});
+  baselines::CentralDrlCoordinator coordinator(policy, core::RewardConfig{});
   const GoldenRun run = run_audited(scenario, coordinator, "central_drl");
   EXPECT_EQ(run.metrics.generated, 608u);
   EXPECT_EQ(run.metrics.succeeded + run.metrics.dropped, run.metrics.generated);
@@ -166,9 +165,8 @@ TEST(Golden, CentralTrainingChecksum) {
   options.end_time = 400.0;
   const sim::Scenario scenario =
       test::tiny_scenario(test::line3(), test::one_component_catalog(), options);
-  baselines::CentralTrainingConfig config;
-  config.central.hidden = {8};
-  config.central.monitoring_interval = 50.0;
+  core::TrainingConfig config;
+  config.hidden = {8};
   config.num_seeds = 2;
   config.parallel_envs = 2;
   config.iterations = 30;

@@ -52,15 +52,13 @@ TEST_P(TopologySmoke, AllAlgorithmsRunOnAllTopologies) {
   }
   // Untrained central DRL.
   {
-    baselines::CentralDrlConfig config;
-    config.hidden = {8};
     rl::ActorCriticConfig net_config;
     net_config.obs_dim = baselines::central_observation_dim(scenario);
     net_config.num_actions = scenario.network().num_nodes();
-    net_config.hidden = config.hidden;
+    net_config.hidden = {8};
     net_config.seed = 3;
     const rl::ActorCritic net(net_config);
-    baselines::CentralDrlCoordinator coordinator(net, config, core::RewardConfig{});
+    baselines::CentralDrlCoordinator coordinator(net, core::RewardConfig{});
     sim::Simulator sim(scenario, 1);
     const sim::SimMetrics m = sim.run(coordinator, &coordinator);
     EXPECT_EQ(m.succeeded + m.dropped, m.generated);

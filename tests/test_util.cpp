@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
+#include "util/workers.hpp"
 
 namespace dosc::util {
 namespace {
@@ -232,6 +236,45 @@ TEST(Logging, LevelsParseAndFilter) {
   set_log_level(LogLevel::kOff);
   Log(LogLevel::kError, "test") << "this must not crash and is suppressed";
   set_log_level(before);
+}
+
+TEST(RunWorkers, RethrowsOnlyAfterEveryWorkerJoined) {
+  // One worker throws at once while the others are still busy: the
+  // exception must surface only after all of them have returned, whether
+  // the thrower is the calling thread (0) or a started one.
+  constexpr std::size_t kWorkers = 4;
+  for (const std::size_t thrower : {std::size_t{0}, std::size_t{2}}) {
+    std::atomic<std::size_t> finished{0};
+    try {
+      run_workers(kWorkers, [&](std::size_t w) {
+        if (w == thrower) throw std::runtime_error("worker failed");
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      });
+      ADD_FAILURE() << "no exception from thrower " << thrower;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "worker failed");
+      EXPECT_EQ(finished.load(), kWorkers - 1) << "thrower " << thrower;
+    }
+  }
+}
+
+TEST(RunWorkers, CallingThreadIsWorkerZero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(3);
+  run_workers(ids.size(), [&](std::size_t w) { ids[w] = std::this_thread::get_id(); });
+  EXPECT_EQ(ids[0], caller);
+  EXPECT_NE(ids[1], caller);
+  EXPECT_NE(ids[2], caller);
+  EXPECT_NE(ids[1], ids[2]);
+  // n = 1 runs inline: the one worker is the calling thread.
+  std::size_t calls = 0;
+  run_workers(1, [&](std::size_t w) {
+    EXPECT_EQ(w, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
 }
 
 }  // namespace
