@@ -167,11 +167,38 @@ std::string fmt_mean_std(const util::RunningStats& stats, int precision) {
          util::format_double(stats.stddev(), precision);
 }
 
-std::string fmt_p50_p99(const telemetry::Histogram& hist, int precision) {
-  if (hist.count() == 0) return "-";
-  return util::format_double(hist.percentile(50.0), precision) + "/" +
-         util::format_double(hist.percentile(99.0), precision);
+double median_percentile(const std::vector<telemetry::Histogram>& repeats, double percentile) {
+  std::vector<double> values;
+  for (const telemetry::Histogram& h : repeats) {
+    if (h.count() > 0) values.push_back(h.percentile(percentile));
+  }
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
 }
+
+std::string fmt_median_p50_p99(const std::vector<telemetry::Histogram>& repeats,
+                               int precision) {
+  const auto timed = [](const telemetry::Histogram& h) { return h.count() > 0; };
+  if (std::none_of(repeats.begin(), repeats.end(), timed)) return "-";
+  return util::format_double(median_percentile(repeats, 50.0), precision) + "/" +
+         util::format_double(median_percentile(repeats, 99.0), precision);
+}
+
+namespace {
+
+util::Json::Object decision_json(const telemetry::Histogram& hist) {
+  return util::Json::Object{
+      {"mean", util::Json(hist.mean())},
+      {"p50", util::Json(hist.percentile(50.0))},
+      {"p90", util::Json(hist.percentile(90.0))},
+      {"p99", util::Json(hist.percentile(99.0))},
+      {"count", util::Json(hist.count())},
+  };
+}
+
+}  // namespace
 
 std::string write_bench_json(const std::string& benchmark,
                              const std::vector<BenchRecord>& records) {
@@ -187,20 +214,26 @@ std::string write_bench_json(const std::string& benchmark,
         {"mean", util::Json(r.stats.e2e_delay.mean())},
         {"stddev", util::Json(r.stats.e2e_delay.stddev())},
     };
-    util::Json::Object decision{
-        {"mean", util::Json(r.stats.decision_hist.mean())},
-        {"p50", util::Json(r.stats.decision_hist.percentile(50.0))},
-        {"p90", util::Json(r.stats.decision_hist.percentile(90.0))},
-        {"p99", util::Json(r.stats.decision_hist.percentile(99.0))},
-        {"count", util::Json(r.stats.decision_hist.count())},
-    };
-    results.push_back(util::Json(util::Json::Object{
+    util::Json::Object result{
         {"scenario", util::Json(r.scenario)},
         {"algo", util::Json(r.algo)},
         {"success", util::Json(std::move(success))},
         {"e2e_delay_ms", util::Json(std::move(delay))},
-        {"decision_us", util::Json(std::move(decision))},
-    }));
+        {"decision_us", util::Json(decision_json(r.stats.decision_hist))},
+    };
+    if (!r.timing_repeats.empty()) {
+      util::Json::Array repeats;
+      for (const telemetry::Histogram& h : r.timing_repeats) {
+        repeats.push_back(util::Json(decision_json(h)));
+      }
+      result.emplace("decision_us_repeats", util::Json(std::move(repeats)));
+      result.emplace("decision_us_median",
+                     util::Json(util::Json::Object{
+                         {"p50", util::Json(median_percentile(r.timing_repeats, 50.0))},
+                         {"p99", util::Json(median_percentile(r.timing_repeats, 99.0))},
+                     }));
+    }
+    results.push_back(util::Json(std::move(result)));
   }
   const util::Json doc(util::Json::Object{
       {"schema", util::Json(kBenchSchema)},

@@ -77,22 +77,32 @@ AlgoStats evaluate(const sim::Scenario& scenario, Algo algo, const BenchScale& s
 void print_header(const std::string& title, const std::vector<std::string>& columns);
 void print_row(const std::string& label, const std::vector<std::string>& cells);
 std::string fmt_mean_std(const util::RunningStats& stats, int precision = 3);
-/// "p50/p99" (us) from a latency histogram; "-" when empty.
-std::string fmt_p50_p99(const telemetry::Histogram& hist, int precision = 1);
 
 /// One (scenario, algorithm) evaluation result destined for BENCH_*.json.
 struct BenchRecord {
   std::string scenario;
   std::string algo;
   AlgoStats stats;
+  /// Per-decision timing of each repeat of a timed evaluation (Fig. 9b),
+  /// one histogram per repeat; empty when the evaluation ran once.
+  std::vector<telemetry::Histogram> timing_repeats;
 };
+
+/// Median over a cell's timing repeats of each repeat's `percentile`.
+double median_percentile(const std::vector<telemetry::Histogram>& repeats, double percentile);
+
+/// "p50/p99" (us), each the median over the repeats; "-" when empty.
+std::string fmt_median_p50_p99(const std::vector<telemetry::Histogram>& repeats,
+                               int precision = 1);
 
 inline constexpr const char* kBenchSchema = "dosc.bench.v1";
 
 /// Write the machine-diffable results file BENCH_<benchmark>.json:
 /// {"schema":"dosc.bench.v1","benchmark":...,"results":[{scenario, algo,
 /// success{mean,stddev,seeds}, e2e_delay_ms{...},
-/// decision_us{mean,p50,p90,p99,count}}]}. Returns the path written.
+/// decision_us{mean,p50,p90,p99,count}}]}. A record with timing repeats
+/// also carries decision_us_repeats (one such object per repeat) and
+/// decision_us_median{p50,p99} over them. Returns the path written.
 std::string write_bench_json(const std::string& benchmark,
                              const std::vector<BenchRecord>& records);
 

@@ -5,13 +5,24 @@
 //      distributed DRL stays ~constant (it depends on the degree only),
 //      while the centralized DRL's rule-update inference grows with the
 //      network size (its observation is O(|V|)).
+//
+// Each cell's timed evaluation runs kTimingRepeats times on the same seeds,
+// the four algorithms' repeats interleaved, and the 9b table prints the
+// median over repeats of each repeat's p50 and p99: one run's p99 moved
+// 2-3x between runs of byte-identical policies. Every repeat is kept in
+// BENCH_fig9_scalability.json.
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "util/string_util.hpp"
 #include "net/topology_zoo.hpp"
 
 using namespace dosc;
+
+namespace {
+constexpr std::size_t kTimingRepeats = 5;
+}  // namespace
 
 int main() {
   const bench::BenchScale scale = bench::BenchScale::from_env();
@@ -36,18 +47,33 @@ int main() {
     const core::TrainedPolicy dist = bench::distributed_policy(scenario, key, scale);
     const core::TrainedPolicy central = bench::central_policy(scenario, key, scale);
 
-    const bench::AlgoStats s_dist =
-        bench::evaluate(scenario, bench::Algo::kDistributedDrl, scale, &dist);
-    const bench::AlgoStats s_central =
-        bench::evaluate(scenario, bench::Algo::kCentralDrl, scale, &central);
-    const bench::AlgoStats s_gcasp = bench::evaluate(scenario, bench::Algo::kGcasp, scale);
-    const bench::AlgoStats s_sp = bench::evaluate(scenario, bench::Algo::kShortestPath, scale);
+    const core::TrainedPolicy* policies[] = {&dist, &central, nullptr, nullptr};
 
-    const bench::AlgoStats* all[] = {&s_dist, &s_central, &s_gcasp, &s_sp};
+    // Success and delay come from the first repeat (every repeat replays
+    // the same episodes); "decision_us" merges all repeats' timings.
+    bench::BenchRecord cells[4];
+    for (std::size_t r = 0; r < kTimingRepeats; ++r) {
+      for (std::size_t i = 0; i < 4; ++i) {
+        const bench::AlgoStats run = bench::evaluate(scenario, algos[i], scale, policies[i]);
+        cells[i].timing_repeats.push_back(run.decision_hist);
+        if (r == 0) {
+          cells[i].stats = run;
+        } else {
+          cells[i].stats.decision_hist.merge(run.decision_hist);
+          if (run.success.mean() != cells[i].stats.success.mean()) {
+            std::fprintf(stderr, "fig9: %s on %s replayed to another success ratio\n",
+                         bench::algo_name(algos[i]), topology.c_str());
+            return 1;
+          }
+        }
+      }
+    }
     for (std::size_t i = 0; i < 4; ++i) {
-      success[i].push_back(bench::fmt_mean_std(all[i]->success));
-      timing[i].push_back(bench::fmt_p50_p99(all[i]->decision_hist));
-      records.push_back({topology, bench::algo_name(algos[i]), *all[i]});
+      cells[i].scenario = topology;
+      cells[i].algo = bench::algo_name(algos[i]);
+      success[i].push_back(bench::fmt_mean_std(cells[i].stats.success));
+      timing[i].push_back(bench::fmt_median_p50_p99(cells[i].timing_repeats));
+      records.push_back(std::move(cells[i]));
     }
   }
 
@@ -55,7 +81,9 @@ int main() {
   bench::print_header("Fig. 9a: success ratio per topology", columns);
   for (std::size_t i = 0; i < 4; ++i) bench::print_row(names[i], success[i]);
 
-  bench::print_header("Fig. 9b: per-decision inference time p50/p99 (us)", columns);
+  bench::print_header("Fig. 9b: per-decision inference time p50/p99 (us), median of " +
+                          std::to_string(kTimingRepeats) + " repeats",
+                      columns);
   for (std::size_t i = 0; i < 4; ++i) bench::print_row(names[i], timing[i]);
   std::printf("\nNote: CentralDRL's time is per centralized rule update (its observation\n"
               "is O(|V|)); DistDRL's is per local decision and is invariant to |V|.\n"

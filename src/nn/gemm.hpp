@@ -3,11 +3,11 @@
 // All operands are row-major with explicit leading dimensions, so callers
 // (e.g. KFAC) can compute directly into a sub-block of a larger matrix
 // without materialising intermediates. Kernels are register-tiled over B
-// packed into 8-column panels, blocked over k in fixed panels of 256,
-// runtime-dispatched by cpuid to the widest of three tiers the CPU runs —
-// AVX-512 (4x16 tile of C), AVX2+FMA (4x8), portable baseline (4x8) — and
-// row-partitioned across the dosc::nn compute-thread pool for large
-// products.
+// packed into 8-column panels, blocked over k in fixed panels of 256, run
+// at the one kernel tier that gemv, tanh and the Cholesky run at too
+// (nn/tier.hpp: AVX-512 with a 4x16 tile of C, AVX2+FMA with 4x8, or the
+// portable baseline with 4x8) and row-partitioned across the dosc::nn
+// compute-thread pool for large products.
 //
 // Determinism contract: each output element is reduced over k in ascending
 // order by a single accumulator, and the reduction is never split across
@@ -100,34 +100,5 @@ const char* tile_name() noexcept;
 /// `nn.gemm.flops` / `nn.gemm.calls` when telemetry is enabled.
 std::uint64_t flop_count() noexcept;
 std::uint64_t call_count() noexcept;
-
-namespace detail {
-
-/// The kernel tiers, narrowest first. The dispatch runs the widest one the
-/// CPU supports.
-enum class Tier { kBaseline, kAvx2, kAvx512 };
-
-/// Whether this build has `tier` and this CPU can run it.
-bool tier_supported(Tier tier) noexcept;
-
-/// The tier the dispatch currently runs.
-Tier active_tier() noexcept;
-
-/// RAII tier override for tests, so one machine can check every tier it
-/// supports; restores the previous tier on destruction. Throws
-/// std::invalid_argument for a tier tier_supported() rejects. Switch tiers
-/// only while no product is running.
-class TierGuard {
- public:
-  explicit TierGuard(Tier tier);
-  ~TierGuard();
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  Tier previous_;
-};
-
-}  // namespace detail
 
 }  // namespace dosc::nn::gemm

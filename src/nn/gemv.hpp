@@ -14,9 +14,10 @@
 // added once after the full reduction, and the activation is applied last.
 // That is operation-for-operation the batch forward (matmul →
 // add_row_vector → apply_activation), so at a given ISA level
-// Mlp::predict_row is bit-identical to Mlp::predict. Runtime dispatch picks
-// AVX2+FMA when the CPU supports it, with a portable baseline otherwise —
-// the same cpuid gate as gemm, so gemv and gemm always agree on contraction.
+// Mlp::predict_row is bit-identical to Mlp::predict. The kernel runs at the
+// one tier gemm, tanh and the Cholesky run at (nn/tier.hpp: AVX-512,
+// AVX2+FMA or a portable baseline), so gemv and gemm always agree on
+// contraction.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +54,9 @@ class AlignedBuffer {
 
 /// Packed-panel column-block width (doubles). Panels are [in x kPanelWidth]
 /// row-major slabs, one per block of output columns, zero-padded on the
-/// right edge; layout is ISA-independent so a pack survives a dispatch
-/// change.
+/// right edge; the layout is the same in every tier, so a pack survives a
+/// tier change. The AVX-512 kernel holds a panel row in four ZMM
+/// accumulators, the AVX2 one in eight YMM.
 inline constexpr std::size_t kPanelWidth = 32;
 
 /// Number of doubles pack() writes for an [in x out] weight matrix.
@@ -69,11 +71,6 @@ void pack(std::size_t in, std::size_t out, const double* w, double* packed);
 /// Allocation-free; y must not alias x.
 void bias_act(std::size_t in, std::size_t out, const double* x, const double* packed,
               const double* bias, int activation, double* y);
-
-/// The rounding contract of the dispatched kernels ("avx2+fma" / "baseline"),
-/// named as gemm::isa_name() names it. GEMV has no AVX-512 tier: the
-/// sequential decide it serves is bound by L2 bandwidth, not by FMA width.
-const char* isa_name() noexcept;
 
 /// Cumulative 2*in*out over all bias_act calls in this process, and the
 /// number of calls (the per-decision fast-path hit count). Always on (two

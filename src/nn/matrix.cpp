@@ -6,6 +6,38 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
+#include "nn/tier.hpp"
+
+// The Cholesky kernels are included once per tier, like the gemm, gemv and
+// tanh kernels, and the one tier choice of nn/tier.hpp picks among them.
+// Unlike theirs, every tier rounds alike: this file is built with
+// -ffp-contract=off (src/nn/CMakeLists.txt), so the FMA tiers too multiply,
+// then subtract, and all three equal the scalar oracle bit for bit.
+#define DOSC_CHOLESKY_NAMESPACE cholesky_baseline
+#define DOSC_CHOLESKY_LANES 2
+#include "nn/cholesky_kernels.inc"
+#undef DOSC_CHOLESKY_LANES
+#undef DOSC_CHOLESKY_NAMESPACE
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define DOSC_CHOLESKY_HAVE_X86_TIERS 1
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+#define DOSC_CHOLESKY_NAMESPACE cholesky_avx2
+#define DOSC_CHOLESKY_LANES 4
+#include "nn/cholesky_kernels.inc"
+#undef DOSC_CHOLESKY_LANES
+#undef DOSC_CHOLESKY_NAMESPACE
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma,prefer-vector-width=512")
+#define DOSC_CHOLESKY_NAMESPACE cholesky_avx512
+#define DOSC_CHOLESKY_LANES 8
+#include "nn/cholesky_kernels.inc"
+#undef DOSC_CHOLESKY_LANES
+#undef DOSC_CHOLESKY_NAMESPACE
+#pragma GCC pop_options
+#endif
 
 namespace dosc::nn {
 
@@ -187,21 +219,33 @@ double dot(const Matrix& a, const Matrix& b) noexcept {
 
 namespace {
 
-/// Cholesky factorisation of (M + damping I) into f, in column (right-
-/// looking) form. Only M's lower triangle is read. f ends with U = Lᵀ in its
-/// upper triangle and L mirrored into its lower, so both substitutions read
-/// a contiguous factor row. Returns false if a non-positive pivot is met.
-///
-/// Every element keeps the chain of the textbook left-looking dot form:
-/// M(i,j) [+ damping], minus L(i,0)L(j,0), minus L(i,1)L(j,1), ... in
-/// ascending k, each product rounded before its subtraction, and an
-/// off-diagonal element finished by one division by the pivot. Here the
-/// chain is applied one k at a time as row axpys over the trailing upper
-/// triangle, which vectorise; the dot form's inner loop is one
-/// latency-bound scalar chain per element. The file is built with
-/// -ffp-contract=off, so no mul/sub pair can fuse into an FMA and change a
-/// rounding.
-bool cholesky_factor(Matrix& f, const Matrix& m, double damping) {
+using CholeskyFactorFn = bool (*)(double* u, std::size_t n);
+using CholeskySolveFn = void (*)(const double* f, std::size_t n, double* x, std::size_t cols);
+
+struct CholeskyKernels {
+  CholeskyFactorFn factor;
+  CholeskySolveFn solve;
+};
+
+/// Indexed by detail::Tier; a build without the x86 tiers repeats the
+/// baseline, which tier_supported() then never lets run.
+constexpr CholeskyKernels kCholeskyTiers[detail::kTierCount] = {
+    {&cholesky_baseline::factor, &cholesky_baseline::solve},
+#ifdef DOSC_CHOLESKY_HAVE_X86_TIERS
+    {&cholesky_avx2::factor, &cholesky_avx2::solve},
+    {&cholesky_avx512::factor, &cholesky_avx512::solve},
+#else
+    {&cholesky_baseline::factor, &cholesky_baseline::solve},
+    {&cholesky_baseline::factor, &cholesky_baseline::solve},
+#endif
+};
+
+/// Cholesky factorisation of (M + damping I) into f. Only M's lower
+/// triangle is read. f ends with U = Lᵀ in its upper triangle and L mirrored
+/// into its lower, so both substitutions read a contiguous factor row.
+/// Returns false if a non-positive pivot is met.
+bool cholesky_factor(const CholeskyKernels& kernels, Matrix& f, const Matrix& m,
+                     double damping) {
   const std::size_t n = m.rows();
   f.ensure_shape(n, n);
   double* u = f.data();
@@ -210,89 +254,11 @@ bool cholesky_factor(Matrix& f, const Matrix& m, double damping) {
     for (std::size_t j = 0; j <= i; ++j) u[j * n + i] = mrow[j];
     u[i * n + i] += damping;
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    double* uk = u + k * n;
-    const double diag = uk[k];
-    if (diag <= 0.0) return false;
-    const double ukk = std::sqrt(diag);
-    uk[k] = ukk;
-    for (std::size_t i = k + 1; i < n; ++i) uk[i] /= ukk;
-    for (std::size_t j = k + 1; j < n; ++j) {
-      const double ukj = uk[j];
-      double* __restrict uj = u + j * n;
-      const double* __restrict ukr = uk;
-      for (std::size_t i = j; i < n; ++i) uj[i] -= ukj * ukr[i];
-    }
-  }
+  if (!kernels.factor(u, n)) return false;
   for (std::size_t i = 1; i < n; ++i) {
     for (std::size_t k = 0; k < i; ++k) u[i * n + k] = u[k * n + i];
   }
   return true;
-}
-
-/// Two doubles: one SSE2 register at the baseline ISA. Loads and stores go
-/// through memcpy, which compiles to unaligned vector moves.
-typedef double Vec2 __attribute__((vector_size(16)));
-
-inline Vec2 load2(const double* p) {
-  Vec2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
-
-/// Forward (L y = b) then backward (Lᵀ x = y) substitution for the W
-/// right-hand-side columns starting at x, in place. The W running values of
-/// a row stay in registers across its whole reduction, so each step loads
-/// one strip of an earlier row instead of re-reading and re-writing the row
-/// being solved. Per element the chain is the row-axpy form's: the
-/// right-hand side, minus L(i,k) * x_k in ascending k, then one division by
-/// the pivot.
-template <std::size_t W>
-void solve_strip(const double* f, std::size_t n, double* x, std::size_t ldx) {
-  static_assert(W % 2 == 0, "odd widths go through solve_column");
-  constexpr std::size_t kVecs = W / 2;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* li = f + i * n;
-    double* xi = x + i * ldx;
-    Vec2 acc[kVecs] = {};
-    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = load2(xi + 2 * v);
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = li[k];
-      const double* xk = x + k * ldx;
-      for (std::size_t v = 0; v < kVecs; ++v) acc[v] -= lik * load2(xk + 2 * v);
-    }
-    for (std::size_t v = 0; v < kVecs; ++v) store2(xi + 2 * v, acc[v] / li[i]);
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const double* ui = f + i * n;
-    double* xi = x + i * ldx;
-    Vec2 acc[kVecs] = {};
-    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = load2(xi + 2 * v);
-    for (std::size_t k = i + 1; k < n; ++k) {
-      const double uik = ui[k];
-      const double* xk = x + k * ldx;
-      for (std::size_t v = 0; v < kVecs; ++v) acc[v] -= uik * load2(xk + 2 * v);
-    }
-    for (std::size_t v = 0; v < kVecs; ++v) store2(xi + 2 * v, acc[v] / ui[i]);
-  }
-}
-
-/// solve_strip for a single right-hand-side column.
-void solve_column(const double* f, std::size_t n, double* x, std::size_t ldx) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* li = f + i * n;
-    double acc = x[i * ldx];
-    for (std::size_t k = 0; k < i; ++k) acc -= li[k] * x[k * ldx];
-    x[i * ldx] = acc / li[i];
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const double* ui = f + i * n;
-    double acc = x[i * ldx];
-    for (std::size_t k = i + 1; k < n; ++k) acc -= ui[k] * x[k * ldx];
-    x[i * ldx] = acc / ui[i];
-  }
 }
 
 }  // namespace
@@ -315,10 +281,11 @@ void cholesky_solve_into(Matrix& x, Matrix& factor, const Matrix& m, const Matri
   }
   const std::size_t n = m.rows();
 
+  const CholeskyKernels& kernels = kCholeskyTiers[static_cast<int>(detail::active_tier())];
   double d = damping;
   bool ok = false;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    if (cholesky_factor(factor, m, d)) {
+    if (cholesky_factor(kernels, factor, m, d)) {
       ok = true;
       break;
     }
@@ -329,23 +296,7 @@ void cholesky_solve_into(Matrix& x, Matrix& factor, const Matrix& m, const Matri
   const std::size_t cols = b.cols();
   x.ensure_shape(n, cols);
   std::copy(b.data(), b.data() + b.size(), x.data());
-  // Strips of 16 columns, then 8/4/2/1 for the remainder: columns are
-  // independent, so the split changes no element's chain.
-  std::size_t c0 = 0;
-  for (; c0 + 16 <= cols; c0 += 16) solve_strip<16>(factor.data(), n, x.data() + c0, cols);
-  if (c0 + 8 <= cols) {
-    solve_strip<8>(factor.data(), n, x.data() + c0, cols);
-    c0 += 8;
-  }
-  if (c0 + 4 <= cols) {
-    solve_strip<4>(factor.data(), n, x.data() + c0, cols);
-    c0 += 4;
-  }
-  if (c0 + 2 <= cols) {
-    solve_strip<2>(factor.data(), n, x.data() + c0, cols);
-    c0 += 2;
-  }
-  if (c0 < cols) solve_column(factor.data(), n, x.data() + c0, cols);
+  kernels.solve(factor.data(), n, x.data(), cols);
 }
 
 }  // namespace dosc::nn

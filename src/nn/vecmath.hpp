@@ -1,8 +1,8 @@
 // Runtime-dispatched vector math for activation functions.
 //
 // tanh_inplace applies the project's own vectorizable tanh (tanh_kernels.inc)
-// over a contiguous array, selecting the AVX2+FMA instantiation via cpuid
-// exactly like gemm/gemv do. tanh1 evaluates the identical kernel for a
+// over a contiguous array, at the one kernel tier gemm and gemv run at too
+// (nn/tier.hpp). tanh1 evaluates the identical kernel for a
 // single element — same dispatch, same arithmetic, same bits — so fused
 // per-element call sites (the gemv activation epilogue) and bulk array sites
 // (the batch forward) agree bitwise on any given machine.
@@ -25,9 +25,9 @@ void tanh_inplace(double* v, std::size_t count);
 /// what tanh_inplace writes for the same input.
 double tanh1(double x);
 
-/// The rounding contract of the dispatched kernel ("avx2+fma" or
-/// "baseline"), named as gemm::isa_name() names it. tanh has no AVX-512
-/// tier: 8 lanes would save under 1% of an ACKTR update (DESIGN.md §7).
+/// The rounding contract of the dispatched kernel, named as gemm::isa_name()
+/// names it: "avx2+fma" on the AVX2+FMA and AVX-512 tiers, whose results are
+/// bit-identical, "baseline" on the portable tier.
 const char* tanh_isa() noexcept;
 
 }  // namespace dosc::nn::vecmath

@@ -6,7 +6,7 @@
 // at the same ISA level) and invariant under the compute-thread count.
 // These tests therefore use exact floating-point equality throughout. The
 // tiled and reference kernels are checked once per kernel tier the CPU can
-// run (gemm_tiers.hpp), not just the one the dispatch selects.
+// run (kernel_tiers.hpp), not just the one the dispatch selects.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +16,12 @@
 #include <thread>
 #include <vector>
 
-#include "gemm_tiers.hpp"
+#include "kernel_tiers.hpp"
 #include "nn/gemm.hpp"
+#include "nn/gemv.hpp"
 #include "nn/matrix.hpp"
 #include "nn/parallel.hpp"
+#include "nn/vecmath.hpp"
 #include "util/rng.hpp"
 
 namespace dosc::nn {
@@ -42,12 +44,12 @@ std::size_t mismatches(const Matrix& a, const Matrix& b) {
   return bad;
 }
 
-using gemm::detail::Tier;
+using detail::Tier;
 
-/// Runs under each kernel tier; see gemm_tiers.hpp.
-class Gemm : public test::PerGemmTier {};
+/// Runs under each kernel tier; see kernel_tiers.hpp.
+class Gemm : public test::PerTier {};
 
-INSTANTIATE_TEST_SUITE_P(EveryTier, Gemm, test::kEveryGemmTier, test::gemm_tier_test_name);
+INSTANTIATE_TEST_SUITE_P(EveryTier, Gemm, test::kEveryTier, test::tier_test_name);
 
 // Shapes straddling every edge case of the register tiles (4x8, and 4x16
 // over two packed 8-column panels) and the packed panels: below/at/above
@@ -259,19 +261,19 @@ TEST_P(Gemm, GramAcrossKPanelsMatchesReference) {
 }
 
 TEST(Gemm, DispatchSelectsTheWidestTierTheCpuRuns) {
-  // Stated independently of gemm.cpp's dispatch: a CPU with a tier's
+  // Stated independently of tier.cpp's dispatch: a CPU with a tier's
   // features must get that tier (or a wider one), so a dispatch slip back to
   // a narrower tier fails here instead of only costing time.
   Tier expected = Tier::kBaseline;
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
   const bool fma = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   const bool avx512 = fma && __builtin_cpu_supports("avx512f");
-  EXPECT_EQ(gemm::detail::tier_supported(Tier::kAvx2), fma);
-  EXPECT_EQ(gemm::detail::tier_supported(Tier::kAvx512), avx512);
+  EXPECT_EQ(detail::tier_supported(Tier::kAvx2), fma);
+  EXPECT_EQ(detail::tier_supported(Tier::kAvx512), avx512);
   expected = avx512 ? Tier::kAvx512 : fma ? Tier::kAvx2 : Tier::kBaseline;
 #endif
-  EXPECT_TRUE(gemm::detail::tier_supported(Tier::kBaseline));
-  EXPECT_EQ(gemm::detail::active_tier(), expected) << gemm::tile_name();
+  EXPECT_TRUE(detail::tier_supported(Tier::kBaseline));
+  EXPECT_EQ(detail::active_tier(), expected) << gemm::tile_name();
   const char* tiles[] = {"4x8 baseline", "4x8 avx2+fma", "4x16 avx512"};
   EXPECT_STREQ(gemm::tile_name(), tiles[static_cast<int>(expected)]);
   // The AVX2+FMA and AVX-512 tiers share one rounding contract and name.
@@ -279,19 +281,67 @@ TEST(Gemm, DispatchSelectsTheWidestTierTheCpuRuns) {
 }
 
 TEST(Gemm, TierGuardSelectsAndRestores) {
-  const Tier dispatched = gemm::detail::active_tier();
+  const Tier dispatched = detail::active_tier();
   for (const Tier tier : {Tier::kBaseline, Tier::kAvx2, Tier::kAvx512}) {
-    if (!gemm::detail::tier_supported(tier)) {
-      EXPECT_THROW(gemm::detail::TierGuard{tier}, std::invalid_argument);
+    if (!detail::tier_supported(tier)) {
+      EXPECT_THROW(detail::TierGuard{tier}, std::invalid_argument);
       continue;
     }
     {
-      gemm::detail::TierGuard guard(tier);
-      EXPECT_EQ(gemm::detail::active_tier(), tier);
+      detail::TierGuard guard(tier);
+      EXPECT_EQ(detail::active_tier(), tier);
       EXPECT_STREQ(gemm::isa_name(), tier == Tier::kBaseline ? "baseline" : "avx2+fma");
     }
-    EXPECT_EQ(gemm::detail::active_tier(), dispatched);
+    EXPECT_EQ(detail::active_tier(), dispatched);
   }
+}
+
+TEST(Gemm, TierGuardSwitchesEveryKernelFamily) {
+  // One guard moves gemm, gemv, tanh and the Cholesky together. Under the
+  // baseline guard the rounding names read "baseline", a GEMV row equals
+  // the baseline GEMM row, and (on an FMA host, where the tiers round
+  // differently) both differ from the dispatched tier's, so neither
+  // equality holds by coincidence. The Cholesky reads the same tier; its
+  // results are the same bits in every tier (test_matrix's EveryTier
+  // cases).
+  util::Rng rng(52);
+  const std::size_t in = 257, out = 40;
+  const Matrix x = random_matrix(1, in, rng);
+  const Matrix w = random_matrix(in, out, rng);
+  const std::vector<double> bias(out, 0.25);
+  const auto gemv_row = [&] {
+    gemv::AlignedBuffer packed;
+    packed.resize(gemv::packed_size(in, out));
+    gemv::pack(in, out, w.data(), packed.data());
+    Matrix y(1, out);
+    gemv::bias_act(in, out, x.data(), packed.data(), bias.data(), /*tanh*/ 1, y.data());
+    return y;
+  };
+  const auto gemm_row = [&] {
+    Matrix y = matmul(x, w);
+    for (std::size_t j = 0; j < out; ++j) y.data()[j] += bias[j];
+    vecmath::tanh_inplace(y.data(), out);
+    return y;
+  };
+  const Matrix dispatched_gemm = gemm_row();
+  const Matrix dispatched_gemv = gemv_row();
+  EXPECT_EQ(mismatches(dispatched_gemv, dispatched_gemm), 0u);
+  {
+    detail::TierGuard guard(Tier::kBaseline);
+    EXPECT_EQ(detail::active_tier(), Tier::kBaseline);
+    EXPECT_STREQ(gemm::isa_name(), "baseline");
+    EXPECT_STREQ(gemm::tile_name(), "4x8 baseline");
+    EXPECT_STREQ(vecmath::tanh_isa(), "baseline");
+    const Matrix baseline_gemm = gemm_row();
+    EXPECT_EQ(mismatches(gemv_row(), baseline_gemm), 0u);
+    if (detail::tier_supported(Tier::kAvx2)) {
+      EXPECT_GT(mismatches(baseline_gemm, dispatched_gemm), 0u);
+    }
+  }
+  EXPECT_EQ(detail::active_tier(), detail::tier_supported(Tier::kAvx512) ? Tier::kAvx512
+                                   : detail::tier_supported(Tier::kAvx2)  ? Tier::kAvx2
+                                                                          : Tier::kBaseline);
+  EXPECT_STREQ(vecmath::tanh_isa(), gemm::isa_name());
 }
 
 TEST(Gemm, FmaTiersAreBitIdentical) {
@@ -299,8 +349,8 @@ TEST(Gemm, FmaTiersAreBitIdentical) {
   // pins the AVX-512 tier to the AVX2+FMA one directly, over every kernel
   // and a multi-panel reduction.
   for (const Tier tier : {Tier::kAvx2, Tier::kAvx512}) {
-    if (!gemm::detail::tier_supported(tier)) {
-      GTEST_SKIP() << "this CPU cannot run the " << test::gemm_tier_name(tier) << " GEMM tier";
+    if (!detail::tier_supported(tier)) {
+      GTEST_SKIP() << "this CPU cannot run the " << test::tier_name(tier) << " GEMM tier";
     }
   }
   util::Rng rng(51);
@@ -310,7 +360,7 @@ TEST(Gemm, FmaTiersAreBitIdentical) {
   const Matrix b = random_matrix(k, n, rng);
   const Matrix bt = random_matrix(n, k, rng);
   const auto products = [&](Tier tier) {
-    gemm::detail::TierGuard guard(tier);
+    detail::TierGuard guard(tier);
     Matrix g(m, m);
     gemm::gram(m, k, at.data(), m, g.data(), m);
     return std::vector<Matrix>{matmul(a, b), matmul_tn(at, b), matmul_nt(a, bt), g};

@@ -7,14 +7,16 @@
 // after the reduction, and apply the activation last. These tests therefore
 // use exact floating-point equality throughout, across layer shapes that
 // straddle the 32-wide panel edge, and verify the pack cache tracks weight
-// mutation.
+// mutation. The oracle comparisons run under every kernel tier the CPU
+// runs (kernel_tiers.hpp), and the AVX-512 tier is pinned to the AVX2+FMA
+// one directly.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "kernel_tiers.hpp"
 #include "nn/gemv.hpp"
-#include "nn/gemm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "nn/parallel.hpp"
@@ -60,7 +62,26 @@ TEST(Gemv, PackedSizeRoundsUpToPanels) {
   EXPECT_EQ(gemv::packed_size(7, 100), 7u * 128u);
 }
 
-TEST(Gemv, BiasActMatchesUnpackedReference) {
+using detail::Tier;
+
+/// Runs under each kernel tier; see kernel_tiers.hpp.
+class Gemv : public test::PerTier {};
+
+INSTANTIATE_TEST_SUITE_P(EveryTier, Gemv, test::kEveryTier, test::tier_test_name);
+
+/// bias_act over a freshly packed [in x out] weight matrix.
+std::vector<double> packed_bias_act(std::size_t in, std::size_t out, const std::vector<double>& w,
+                                    const std::vector<double>& bias,
+                                    const std::vector<double>& x, int activation) {
+  gemv::AlignedBuffer packed;
+  packed.resize(gemv::packed_size(in, out));
+  gemv::pack(in, out, w.data(), packed.data());
+  std::vector<double> y(out);
+  gemv::bias_act(in, out, x.data(), packed.data(), bias.data(), activation, y.data());
+  return y;
+}
+
+TEST_P(Gemv, BiasActMatchesUnpackedReference) {
   ComputeThreadsGuard guard(1);
   util::Rng rng(11);
   for (std::size_t in : kWidths) {
@@ -68,11 +89,7 @@ TEST(Gemv, BiasActMatchesUnpackedReference) {
       const std::vector<double> w = random_vector(in * out, rng);
       const std::vector<double> bias = random_vector(out, rng);
       const std::vector<double> x = random_vector(in, rng);
-      gemv::AlignedBuffer packed;
-      packed.resize(gemv::packed_size(in, out));
-      gemv::pack(in, out, w.data(), packed.data());
-      std::vector<double> y(out);
-      gemv::bias_act(in, out, x.data(), packed.data(), bias.data(), /*linear*/ 0, y.data());
+      const std::vector<double> y = packed_bias_act(in, out, w, bias, x, /*linear*/ 0);
       // Reference: the batch-forward operation order at the same ISA —
       // matmul (ascending-k single accumulator), then bias.
       Matrix xm(1, in), wm(in, out);
@@ -85,7 +102,7 @@ TEST(Gemv, BiasActMatchesUnpackedReference) {
   }
 }
 
-TEST(Gemv, PredictRowBitExactAgainstBatchForward) {
+TEST_P(Gemv, PredictRowBitExactAgainstBatchForward) {
   util::Rng rng(42);
   for (std::size_t h : {5u, 31u, 33u, 64u, 256u}) {
     const Mlp net({13, h, h, 4}, Activation::kTanh, Activation::kLinear, 7);
@@ -158,10 +175,32 @@ TEST(Gemv, CopiedNetworkPacksIndependently) {
   EXPECT_EQ(a, again);
 }
 
-TEST(Gemv, IsaDispatchAgreesWithGemm) {
-  // gemv and gemm share one cpuid gate: mixing contraction modes between
-  // the row and batch paths would break the bit-exactness contract.
-  EXPECT_STREQ(gemv::isa_name(), gemm::isa_name());
+TEST(Gemv, FmaTiersAreBitIdentical) {
+  // Each tier matches its own GEMM (the EveryTier tests); this pins the
+  // AVX-512 GEMV to the AVX2+FMA one directly, across the 32-wide panel
+  // edge, a multi-panel input and both activations.
+  for (const Tier tier : {Tier::kAvx2, Tier::kAvx512}) {
+    if (!detail::tier_supported(tier)) {
+      GTEST_SKIP() << "this CPU cannot run the " << test::tier_name(tier) << " kernel tier";
+    }
+  }
+  util::Rng rng(13);
+  for (const std::size_t in : {1u, 7u, 32u, 257u}) {
+    for (const std::size_t out : {1u, 8u, 31u, 33u, 256u}) {
+      const std::vector<double> w = random_vector(in * out, rng);
+      const std::vector<double> bias = random_vector(out, rng);
+      const std::vector<double> x = random_vector(in, rng);
+      for (const int activation : {0, 1}) {
+        const auto run = [&](Tier tier) {
+          detail::TierGuard guard(tier);
+          return packed_bias_act(in, out, w, bias, x, activation);
+        };
+        const std::vector<double> avx512 = run(Tier::kAvx512);
+        EXPECT_EQ(mismatches(run(Tier::kAvx2), avx512.data()), 0u)
+            << in << "x" << out << (activation == 0 ? " linear" : " tanh");
+      }
+    }
+  }
 }
 
 TEST(Gemv, FlopAndCallCountersAdvance) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "kernel_tiers.hpp"
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -241,11 +242,22 @@ TEST(Cholesky, MultipleRightHandSides) {
   }
 }
 
-TEST(Cholesky, BitIdenticalToScalarReference) {
+/// Runs under each kernel tier; see kernel_tiers.hpp. Every tier's factor
+/// and solves must equal the scalar oracle bit for bit.
+class Cholesky : public test::PerTier {};
+
+INSTANTIATE_TEST_SUITE_P(EveryTier, Cholesky, test::kEveryTier, test::tier_test_name);
+
+TEST_P(Cholesky, BitIdenticalToScalarReference) {
   util::Rng rng(11);
-  for (const std::size_t n : {1u, 2u, 17u, 64u, 256u, 257u}) {
+  // n crosses the factor's 4-pivot blocks and the forward solve's 4-row
+  // blocks; rhs crosses every strip width of every tier (forward strips of
+  // 4, 8 and 16 columns, backward strips of 16, 32 and 64) and their
+  // binary remainders.
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 17u, 64u, 65u, 256u, 257u}) {
     const Matrix m = random_spd(n, rng);
-    for (const std::size_t rhs : {1u, 4u, 17u, 256u}) {
+    for (const std::size_t rhs :
+         {1u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u, 65u, 256u, 257u}) {
       const Matrix b = random_normal(n, rhs, rng);
       EXPECT_EQ(bit_mismatches(cholesky_solve(m, b, 0.01), reference_cholesky_solve(m, b, 0.01)),
                 0u)
@@ -288,7 +300,7 @@ TEST(Cholesky, ReadsOnlyTheLowerTriangle) {
             0u);
 }
 
-TEST(Cholesky, RetriedDampingIsBitIdenticalToReference) {
+TEST_P(Cholesky, RetriedDampingIsBitIdenticalToReference) {
   util::Rng rng(14);
   const std::size_t n = 64;
   // A negative leading diagonal: pivot 0 is -1e-3 + damping, which fails at
