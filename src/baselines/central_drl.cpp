@@ -180,10 +180,6 @@ core::EvalResult evaluate_central_policy(const sim::Scenario& scenario,
 
 core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
                                          const core::TrainingConfig& config) {
-  if (config.async) {
-    throw std::invalid_argument(
-        "train_central_policy: async must be false (no overlapped schedule)");
-  }
   if (config.observation_mask != core::ObservationMask{}) {
     throw std::invalid_argument(
         "train_central_policy: observation_mask must be the default (the central agent "

@@ -86,10 +86,9 @@ class CentralDrlCoordinator final : public sim::Coordinator, public core::Reward
 /// returns the best seed's policy (net_config.obs_dim ==
 /// central_observation_dim, num_actions == V). Each iteration rolls out
 /// config.parallel_envs episodes, one per thread, and applies one ACKTR
-/// update to all of their rows. Throws std::invalid_argument for a config
-/// the central agent cannot honour: `async` set (it has no overlapped
-/// schedule) or a non-default `observation_mask` (it builds its own
-/// observation).
+/// update to all of their rows. Throws std::invalid_argument for a
+/// non-default `observation_mask`, which the central agent cannot honour (it
+/// builds its own observation).
 core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
                                          const core::TrainingConfig& config);
 

@@ -66,9 +66,8 @@ class TrainingEpisode final : public rl::BatchedEnv {
   TrainingEpisode(const sim::Scenario& scenario, std::uint64_t seed,
                   const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
                   const RewardConfig& reward, std::size_t max_degree,
-                  const ObservationMask& mask = {}, bool record_behavior_logp = false)
-      : env_(policy, buffer, reward, max_degree, util::Rng(seed * 31 + 7), mask,
-             record_behavior_logp),
+                  const ObservationMask& mask = {})
+      : env_(policy, buffer, reward, max_degree, util::Rng(seed * 31 + 7), mask),
         episode_(scenario, seed, env_, env_, &env_) {}
 
   bool advance_to_decision() override { return episode_.advance_to_decision(); }

@@ -43,13 +43,8 @@ void RewardTally::on_parked(const sim::Flow& flow, net::NodeId /*node*/, double 
 
 TrainingEnv::TrainingEnv(const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
                          const RewardConfig& reward, std::size_t max_degree, util::Rng rng,
-                         ObservationMask mask, bool record_behavior_logp)
-    : RewardTally(reward),
-      policy_(policy),
-      buffer_(buffer),
-      obs_(max_degree, mask),
-      rng_(rng),
-      record_behavior_logp_(record_behavior_logp) {}
+                         ObservationMask mask)
+    : RewardTally(reward), policy_(policy), buffer_(buffer), obs_(max_degree, mask), rng_(rng) {}
 
 void TrainingEnv::on_episode_start(const sim::Simulator& sim) {
   start(sim);
@@ -58,12 +53,6 @@ void TrainingEnv::on_episode_start(const sim::Simulator& sim) {
 
 int TrainingEnv::decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) {
   const std::vector<double>& obs = obs_.build(sim, flow, node);
-  if (record_behavior_logp_) {
-    double logp = 0.0;
-    const int action = policy_.sample_action(obs, rng_, &logp);
-    buffer_.record_decision(flow.id, obs, action, logp);
-    return action;
-  }
   const int action = policy_.sample_action(obs, rng_);
   buffer_.record_decision(flow.id, obs, action);
   return action;
@@ -80,12 +69,6 @@ int TrainingEnv::decide_from_logits(const sim::Flow& flow, std::span<const doubl
   // decide() with the actor forward hoisted out: sample_action(obs, ...) is
   // predict_row + sample_action_from_logits, so feeding the fused forward's
   // logit row through the same sampler consumes rng_ identically.
-  if (record_behavior_logp_) {
-    double logp = 0.0;
-    const int action = rl::ActorCritic::sample_action_from_logits(logits, rng_, &logp);
-    buffer_.record_decision(flow.id, *pending_obs_, action, logp);
-    return action;
-  }
   const int action = rl::ActorCritic::sample_action_from_logits(logits, rng_);
   buffer_.record_decision(flow.id, *pending_obs_, action);
   return action;

@@ -115,12 +115,9 @@ class TrainingEnv : public sim::Coordinator,
                     public RewardTally,
                     public BatchedDecisionAgent {
  public:
-  /// `record_behavior_logp` additionally stores log pi(a|o) with every
-  /// decision (overlapped training's clipped-IS correction needs it). The
-  /// rng stream and action sequence are bit-identical either way.
   TrainingEnv(const rl::ActorCritic& policy, rl::TrajectoryBuffer& buffer,
               const RewardConfig& reward, std::size_t max_degree, util::Rng rng,
-              ObservationMask mask = {}, bool record_behavior_logp = false);
+              ObservationMask mask = {});
 
   int decide(const sim::Simulator& sim, const sim::Flow& flow, net::NodeId node) override;
   void on_episode_start(const sim::Simulator& sim) override;
@@ -137,7 +134,6 @@ class TrainingEnv : public sim::Coordinator,
   rl::TrajectoryBuffer& buffer_;
   ObservationBuilder obs_;
   util::Rng rng_;
-  bool record_behavior_logp_ = false;
   /// Observation of the in-flight split decision (build_observation →
   /// decide_from_logits); points into obs_'s buffer, valid until next build.
   const std::vector<double>* pending_obs_ = nullptr;

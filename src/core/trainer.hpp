@@ -46,14 +46,6 @@ struct TrainingConfig {
   /// it; due for removal with the next benchmark change.
   bool batched_rollout = false;
   std::uint64_t seed_base = 1;
-  /// Overlapped training: iteration i+1's l episodes roll out on a helper
-  /// thread, under a copy of the parameters taken before update i, while
-  /// update i runs. Every update after the first then trains on rows one
-  /// update stale, weighted by the clipped-IS correction
-  /// (UpdaterConfig::is_clip); the schedule is fixed, so results are
-  /// bit-reproducible at any compute-thread count. Off: Alg. 1's strict
-  /// rollout-then-update alternation.
-  bool async = false;
 
   /// The paper's full-scale settings (Sec. V-A2): 2x256 hidden units,
   /// k = 10 seeds, l = 4 environments. Training time grows accordingly.

@@ -37,11 +37,8 @@ void set_compute_threads(std::size_t n);
 /// Current compute-thread budget (>= 1).
 std::size_t compute_threads() noexcept;
 
-/// RAII budget override; restores the previous value on destruction. The
-/// overlapped trainer holds one at compute_threads() - 1 (floor 1) while its
-/// helper thread rolls out, so the rollout and the update's GEMMs share the
-/// machine instead of oversubscribing it; benchmarks and tests use it to
-/// pin thread counts.
+/// RAII budget override; restores the previous value on destruction. Tests
+/// use it to pin thread counts.
 class ComputeThreadsGuard {
  public:
   explicit ComputeThreadsGuard(std::size_t n) : previous_(compute_threads()) {

@@ -77,17 +77,11 @@ const std::vector<double>& ActorCritic::action_probs(std::span<const double> obs
 }
 
 int ActorCritic::sample_action(std::span<const double> obs, util::Rng& rng) const {
-  return sample_action(obs, rng, nullptr);
-}
-
-int ActorCritic::sample_action(std::span<const double> obs, util::Rng& rng,
-                               double* logp) const {
   actor_.predict_row(obs, t_logits, t_scratch);
-  return sample_action_from_logits(t_logits, rng, logp);
+  return sample_action_from_logits(t_logits, rng);
 }
 
-int ActorCritic::sample_action_from_logits(std::span<const double> logits,
-                                           util::Rng& rng, double* logp) {
+int ActorCritic::sample_action_from_logits(std::span<const double> logits, util::Rng& rng) {
   softmax_into(logits, t_probs);
   // Inline CDF walk over the softmax scratch, replicating
   // util::Rng::categorical step for step (total in index order, the
@@ -96,25 +90,15 @@ int ActorCritic::sample_action_from_logits(std::span<const double> logits,
   // downstream random stream — stays bit-identical to the vector version.
   double total = 0.0;
   for (const double p : t_probs) total += p;
-  int action;
   if (total <= 0.0 || t_probs.empty()) {
-    action = t_probs.empty() ? 0 : static_cast<int>(t_probs.size()) - 1;
-  } else {
-    action = static_cast<int>(t_probs.size()) - 1;
-    double u = rng.uniform(0.0, total);
-    for (std::size_t i = 0; i < t_probs.size(); ++i) {
-      u -= t_probs[i];
-      if (u <= 0.0) {
-        action = static_cast<int>(i);
-        break;
-      }
-    }
+    return t_probs.empty() ? 0 : static_cast<int>(t_probs.size()) - 1;
   }
-  if (logp != nullptr) {
-    const double p = t_probs.empty() ? 1.0 : t_probs[static_cast<std::size_t>(action)];
-    *logp = std::log(std::max(p, 1e-300));
+  double u = rng.uniform(0.0, total);
+  for (std::size_t i = 0; i < t_probs.size(); ++i) {
+    u -= t_probs[i];
+    if (u <= 0.0) return static_cast<int>(i);
   }
-  return action;
+  return static_cast<int>(t_probs.size()) - 1;
 }
 
 int ActorCritic::greedy_action(std::span<const double> obs) const {

@@ -52,19 +52,13 @@ class ActorCritic {
   /// exactly like util::Rng::categorical, so sampling streams are
   /// bit-identical to the allocating version.
   int sample_action(std::span<const double> obs, util::Rng& rng) const;
-  /// As sample_action, additionally writing log pi(action|obs) — the
-  /// behavior log-probability off-policy-tolerant training records per
-  /// step. Pure extra arithmetic on the softmax scratch: the rng stream
-  /// and the returned action are bit-identical to sample_action.
-  int sample_action(std::span<const double> obs, util::Rng& rng, double* logp) const;
   int greedy_action(std::span<const double> obs) const;
   /// Sampling/argmax from an already-computed actor logit row (batched
   /// rollout: one fused predict_batch forward, then per-row action
   /// selection). sample_action(obs, ...) is predict_row +
   /// sample_action_from_logits — same code path, so rng consumption and the
   /// chosen action are bit-identical whichever way the logits were produced.
-  static int sample_action_from_logits(std::span<const double> logits, util::Rng& rng,
-                                       double* logp = nullptr);
+  static int sample_action_from_logits(std::span<const double> logits, util::Rng& rng);
   static int greedy_action_from_logits(std::span<const double> logits);
   double value(std::span<const double> obs) const;
 

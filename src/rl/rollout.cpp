@@ -156,7 +156,7 @@ void TrajectoryBuffer::close_slot(std::uint32_t slot, bool terminated) {
 }
 
 void TrajectoryBuffer::record_decision(std::uint64_t key, std::span<const double> obs,
-                                       int action, double behavior_logp) {
+                                       int action) {
   const std::uint32_t* found = table_find(key);
   const std::uint32_t slot = (found != nullptr) ? *found : acquire_slot(key);
   Slot& s = pool_[slot];
@@ -166,7 +166,6 @@ void TrajectoryBuffer::record_decision(std::uint64_t key, std::span<const double
   step.obs.assign(obs.begin(), obs.end());  // reuses the recycled capacity
   step.action = action;
   step.reward_after = 0.0;
-  step.behavior_logp = behavior_logp;
 }
 
 void TrajectoryBuffer::record_reward(std::uint64_t key, double reward) {
@@ -198,17 +197,14 @@ void TrajectoryBuffer::truncate_all() {
   std::fill(table_.begin(), table_.end(), kNil);
 }
 
-void TrajectoryBuffer::drain_into(Batch& out, const ActorCritic& net, std::size_t obs_dim,
-                                  bool with_behavior_logp) {
+void TrajectoryBuffer::drain_into(Batch& out, const ActorCritic& net, std::size_t obs_dim) {
   std::size_t total = 0;
   for (const std::uint32_t slot : finished_) total += pool_[slot].used;
   out.obs.ensure_shape(total, obs_dim);
   out.actions.clear();
   out.returns.clear();
-  out.behavior_logp.clear();
   out.actions.reserve(total);
   out.returns.reserve(total);
-  if (with_behavior_logp) out.behavior_logp.reserve(total);
 
   std::size_t row = 0;
   for (const std::uint32_t slot : finished_) {
@@ -233,7 +229,6 @@ void TrajectoryBuffer::drain_into(Batch& out, const ActorCritic& net, std::size_
       std::copy(step.obs.begin(), step.obs.end(), out.obs.data() + row * obs_dim);
       out.actions.push_back(step.action);
       out.returns.push_back(returns_scratch_[i]);
-      if (with_behavior_logp) out.behavior_logp.push_back(step.behavior_logp);
       ++row;
     }
     free_slots_.push_back(slot);  // recycle, keeping steps/obs capacity
@@ -251,11 +246,7 @@ Batch TrajectoryBuffer::drain(const ActorCritic& net, std::size_t obs_dim) {
 void merge_batches_into(Batch& out, std::span<const Batch> batches, std::size_t obs_dim,
                         std::size_t max_steps, util::Rng& rng) {
   std::size_t total = 0;
-  bool all_logp = true;
-  for (const Batch& b : batches) {
-    total += b.size();
-    if (b.behavior_logp.size() != b.size()) all_logp = false;
-  }
+  for (const Batch& b : batches) total += b.size();
   const std::size_t keep = std::min(total, max_steps);
   // Pick the kept (batch, row) pairs first, then copy exactly once.
   std::vector<std::pair<std::size_t, std::size_t>> picks;
@@ -283,10 +274,8 @@ void merge_batches_into(Batch& out, std::span<const Batch> batches, std::size_t 
   out.obs.ensure_shape(picks.size(), obs_dim);
   out.actions.clear();
   out.returns.clear();
-  out.behavior_logp.clear();
   out.actions.reserve(picks.size());
   out.returns.reserve(picks.size());
-  if (all_logp) out.behavior_logp.reserve(picks.size());
   for (std::size_t row = 0; row < picks.size(); ++row) {
     const auto [bi, i] = picks[row];
     const Batch& b = batches[bi];
@@ -294,7 +283,6 @@ void merge_batches_into(Batch& out, std::span<const Batch> batches, std::size_t 
               out.obs.data() + row * obs_dim);
     out.actions.push_back(b.actions[i]);
     out.returns.push_back(b.returns[i]);
-    if (all_logp) out.behavior_logp.push_back(b.behavior_logp[i]);
   }
 }
 

@@ -40,20 +40,14 @@ namespace dosc::rl {
 struct Step {
   std::vector<double> obs;
   int action = 0;
-  double reward_after = 0.0;   ///< shaped reward accrued after this action
-  double behavior_logp = 0.0;  ///< log pi_b(action|obs) under the acting policy
+  double reward_after = 0.0;  ///< shaped reward accrued after this action
 };
 
-/// Flat training batch. `behavior_logp` is filled only when the buffer was
-/// drained with `with_behavior_logp` (overlapped training's stale
-/// windows): the updater applies
-/// clipped-IS staleness correction per row when it is present, and a NaN
-/// row marks on-policy data (weight exactly 1).
+/// Flat training batch.
 struct Batch {
-  nn::Matrix obs;                      ///< [N x obs_dim]
-  std::vector<int> actions;            ///< [N]
-  std::vector<double> returns;         ///< [N] discounted returns (bootstrapped)
-  std::vector<double> behavior_logp;   ///< [N] or empty (on-policy batch)
+  nn::Matrix obs;               ///< [N x obs_dim]
+  std::vector<int> actions;     ///< [N]
+  std::vector<double> returns;  ///< [N] discounted returns (bootstrapped)
   std::size_t size() const noexcept { return actions.size(); }
 };
 
@@ -72,13 +66,11 @@ class TrajectoryBuffer {
   /// trajectories, open or finished, are untouched.
   void reserve(std::size_t max_flows, std::size_t max_steps_per_flow, std::size_t obs_dim);
 
-  /// Record a decision for flow `key`: the observation seen, the action
-  /// taken, and (for off-policy-tolerant training) the behavior policy's
-  /// log-probability of that action. Any reward reported later for this
-  /// flow credits this step until the next decision supersedes it.
-  /// Allocation-free once the pools have warmed to the episode's shape.
-  void record_decision(std::uint64_t key, std::span<const double> obs, int action,
-                       double behavior_logp = 0.0);
+  /// Record a decision for flow `key`: the observation seen and the action
+  /// taken. Any reward reported later for this flow credits this step until
+  /// the next decision supersedes it. Allocation-free once the pools have
+  /// warmed to the episode's shape.
+  void record_decision(std::uint64_t key, std::span<const double> obs, int action);
 
   /// Accrue shaped reward onto the flow's most recent decision. Ignored if
   /// the flow has no open trajectory (e.g., reward before any decision).
@@ -96,12 +88,9 @@ class TrajectoryBuffer {
 
   /// Drain all finished trajectories into a batch, computing discounted
   /// returns. Truncated trajectories bootstrap with the critic's value at
-  /// their last observation. The buffer keeps open trajectories. With
-  /// `with_behavior_logp`, the recorded per-step behavior log-probs are
-  /// copied into batch.behavior_logp (else it is left empty). Reuses
+  /// their last observation. The buffer keeps open trajectories. Reuses
   /// `out`'s storage: allocation-free at steady-state episode shapes.
-  void drain_into(Batch& out, const ActorCritic& net, std::size_t obs_dim,
-                  bool with_behavior_logp = false);
+  void drain_into(Batch& out, const ActorCritic& net, std::size_t obs_dim);
 
   /// As drain_into, returning a fresh batch (test/tooling convenience).
   Batch drain(const ActorCritic& net, std::size_t obs_dim);
@@ -143,8 +132,7 @@ class TrajectoryBuffer {
 /// `max_steps` rows with a single-pass reservoir subsample over the
 /// concatenated steps (rng consumption is a pure function of the input
 /// sizes): the merge the trainer performs between rollout and update.
-/// behavior_logp is merged iff every input batch carries it. Reuses `out`'s
-/// storage.
+/// Reuses `out`'s storage.
 void merge_batches_into(Batch& out, std::span<const Batch> batches, std::size_t obs_dim,
                         std::size_t max_steps, util::Rng& rng);
 

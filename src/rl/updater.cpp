@@ -18,12 +18,6 @@ const char* optimizer_kind_name(OptimizerKind kind) noexcept {
   return "?";
 }
 
-double clipped_is_weight(double logp_current, double logp_behavior, double clip) noexcept {
-  const double rho = std::exp(logp_current - logp_behavior);
-  if (clip <= 0.0) return rho;
-  return std::min(clip, rho);
-}
-
 namespace {
 
 /// opt.step(net). Under ACKTR that is the K-FAC natural-gradient step (the
@@ -135,13 +129,6 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
   const nn::Matrix& logits = actor.forward(batch.obs);  // [N x A]
   const std::size_t num_actions = logits.cols();
   grad_logits_.ensure_shape(n, num_actions);
-  // Clipped-IS staleness correction: rows carrying a behavior log-prob get
-  // their policy-gradient term scaled by the truncated importance weight
-  // rho; NaN rows (and batches without behavior_logp) are on-policy and
-  // keep weight exactly 1 — multiplying by 1.0 is exact, so an all-fresh
-  // batch updates bit-identically to the synchronous path.
-  const bool has_is = batch.behavior_logp.size() == n;
-  double rho_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto row = logits.row(i);
     softmax_into(row, probs_);
@@ -150,26 +137,19 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
     for (const double p : probs_) {
       if (p > 0.0) entropy -= p * std::log(p);
     }
-    double rho = 1.0;
-    if (has_is) {
-      const double behavior = batch.behavior_logp[i];
-      if (!std::isnan(behavior)) rho = clipped_is_weight(logp, behavior, config_.is_clip);
-    }
-    rho_sum += rho;
-    const double weighted_adv = rho * advantages_[i];
-    stats.policy_loss += -logp * weighted_adv * inv_n;
+    const double adv = advantages_[i];
+    stats.policy_loss += -logp * adv * inv_n;
     stats.entropy += entropy * inv_n;
     double* grow = grad_logits_.data() + i * num_actions;
     for (std::size_t j = 0; j < num_actions; ++j) {
       const double onehot = (static_cast<int>(j) == batch.actions[i]) ? 1.0 : 0.0;
-      // d(-rho*logp*adv)/dz + entropy_coef * d(-H)/dz
-      const double pg = weighted_adv * (probs_[j] - onehot);
+      // d(-logp*adv)/dz + entropy_coef * d(-H)/dz
+      const double pg = adv * (probs_[j] - onehot);
       const double ent =
           config_.entropy_coef * probs_[j] * (std::log(std::max(probs_[j], 1e-12)) + entropy);
       grow[j] = (pg + ent) * inv_n;
     }
   }
-  stats.mean_is_weight = rho_sum * inv_n;
   actor.backward(grad_logits_);
   actor.clip_grad_norm(config_.max_grad_norm);
   if (actor_kfac_ != nullptr) {

@@ -33,13 +33,6 @@ struct UpdaterConfig {
   bool normalize_advantage = true;
   /// Linear learning-rate decay towards 0 over this many updates (0 = off).
   std::size_t lr_decay_updates = 0;
-  /// Clipped-IS staleness correction (overlapped training, whose windows
-  /// after the first are one update stale): when a batch carries
-  /// behavior_logp, each row's policy-gradient term is scaled by
-  /// rho = min(is_clip, pi_cur(a|o) / pi_b(a|o)) — V-trace's truncated
-  /// importance weight with rho-bar = is_clip. Rows marked NaN (on-policy
-  /// data) keep weight exactly 1; <= 0 disables the clip (raw IS).
-  double is_clip = 1.0;
 };
 
 struct UpdateStats {
@@ -47,14 +40,8 @@ struct UpdateStats {
   double value_loss = 0.0;
   double entropy = 0.0;
   double mean_advantage = 0.0;
-  double mean_is_weight = 1.0;  ///< mean clipped rho (1.0 for on-policy batches)
   std::size_t batch_size = 0;
 };
-
-/// The truncated importance weight rho = min(clip, exp(logp_current -
-/// logp_behavior)); clip <= 0 means no truncation. Exposed so tests can pin
-/// the correction against hand-computed values.
-double clipped_is_weight(double logp_current, double logp_behavior, double clip) noexcept;
 
 class Updater {
  public:

@@ -305,13 +305,6 @@ TEST(CentralDrl, TrainingRejectsZeroEnvs) {
   expect_central_training_rejected(config, "parallel_envs");
 }
 
-TEST(CentralDrl, TrainingRejectsAsync) {
-  // The central trainer has no overlapped schedule.
-  core::TrainingConfig config = small_central_training();
-  config.async = true;
-  expect_central_training_rejected(config, "async");
-}
-
 TEST(CentralDrl, TrainingRejectsObservationMask) {
   // The central agent builds its own observation; a mask would be ignored.
   core::TrainingConfig config = small_central_training();

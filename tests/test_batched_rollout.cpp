@@ -6,7 +6,7 @@
 // every batch width, because each episode keeps its own engine and RNG
 // streams and predict_batch equals predict_row per row (test_mlp pins
 // that). Also covers the merge_batches_into edge cases the trainer's
-// windows lean on: empty batches, single-contributor windows, and
+// merge leans on: empty batches, single-contributor merges, and
 // merge-order invariance around empties.
 #include <gtest/gtest.h>
 
@@ -168,7 +168,7 @@ TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {
   // Training flavor: sampled actions consume each env's own Rng stream and
   // land in its own TrajectoryBuffer. The batched drive must reproduce the
   // sequential sim.run(env, &env) episodes exactly — digests, rewards, and
-  // every drained batch row (obs, action, return, behavior logp).
+  // every drained batch row (obs, action, return).
   const sim::Scenario scenario =
       sim::make_base_scenario(2, traffic::TrafficSpec::poisson(10.0), 100.0, "abilene", 400.0);
   const rl::ActorCritic policy = make_policy(scenario, 7);
@@ -182,7 +182,7 @@ TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {
   for (std::size_t e = 0; e < width; ++e) {
     rl::TrajectoryBuffer buffer(0.99);
     core::TrainingEnv env(policy, buffer, core::RewardConfig{}, max_degree,
-                          util::Rng(100 + e), {}, /*record_behavior_logp=*/true);
+                          util::Rng(100 + e));
     sim::Simulator sim(scenario, 500 + e);
     check::EventDigest digest;
     sim.set_audit_hook(&digest);
@@ -191,7 +191,7 @@ TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {
     expected_rewards.push_back(env.episode_reward());
     buffer.truncate_all();
     rl::Batch batch;
-    buffer.drain_into(batch, policy, obs_dim, /*with_behavior_logp=*/true);
+    buffer.drain_into(batch, policy, obs_dim);
     expected_batches.push_back(std::move(batch));
   }
 
@@ -203,8 +203,7 @@ TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {
   for (std::size_t e = 0; e < width; ++e) {
     buffers.push_back(std::make_unique<rl::TrajectoryBuffer>(0.99));
     train_envs.push_back(std::make_unique<core::TrainingEnv>(
-        policy, *buffers.back(), core::RewardConfig{}, max_degree, util::Rng(100 + e),
-        core::ObservationMask{}, /*record_behavior_logp=*/true));
+        policy, *buffers.back(), core::RewardConfig{}, max_degree, util::Rng(100 + e)));
     episodes.push_back(std::make_unique<core::YieldingEpisode>(
         scenario, 500 + e, *train_envs.back(), *train_envs.back(), train_envs.back().get()));
     episodes.back()->simulator().set_audit_hook(&digests[e]);
@@ -219,14 +218,12 @@ TEST(BatchedRollout, StochasticTrainingEpisodesMatchSequentialBitForBit) {
     EXPECT_EQ(train_envs[e]->episode_reward(), expected_rewards[e]);
     buffers[e]->truncate_all();
     rl::Batch batch;
-    buffers[e]->drain_into(batch, policy, obs_dim, /*with_behavior_logp=*/true);
+    buffers[e]->drain_into(batch, policy, obs_dim);
     const rl::Batch& want = expected_batches[e];
     ASSERT_EQ(batch.size(), want.size()) << "episode " << e;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ASSERT_EQ(batch.actions[i], want.actions[i]) << "episode " << e << " row " << i;
       ASSERT_EQ(batch.returns[i], want.returns[i]) << "episode " << e << " row " << i;
-      ASSERT_EQ(batch.behavior_logp[i], want.behavior_logp[i])
-          << "episode " << e << " row " << i;
       for (std::size_t d = 0; d < obs_dim; ++d) {
         ASSERT_EQ(batch.obs(i, d), want.obs(i, d)) << "episode " << e << " row " << i;
       }
@@ -398,11 +395,8 @@ sim::Scenario tiny_training_scenario() {
 
 /// Alg. 1 replayed one episode at a time through Simulator::run (the
 /// per-decision Coordinator path): the parameters the trainer must reach.
-/// With `overlapped`, iteration i rolls out under a copy of theta_(i-1)
-/// (theta_k: the parameters after k updates; theta_0 at i = 0), records
-/// behavior log-probs, and keeps them for every window but the fresh first.
 std::vector<double> reference_parameters(const sim::Scenario& scenario,
-                                         const core::TrainingConfig& config, bool overlapped) {
+                                         const core::TrainingConfig& config) {
   const std::size_t max_degree = scenario.network().max_degree();
   const std::size_t obs_dim = core::observation_dim(max_degree);
   rl::ActorCriticConfig net_config;
@@ -411,80 +405,58 @@ std::vector<double> reference_parameters(const sim::Scenario& scenario,
   net_config.hidden = config.hidden;
   net_config.seed = config.seed_base;  // seed index 0
   rl::ActorCritic net(net_config);
-  rl::ActorCritic behavior(net_config);
-  std::vector<double> previous = net.get_parameters();
   rl::Updater updater(config.updater);
   const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
   for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-    behavior.set_parameters(previous);
-    const rl::ActorCritic& policy = overlapped ? behavior : net;
     std::vector<rl::Batch> batches;
     for (std::size_t e = 0; e < config.parallel_envs; ++e) {
       const std::uint64_t es = core::episode_seed(config.seed_base, 0, iteration, e);
       rl::TrajectoryBuffer buffer(config.gamma);
-      core::TrainingEnv env(policy, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
-                            config.observation_mask, /*record_behavior_logp=*/overlapped);
+      core::TrainingEnv env(net, buffer, config.reward, max_degree, util::Rng(es * 31 + 7),
+                            config.observation_mask);
       sim::Simulator sim(train_scenario, es);
       sim.run(env, &env);
       buffer.truncate_all();
       batches.emplace_back();
-      buffer.drain_into(batches.back(), policy, obs_dim, /*with_behavior_logp=*/overlapped);
-      if (iteration == 0) batches.back().behavior_logp.clear();
+      buffer.drain_into(batches.back(), net, obs_dim);
     }
     util::Rng sample_rng(core::episode_seed(config.seed_base, 0, iteration, 777));
     rl::Batch merged;
     rl::merge_batches_into(merged, batches, obs_dim, config.max_update_steps, sample_rng);
-    previous = net.get_parameters();
     updater.update(net, merged);
   }
   return net.get_parameters();
 }
 
 TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
-  // The trainer drives its l envs through one BatchedRollout; overlapped, on
-  // a helper thread during the previous update. The trained parameters must
-  // match the sequential reference bit for bit in both schedules, at l = 1
+  // The trainer drives its l envs through one BatchedRollout. The trained
+  // parameters must match the sequential reference bit for bit at l = 1
   // (every round one GEMV row) and at l = 3, at one compute thread and at
-  // the default (0): neither the GEMM budget nor which thread finishes
-  // first may reach the parameters.
+  // the default (0): the GEMM budget may not reach the parameters.
   const sim::Scenario scenario = tiny_training_scenario();
-  for (const bool overlapped : {false, true}) {
-    for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
-      core::TrainingConfig config = tiny_training_config();
-      config.parallel_envs = envs;
-      config.async = overlapped;
-      const std::vector<double> expected = reference_parameters(scenario, config, overlapped);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-        const nn::ComputeThreadsGuard budget(threads);
-        std::vector<double> is_weights;  // one progress call per update, in order
-        const core::TrainedPolicy trained = core::train_distributed_policy(
-            scenario, config, [&](const core::TrainingProgress& p) {
-              EXPECT_EQ(p.iteration, is_weights.size());
-              is_weights.push_back(p.update.mean_is_weight);
-            });
-        ASSERT_EQ(is_weights.size(), config.iterations);
-        // Window 0 is fresh in both schedules; overlapped, every later window
-        // is one update stale and its clipped weights average below 1.
-        EXPECT_EQ(is_weights[0], 1.0);
-        for (std::size_t i = 1; i < is_weights.size(); ++i) {
-          if (overlapped) {
-            EXPECT_LT(is_weights[i], 1.0) << "update " << i;
-          } else {
-            EXPECT_EQ(is_weights[i], 1.0) << "update " << i;
-          }
-        }
-        ASSERT_EQ(trained.parameters.size(), expected.size()) << "l=" << envs;
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          ASSERT_EQ(trained.parameters[i], expected[i])
-              << "async=" << overlapped << " l=" << envs << " threads=" << threads
-              << " parameter " << i;
-        }
+  for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
+    core::TrainingConfig config = tiny_training_config();
+    config.parallel_envs = envs;
+    const std::vector<double> expected = reference_parameters(scenario, config);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+      const nn::ComputeThreadsGuard budget(threads);
+      std::size_t updates = 0;  // one progress call per update, in order
+      const core::TrainedPolicy trained = core::train_distributed_policy(
+          scenario, config, [&](const core::TrainingProgress& p) {
+            EXPECT_EQ(p.iteration, updates);
+            ++updates;
+          });
+      ASSERT_EQ(updates, config.iterations);
+      ASSERT_EQ(trained.parameters.size(), expected.size()) << "l=" << envs;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(trained.parameters[i], expected[i])
+            << "l=" << envs << " threads=" << threads << " parameter " << i;
       }
     }
   }
 }
 
-// ---- merge_batches_into edge cases (the batched windows' merge path) ----
+// ---- merge_batches_into edge cases (the trainer's merge path) ----
 
 rl::ActorCritic tiny_net() {
   rl::ActorCriticConfig config;
@@ -500,12 +472,12 @@ rl::Batch tiny_batch(const rl::ActorCritic& net, std::uint64_t key, double rewar
   rl::TrajectoryBuffer buffer(1.0);
   const std::vector<double> obs{0.1 * static_cast<double>(key), 0.2, 0.3};
   for (int s = 0; s < steps; ++s) {
-    buffer.record_decision(key, obs, s % 2, -0.5);
+    buffer.record_decision(key, obs, s % 2);
     buffer.record_reward(key, reward);
   }
   buffer.finish(key);
   rl::Batch batch;
-  buffer.drain_into(batch, net, 3, /*with_behavior_logp=*/true);
+  buffer.drain_into(batch, net, 3);
   return batch;
 }
 
@@ -534,7 +506,6 @@ TEST(MergeBatches, SingleEnvContributingAllRowsIsVerbatim) {
     for (std::size_t i = 0; i < source.size(); ++i) {
       ASSERT_EQ(merged.actions[i], source.actions[i]);
       ASSERT_EQ(merged.returns[i], source.returns[i]);
-      ASSERT_EQ(merged.behavior_logp[i], source.behavior_logp[i]);
       for (std::size_t d = 0; d < 3; ++d) ASSERT_EQ(merged.obs(i, d), source.obs(i, d));
     }
   }
@@ -553,7 +524,6 @@ TEST(MergeBatches, EmptyBatchesDoNotPerturbTheMerge) {
   };
   const auto expect_same = [](const rl::Batch& a, const rl::Batch& b) {
     ASSERT_EQ(a.size(), b.size());
-    ASSERT_EQ(a.behavior_logp.size(), b.behavior_logp.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a.actions[i], b.actions[i]);
       ASSERT_EQ(a.returns[i], b.returns[i]);

@@ -204,30 +204,6 @@ TEST(TrajectoryBuffer, TruncateClosesInFirstDecisionOrder) {
   }
 }
 
-TEST(TrajectoryBuffer, DrainWithBehaviorLogpCarriesRecordedValues) {
-  const ActorCritic net = make_net();
-  TrajectoryBuffer buffer(0.9);
-  buffer.record_decision(5, obs(0.2), 0, -0.25);
-  buffer.record_reward(5, 1.0);
-  buffer.record_decision(5, obs(0.3), 1, -1.5);
-  buffer.record_reward(5, 2.0);
-  buffer.finish(5);
-
-  Batch batch;
-  buffer.drain_into(batch, net, 3, /*with_behavior_logp=*/true);
-  ASSERT_EQ(batch.size(), 2u);
-  ASSERT_EQ(batch.behavior_logp.size(), 2u);
-  EXPECT_DOUBLE_EQ(batch.behavior_logp[0], -0.25);
-  EXPECT_DOUBLE_EQ(batch.behavior_logp[1], -1.5);
-
-  // Without the flag the batch stays on-policy-shaped (empty vector).
-  buffer.record_decision(6, obs(0.4), 0, -0.5);
-  buffer.finish(6);
-  buffer.drain_into(batch, net, 3);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch.behavior_logp.empty());
-}
-
 TEST(TrajectoryBuffer, PoolRecyclesAcrossManyEpisodesWithoutLeakingState) {
   // Heavy churn across key reuse, growth, and repeated drains: the pooled
   // storage and open-addressing table must keep producing exact returns.
@@ -279,39 +255,31 @@ TEST(TrajectoryBuffer, ReserveMidEpisodePreservesOpenTrajectories) {
   EXPECT_DOUBLE_EQ(batch.obs(129, 0), 0.2);
 }
 
-TEST(MergeBatches, ConcatenatesUnderCapAndMergesLogp) {
+TEST(MergeBatches, ConcatenatesUnderCap) {
   const ActorCritic net = make_net();
-  auto make_batch = [&](std::uint64_t key, double reward, double logp, int steps) {
+  auto make_batch = [&](std::uint64_t key, double reward, int steps) {
     TrajectoryBuffer buffer(1.0);
     for (int s = 0; s < steps; ++s) {
-      buffer.record_decision(key, obs(0.1 * (s + 1)), s % 2, logp);
+      buffer.record_decision(key, obs(0.1 * (s + 1)), s % 2);
       buffer.record_reward(key, reward);
     }
     buffer.finish(key);
     Batch batch;
-    buffer.drain_into(batch, net, 3, /*with_behavior_logp=*/true);
+    buffer.drain_into(batch, net, 3);
     return batch;
   };
-  const std::vector<Batch> batches = {make_batch(1, 1.0, -0.1, 2),
-                                      make_batch(2, 2.0, -0.2, 3)};
+  const std::vector<Batch> batches = {make_batch(1, 1.0, 2), make_batch(2, 2.0, 3)};
   Batch merged;
   util::Rng rng(9);
   merge_batches_into(merged, batches, 3, /*max_steps=*/100, rng);
   ASSERT_EQ(merged.size(), 5u);
-  ASSERT_EQ(merged.behavior_logp.size(), 5u);
-  // Under the cap the merge is a plain concatenation in batch order.
-  EXPECT_DOUBLE_EQ(merged.behavior_logp[0], -0.1);
-  EXPECT_DOUBLE_EQ(merged.behavior_logp[2], -0.2);
-  EXPECT_DOUBLE_EQ(merged.returns[0], 2.0);  // gamma 1: 2 steps x reward 1
-  EXPECT_DOUBLE_EQ(merged.returns[2], 6.0);  // 3 steps x reward 2
+  // Under the cap the merge is a plain concatenation in batch order
+  // (gamma 1: batch 1's returns 2, 1; batch 2's 6, 4, 2).
+  const std::vector<double> returns{2.0, 1.0, 6.0, 4.0, 2.0};
+  for (std::size_t i = 0; i < returns.size(); ++i) {
+    EXPECT_DOUBLE_EQ(merged.returns[i], returns[i]) << "row " << i;
+  }
   EXPECT_DOUBLE_EQ(merged.obs(4, 0), 0.3);
-
-  // If any input lacks behavior_logp the merged batch drops it entirely.
-  std::vector<Batch> mixed = {make_batch(1, 1.0, -0.1, 2), make_batch(2, 2.0, -0.2, 3)};
-  mixed[1].behavior_logp.clear();
-  merge_batches_into(merged, mixed, 3, 100, rng);
-  ASSERT_EQ(merged.size(), 5u);
-  EXPECT_TRUE(merged.behavior_logp.empty());
 }
 
 TEST(MergeBatches, ReservoirSubsampleCapsSizeDeterministically) {

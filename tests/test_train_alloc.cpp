@@ -66,13 +66,13 @@ TEST(TrainAlloc, PooledBufferEpisodeLoopIsAllocationFreeOnceWarm) {
     for (int step = 0; step < 4; ++step) {
       for (std::uint64_t flow = 0; flow < 32; ++flow) {
         obs[0] = static_cast<double>(step) * 0.1;
-        buffer.record_decision(flow, obs, step % 3, -0.5);
+        buffer.record_decision(flow, obs, step % 3);
         buffer.record_reward(flow, 0.25);
       }
     }
     for (std::uint64_t flow = 0; flow < 32; flow += 2) buffer.finish(flow);
     buffer.truncate_all();
-    buffer.drain_into(batch, net, 6, /*with_behavior_logp=*/true);
+    buffer.drain_into(batch, net, 6);
   };
 
   run_episode();  // warm every pool, table, scratch, and the batch target
@@ -163,14 +163,13 @@ TEST(TrainAlloc, WorkerEpisodeReplayIsAllocationFreeInsideDecideAndEvents) {
 
   const auto run_episode = [&](std::uint64_t* decide_allocs, std::uint64_t* event_allocs,
                                std::uint64_t* calls) {
-    core::TrainingEnv env(policy, buffer, core::RewardConfig{}, max_degree, util::Rng(7),
-                          {}, /*record_behavior_logp=*/true);
+    core::TrainingEnv env(policy, buffer, core::RewardConfig{}, max_degree, util::Rng(7));
     AllocCountingCoordinator coordinator(env);
     AllocCountingObserver observer(env);
     sim::Simulator sim(scenario, /*seed=*/17);
     sim.run(coordinator, &observer);
     buffer.truncate_all();
-    buffer.drain_into(batch, policy, policy.config().obs_dim, /*with_behavior_logp=*/true);
+    buffer.drain_into(batch, policy, policy.config().obs_dim);
     if (decide_allocs != nullptr) *decide_allocs = coordinator.allocs();
     if (event_allocs != nullptr) *event_allocs = observer.allocs();
     if (calls != nullptr) *calls = coordinator.calls();
@@ -286,8 +285,7 @@ TEST(TrainAlloc, BatchedRolloutRoundsAreAllocationFreeOnReplay) {
           sim::FlowObserver* observer = nullptr;
           if (stochastic) {
             train_envs.push_back(std::make_unique<core::TrainingEnv>(
-                policy, buffers[e], core::RewardConfig{}, max_degree, util::Rng(7 + e),
-                core::ObservationMask{}, /*record_behavior_logp=*/true));
+                policy, buffers[e], core::RewardConfig{}, max_degree, util::Rng(7 + e)));
             coordinator = train_envs.back().get();
             agent = train_envs.back().get();
             observer = train_envs.back().get();
@@ -315,7 +313,7 @@ TEST(TrainAlloc, BatchedRolloutRoundsAreAllocationFreeOnReplay) {
         for (auto& episode : episodes) episode->finish();
         for (rl::TrajectoryBuffer& buffer : buffers) {
           buffer.truncate_all();
-          buffer.drain_into(batch, policy, obs_dim, /*with_behavior_logp=*/true);
+          buffer.drain_into(batch, policy, obs_dim);
         }
       }
       EXPECT_EQ(driver_allocs, 0u) << what;

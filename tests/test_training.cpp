@@ -3,8 +3,10 @@
 // persistence, and that a briefly-trained agent beats a random one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "core/drl_env.hpp"
 #include "core/policy_io.hpp"
@@ -149,6 +151,36 @@ TEST(Trainer, BestSeedIsSelected) {
   for (const double s : policy.per_seed_success) {
     EXPECT_LE(s, policy.eval_success_ratio + 1e-12);
   }
+}
+
+TEST(Trainer, BestSeedBreaksTiesByRewardThenSeedIndex) {
+  // Selection alone, with training and evaluation scripted: the highest
+  // success ratio wins, then the highest mean reward, then the earlier seed.
+  const sim::Scenario scenario = easy_scenario(100.0);
+  TrainingConfig config;
+  config.hidden = {4};
+  config.num_seeds = 4;
+  config.seed_base = 5;
+  const std::size_t obs_dim = observation_dim(scenario.network().max_degree());
+  const std::size_t num_actions = scenario.num_actions();
+  const std::vector<EvalResult> script = {{0.5, 9.0}, {0.7, 1.0}, {0.7, 3.0}, {0.7, 3.0}};
+  std::vector<std::uint64_t> eval_seed_bases;
+  const TrainedPolicy policy = train_best_seed(
+      scenario, config, obs_dim, num_actions, [](rl::ActorCritic&, std::size_t) {},
+      [&](const rl::ActorCritic&, std::uint64_t seed_base) {
+        eval_seed_bases.push_back(seed_base);
+        return script[eval_seed_bases.size() - 1];
+      });
+
+  rl::ActorCriticConfig net_config;
+  net_config.obs_dim = obs_dim;
+  net_config.num_actions = num_actions;
+  net_config.hidden = config.hidden;
+  net_config.seed = config.seed_base + 2;
+  EXPECT_EQ(policy.parameters, rl::ActorCritic(net_config).get_parameters());
+  EXPECT_EQ(policy.per_seed_success, (std::vector<double>{0.5, 0.7, 0.7, 0.7}));
+  EXPECT_EQ(policy.eval_reward, 3.0);
+  EXPECT_EQ(eval_seed_bases, (std::vector<std::uint64_t>{9000, 9001, 9002, 9003}));
 }
 
 TEST(Trainer, ValidatesConfig) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "rl/updater.hpp"
 
@@ -175,102 +174,6 @@ TEST(Updater, LearningRateDecaysLinearly) {
   }
   EXPECT_GT(first_step, 0.0);
   EXPECT_LT(last_step, first_step);
-}
-
-TEST(Updater, ClippedIsWeightMatchesHandComputedValues) {
-  // rho = min(clip, exp(logp_current - logp_behavior)).
-  const double log_half = std::log(0.5);
-  const double log_quarter = std::log(0.25);
-  // ratio 0.5/0.25 = 2, truncated at 1.
-  EXPECT_DOUBLE_EQ(clipped_is_weight(log_half, log_quarter, 1.0), 1.0);
-  // ratio 2 with a looser clip of 1.5 truncates to 1.5.
-  EXPECT_DOUBLE_EQ(clipped_is_weight(log_half, log_quarter, 1.5), 1.5);
-  // ratio 0.25/0.5 = 0.5, under the clip: passes through untruncated.
-  EXPECT_NEAR(clipped_is_weight(log_quarter, log_half, 1.0), 0.5, 1e-15);
-  // clip <= 0 disables truncation: raw importance ratio.
-  EXPECT_NEAR(clipped_is_weight(log_half, log_quarter, 0.0), 2.0, 1e-15);
-  EXPECT_NEAR(clipped_is_weight(log_half, log_quarter, -1.0), 2.0, 1e-15);
-  // Equal log-probs give weight exactly 1 (exp(0.0) is exact).
-  EXPECT_EQ(clipped_is_weight(log_half, log_half, 1.0), 1.0);
-}
-
-TEST(Updater, NanBehaviorRowsAreBitIdenticalToOnPolicyBatch) {
-  // A batch whose behavior_logp rows are all NaN (the on-policy row
-  // marker) must produce exactly the same update as the same batch without
-  // behavior_logp.
-  ActorCritic net_a = make_net(11);
-  ActorCritic net_b = make_net(11);
-  UpdaterConfig config;
-  config.is_clip = 1.0;
-  Updater updater_a(config);
-  Updater updater_b(config);
-
-  Batch on_policy;
-  on_policy.obs = nn::Matrix(4, 4, 0.3);
-  on_policy.actions = {0, 1, 2, 1};
-  on_policy.returns = {1.0, -1.0, 0.5, 2.0};
-  Batch marked = on_policy;
-  marked.behavior_logp.assign(4, std::numeric_limits<double>::quiet_NaN());
-
-  const UpdateStats stats_a = updater_a.update(net_a, on_policy);
-  const UpdateStats stats_b = updater_b.update(net_b, marked);
-  EXPECT_DOUBLE_EQ(stats_a.policy_loss, stats_b.policy_loss);
-  EXPECT_DOUBLE_EQ(stats_b.mean_is_weight, 1.0);
-  const std::vector<double> params_a = net_a.get_parameters();
-  const std::vector<double> params_b = net_b.get_parameters();
-  ASSERT_EQ(params_a.size(), params_b.size());
-  for (std::size_t i = 0; i < params_a.size(); ++i) {
-    ASSERT_DOUBLE_EQ(params_a[i], params_b[i]) << "parameter " << i;
-  }
-}
-
-TEST(Updater, ClippedWeightScalesActorGradientExactly) {
-  // Every row maximally stale with is_clip = 2: each rho truncates to
-  // exactly 2.0, so the actor gradient — linear in the per-row weight —
-  // doubles, while the critic (no IS on the value fit) is untouched. SGD
-  // from a fresh state applies the gradient linearly, so the actor
-  // parameter deltas double too (up to rounding) and the critic deltas
-  // match bit for bit.
-  ActorCritic net_a = make_net(12);
-  ActorCritic net_b = make_net(12);
-  UpdaterConfig config;
-  config.optimizer = OptimizerKind::kSgd;
-  config.learning_rate = 0.01;
-  config.entropy_coef = 0.0;
-  config.max_grad_norm = 1e9;  // keep clipping out of the comparison
-  config.normalize_advantage = false;
-  config.is_clip = 2.0;
-  Updater updater_a(config);
-  Updater updater_b(config);
-
-  Batch fresh;
-  fresh.obs = nn::Matrix(4, 4, 0.2);
-  fresh.actions = {0, 1, 2, 0};
-  fresh.returns = {1.0, 0.5, -0.5, 2.0};
-  Batch stale = fresh;
-  // Behavior log-prob far below anything the policy assigns: the raw ratio
-  // explodes and the clip pins every rho to exactly 2.0.
-  stale.behavior_logp.assign(4, -100.0);
-
-  const std::vector<double> before = net_a.get_parameters();
-  updater_a.update(net_a, fresh);
-  const UpdateStats stats_b = updater_b.update(net_b, stale);
-  EXPECT_DOUBLE_EQ(stats_b.mean_is_weight, 2.0);
-
-  const std::vector<double> after_a = net_a.get_parameters();
-  const std::vector<double> after_b = net_b.get_parameters();
-  const std::size_t actor_params = net_a.actor().num_parameters();
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    const double delta_a = after_a[i] - before[i];
-    const double delta_b = after_b[i] - before[i];
-    if (i < actor_params) {
-      if (std::abs(delta_a) > 1e-12) {
-        EXPECT_NEAR(delta_b / delta_a, 2.0, 1e-6) << "actor parameter " << i;
-      }
-    } else {
-      ASSERT_DOUBLE_EQ(delta_a, delta_b) << "critic parameter " << i;
-    }
-  }
 }
 
 TEST(Updater, PaperHyperparametersAreDefaults) {
