@@ -97,6 +97,9 @@ double paper_scale_ms_per_iteration(const sim::Scenario& scenario, std::size_t i
 }  // namespace
 
 int main() {
+  // Line-buffered, so each row shows as soon as it is printed, also when
+  // stdout is a file or a CI log (bench_common's print_row flushes too).
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("bench_time_to_policy (%s, %u hardware threads)\n", smoke() ? "smoke" : "full",
               hw);

@@ -204,11 +204,12 @@ int cmd_train(int argc, char** argv) {
   config.num_seeds = count_flag<std::size_t>(argc, argv, "--seeds", 1, 1);
   config.updater.lr_decay_updates = config.iterations;
   const sim::Scenario scenario = load_scenario(argv[2]);
-  // The GEMM tier sets the speed of the update, not its result: printed so
-  // a training time can be traced to the kernels that produced it.
-  std::printf("training on '%s' (%zu seeds x %zu iterations, gemm %s)...\n",
+  // The GEMM tier and the number of seeds trained at once set the speed of
+  // training, not its result: printed so a training time can be traced to
+  // the kernels and the concurrency that produced it.
+  std::printf("training on '%s' (%zu seeds x %zu iterations, %zu at once, gemm %s)...\n",
               scenario.config().name.c_str(), config.num_seeds, config.iterations,
-              nn::gemm::tile_name());
+              core::seed_workers(config.num_seeds), nn::gemm::tile_name());
   const core::TrainedPolicy policy = core::train_distributed_policy(
       scenario, config, [](const core::TrainingProgress& p) {
         if (p.iteration % 25 == 0) {

@@ -5,8 +5,8 @@
 // single number. Two runs produce the same digest iff they dispatched the
 // same events at the same times in the same order, which is exactly the
 // "this refactor did not change semantics" statement future perf PRs need,
-// and (because the NN kernels are bit-deterministic by thread count) the
-// digest is also invariant under DOSC_THREADS.
+// and (because the NN kernels run on the calling thread, whatever the
+// compute-thread budget) the digest is also invariant under DOSC_THREADS.
 //
 // The digest covers event *dispatch*, not handling: two behaviours that
 // schedule identical streams but account them differently are caught by the

@@ -49,7 +49,7 @@ net::Network fuzz_network(util::Rng& rng, std::uint64_t seed) {
   const auto n = static_cast<std::size_t>(rng.uniform_int(kMinNodes, kMaxNodes));
   net::NetworkBuilder builder("fuzz-" + std::to_string(seed));
   for (std::size_t v = 0; v < n; ++v) {
-    builder.add_node("v" + std::to_string(v + 1));
+    builder.add_node(std::string("v").append(std::to_string(v + 1)));
   }
   // Random spanning tree keeps the graph connected; extra edges add the
   // routing choice the coordinators are supposed to exercise.
@@ -74,7 +74,7 @@ sim::ServiceCatalog fuzz_catalog(util::Rng& rng) {
       static_cast<std::size_t>(rng.uniform_int(kMinComponents, kMaxComponents));
   for (std::size_t c = 0; c < num_components; ++c) {
     sim::Component component;
-    component.name = "c" + std::to_string(c);
+    component.name = std::string("c").append(std::to_string(c));
     component.processing_delay = rng.uniform(kProcDelayLo, kProcDelayHi);
     component.resource_per_rate = rng.uniform(0.5, 1.5);
     component.resource_fixed = rng.bernoulli(0.25) ? rng.uniform(0.0, 0.3) : 0.0;
@@ -86,7 +86,7 @@ sim::ServiceCatalog fuzz_catalog(util::Rng& rng) {
   const auto num_services = static_cast<std::size_t>(rng.uniform_int(1, kMaxServices));
   for (std::size_t s = 0; s < num_services; ++s) {
     sim::Service service;
-    service.name = "s" + std::to_string(s);
+    service.name = std::string("s").append(std::to_string(s));
     const auto length = static_cast<std::size_t>(rng.uniform_int(1, kMaxChainLength));
     for (std::size_t i = 0; i < length; ++i) {
       service.chain.push_back(static_cast<sim::ComponentId>(

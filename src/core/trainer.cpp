@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "core/batched_episode.hpp"
+#include "nn/parallel.hpp"
 #include "rl/batched_rollout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/timer.hpp"
@@ -247,10 +249,17 @@ TrainedPolicy train_best_seed(const sim::Scenario& scenario, const TrainingConfi
   }
   TrainedPolicy best;
   best.max_degree = scenario.network().max_degree();
+  best.per_seed_success.assign(config.num_seeds, 0.0);
   best.eval_success_ratio = -1.0;
   double best_reward = -1e300;
+  std::size_t best_seed = config.num_seeds;
+  std::mutex best_mu;
 
-  for (std::size_t seed_index = 0; seed_index < config.num_seeds; ++seed_index) {
+  // One seed's training, evaluation and fold into the best. A seed's result
+  // depends only on its index, and the fold keeps the maximum of a total
+  // order (success ratio, then mean reward, then the lower seed index), so
+  // the deployed policy does not depend on which seed finishes first.
+  const auto run_one = [&](std::size_t seed_index) {
     rl::ActorCriticConfig net_config;
     net_config.obs_dim = obs_dim;
     net_config.num_actions = num_actions;
@@ -261,19 +270,37 @@ TrainedPolicy train_best_seed(const sim::Scenario& scenario, const TrainingConfi
 
     // Greedy evaluation; the best seed's network is deployed (Alg. 1 l.13).
     const EvalResult eval = evaluate(net, /*seed_base=*/9000 + seed_index);
-    best.per_seed_success.push_back(eval.success_ratio);
+    const std::lock_guard<std::mutex> lock(best_mu);
+    best.per_seed_success[seed_index] = eval.success_ratio;
     const bool better = eval.success_ratio > best.eval_success_ratio ||
                         (eval.success_ratio == best.eval_success_ratio &&
-                         eval.mean_reward > best_reward);
+                         (eval.mean_reward > best_reward ||
+                          (eval.mean_reward == best_reward && seed_index < best_seed)));
     if (better) {
       best.net_config = net_config;
       best.parameters = net.get_parameters();
       best.eval_success_ratio = eval.success_ratio;
       best.eval_reward = eval.mean_reward;
       best_reward = eval.mean_reward;
+      best_seed = seed_index;
     }
-  }
+  };
+  // Workers claim seed indices off one counter; at one worker the seeds run
+  // in index order on the calling thread.
+  std::atomic<std::size_t> next_seed{0};
+  util::run_workers(seed_workers(config.num_seeds), [&](std::size_t) {
+    try {
+      for (std::size_t i = next_seed++; i < config.num_seeds; i = next_seed++) run_one(i);
+    } catch (...) {
+      next_seed = config.num_seeds;  // no worker claims another seed
+      throw;
+    }
+  });
   return best;
+}
+
+std::size_t seed_workers(std::size_t num_seeds) noexcept {
+  return std::min(nn::compute_threads(), num_seeds);
 }
 
 TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
@@ -282,10 +309,19 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
   const std::size_t max_degree = scenario.network().max_degree();
   const std::size_t obs_dim = observation_dim(max_degree);
   const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
+  // Seeds train concurrently; the caller's callback sees one call at a time.
+  std::mutex progress_mu;
+  ProgressCallback serialised;
+  if (progress) {
+    serialised = [&](const TrainingProgress& p) {
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      progress(p);
+    };
+  }
   return train_best_seed(
       scenario, config, obs_dim, /*num_actions=*/max_degree + 1,
       [&](rl::ActorCritic& net, std::size_t seed_index) {
-        run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, progress);
+        run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, serialised);
       },
       [&](const rl::ActorCritic& net, std::uint64_t seed_base) {
         return evaluate_policy(scenario, net, config.reward, config.eval_episodes,

@@ -5,7 +5,8 @@
 // buffer, so nodes that see few flows still contribute to — and benefit
 // from — the shared policy. Training runs l environment copies per
 // iteration (A3C-style data from l envs, one synchronous ACKTR update) and
-// k independent seeds; the seed with the best greedy evaluation is selected
+// k independent seeds, as many at once as the compute-thread budget allows
+// (nn/parallel.hpp); the seed with the best greedy evaluation is selected
 // and its network is what gets copied to every node for inference. Every
 // episode — training and evaluation — is driven by rl::BatchedRollout.
 #pragma once
@@ -72,9 +73,14 @@ struct TrainingProgress {
   double mean_episode_reward = 0.0;
   rl::UpdateStats update;
 };
+/// Called once per update. train_distributed_policy serialises the calls:
+/// seeds that train concurrently never call it at the same time, and one
+/// seed's iterations arrive in order, but calls of different seeds
+/// interleave and may come from different threads.
 using ProgressCallback = std::function<void(const TrainingProgress&)>;
 
-/// Train on the given scenario and return the best agent across seeds.
+/// Train on the given scenario and return the best agent across seeds
+/// (train_best_seed, so seeds train concurrently).
 TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
                                        const TrainingConfig& config,
                                        const ProgressCallback& progress = nullptr);
@@ -103,25 +109,40 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
                            ObservationMask mask = {}, std::size_t parallel_episodes = 1,
                            std::size_t batch_envs = 1);
 
-/// Trains one seed's freshly initialised network in place.
+/// Trains one seed's freshly initialised network in place. Called
+/// concurrently for different seeds (train_best_seed), each call with its
+/// own network, so it must not write state that seeds share.
 using SeedTrainer = std::function<void(rl::ActorCritic& net, std::size_t seed_index)>;
 /// Greedy evaluation of a trained network on simulator seeds seed_base,
-/// seed_base + 1, ...
+/// seed_base + 1, ... Called concurrently for different seeds, like
+/// SeedTrainer.
 using SeedEvaluator =
     std::function<EvalResult(const rl::ActorCritic& net, std::uint64_t seed_base)>;
 
 /// The k-seed recipe of Alg. 1, the one loop both DRL agents (distributed
-/// and the central baseline) train through. For seed i = 0 .. num_seeds-1,
-/// in order: a fresh ActorCritic (obs_dim -> config.hidden -> num_actions)
-/// seeded config.seed_base + i is trained by `train`, then evaluated by
-/// `evaluate` on seeds 9000 + i, and its success ratio is recorded in
-/// per_seed_success. The deployed seed has the highest success ratio, then
-/// the highest mean reward; the earlier seed wins a tie. Throws
-/// std::invalid_argument unless config.num_seeds and config.parallel_envs
-/// are > 0.
+/// and the central baseline) train through. For each seed i = 0 ..
+/// num_seeds-1, a fresh ActorCritic (obs_dim -> config.hidden ->
+/// num_actions) seeded config.seed_base + i is trained by `train`, then
+/// evaluated by `evaluate` on seeds 9000 + i, and its success ratio is
+/// recorded in per_seed_success[i]. The deployed seed has the highest
+/// success ratio, then the highest mean reward, then the lower seed index.
+///
+/// Concurrency: min(nn::compute_threads(), num_seeds) workers claim seed
+/// indices in order, and each trains and evaluates its seed on its own
+/// thread. Only the best seed's parameters are kept. The result depends
+/// only on what `train` and `evaluate` compute per seed, never on the
+/// number of workers or on which seed finishes first; at one worker every
+/// seed runs on the calling thread in index order. If a seed throws, no
+/// further seed starts, and the first exception is rethrown once every
+/// worker has joined. Throws std::invalid_argument unless config.num_seeds
+/// and config.parallel_envs are > 0.
 TrainedPolicy train_best_seed(const sim::Scenario& scenario, const TrainingConfig& config,
                               std::size_t obs_dim, std::size_t num_actions,
                               const SeedTrainer& train, const SeedEvaluator& evaluate);
+
+/// How many of `num_seeds` seeds train_best_seed trains at once:
+/// min(nn::compute_threads(), num_seeds).
+std::size_t seed_workers(std::size_t num_seeds) noexcept;
 
 /// Deterministic per-episode simulator seed, decorrelated across
 /// (training seed, iteration, environment) so the l parallel workers of an

@@ -101,7 +101,8 @@ Network synthetic_topology(const SyntheticTopologyConfig& config) {
   // Planar layout for visualisation only; delays are drawn directly.
   for (std::size_t i = 0; i < n; ++i) {
     const double angle = 2.0 * std::numbers::pi * static_cast<double>(i) / static_cast<double>(n);
-    builder.add_node("n" + std::to_string(i), 0.0, std::cos(angle), std::sin(angle));
+    builder.add_node(std::string("n").append(std::to_string(i)), 0.0, std::cos(angle),
+                     std::sin(angle));
   }
   // Per-link delays are uniform in [1, 4] ms.
   const auto delay = [&] { return rng.uniform(1.0, 4.0); };

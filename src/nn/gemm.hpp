@@ -6,14 +6,12 @@
 // packed into 8-column panels, blocked over k in fixed panels of 256, run
 // at the one kernel tier that gemv, tanh and the Cholesky run at too
 // (nn/tier.hpp: AVX-512 with a 4x16 tile of C, AVX2+FMA with 4x8, or the
-// portable baseline with 4x8) and row-partitioned across the dosc::nn
-// compute-thread pool for large products.
+// portable baseline with 4x8), on the calling thread.
 //
 // Determinism contract: each output element is reduced over k in ascending
 // order by a single accumulator, and the reduction is never split across
-// threads or tiles. Results are therefore bit-identical across tile shapes,
-// vector widths and thread counts, so the AVX-512 and AVX2+FMA tiers agree
-// bit for bit. `accumulate == true` adds the fully reduced product to
+// tiles. Results are therefore bit-identical across tile shapes and vector
+// widths, so the AVX-512 and AVX2+FMA tiers agree bit for bit. `accumulate == true` adds the fully reduced product to
 // C with one final addition per element (C += A*B), so it equals computing
 // the product separately and adding it.
 //

@@ -1,12 +1,10 @@
 #include "nn/kfac.hpp"
 
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 #include <vector>
 
 #include "nn/gemm.hpp"
-#include "nn/parallel.hpp"
 
 namespace dosc::nn {
 
@@ -30,10 +28,8 @@ void Kfac::update_factors(Mlp& net) {
     }
   }
 
-  // Layers are independent given the caches, so their factor updates run on
-  // separate compute threads. Nothing below throws or allocates at steady
-  // state.
-  parallel_chunks(layers.size(), [&](std::size_t li) {
+  // Nothing below throws or allocates at steady state.
+  for (std::size_t li = 0; li < layers.size(); ++li) {
     const DenseLayer& layer = layers[li];
     LayerFactors& f = factors_[li];
     const std::size_t batch_n = layer.input.rows();
@@ -77,7 +73,7 @@ void Kfac::update_factors(Mlp& net) {
       ema_update(f.a, ab, KfacConfig::ema_decay);
       ema_update(f.g, gb, KfacConfig::ema_decay);
     }
-  });
+  }
 }
 
 void Kfac::step(Mlp& net) {
@@ -90,56 +86,43 @@ void Kfac::step(Mlp& net) {
   }
 
   // Per-layer natural gradient v_l = A⁻¹ Ḡ_l G⁻¹ with factored damping
-  // (pi-splitting, Martens & Grosse 2015). Layers are independent, so the
-  // damped solves run on separate compute threads; a throwing solve is
-  // captured and rethrown on the caller after the join. Every intermediate
-  // lives in the layer's workspaces: no allocation at steady state.
-  parallel_chunks(layers.size(), [&](std::size_t li) {
-    LayerFactors& f = factors_[li];
-    f.error = nullptr;
-    try {
-      const DenseLayer& layer = layers[li];
-      const std::size_t in = layer.fan_in();
-      const std::size_t out = layer.fan_out();
-
-      // Stack weight and bias gradients into the combined [(in+1) x out]
-      // block matching the augmented-input convention.
-      Matrix& grad = f.work_a;
-      grad.ensure_shape(in + 1, out);
-      for (std::size_t i = 0; i < in; ++i) {
-        const double* src = layer.grad_weights.data() + i * out;
-        double* dst = grad.data() + i * out;
-        for (std::size_t j = 0; j < out; ++j) dst[j] = src[j];
-      }
-      for (std::size_t j = 0; j < out; ++j) grad(in, j) = layer.grad_bias(0, j);
-
-      const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
-      const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
-      const double pi = std::sqrt(tr_a / tr_g);
-      const double damp = std::sqrt(KfacConfig::damping);
-
-      // Each intermediate overwrites a workspace whose contents are dead.
-      cholesky_solve_into(f.work_b, f.a_batch, f.a, grad, pi * damp);  // A⁻¹ Ḡ
-      transpose_into(f.work_a, f.work_b);
-      cholesky_solve_into(f.work_b, f.g_batch, f.g, f.work_a, damp / pi);  // G⁻¹ (A⁻¹ Ḡ)ᵀ
-      transpose_into(f.natural, f.work_b);                                 // A⁻¹ Ḡ G⁻¹
-
-      // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
-      matmul_into(f.work_a, f.a, f.natural);       // A v
-      matmul_into(f.work_b, f.work_a, f.g);        // A v G
-      f.quadratic = dot(f.natural, f.work_b);
-    } catch (...) {
-      f.error = std::current_exception();
-    }
-  });
-  for (const LayerFactors& f : factors_) {
-    if (f.error) std::rethrow_exception(f.error);
-  }
-
-  // vᵀ F̂ v, accumulated across layers in a fixed order so the trust region
-  // does not depend on which thread finished first.
+  // (pi-splitting, Martens & Grosse 2015). Every intermediate lives in the
+  // layer's workspaces: no allocation at steady state. Alongside, vᵀ F̂ v
+  // accumulates across layers in layer order.
   double quadratic = 0.0;
-  for (const LayerFactors& f : factors_) quadratic += f.quadratic;
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    LayerFactors& f = factors_[li];
+    const DenseLayer& layer = layers[li];
+    const std::size_t in = layer.fan_in();
+    const std::size_t out = layer.fan_out();
+
+    // Stack weight and bias gradients into the combined [(in+1) x out]
+    // block matching the augmented-input convention.
+    Matrix& grad = f.work_a;
+    grad.ensure_shape(in + 1, out);
+    for (std::size_t i = 0; i < in; ++i) {
+      const double* src = layer.grad_weights.data() + i * out;
+      double* dst = grad.data() + i * out;
+      for (std::size_t j = 0; j < out; ++j) dst[j] = src[j];
+    }
+    for (std::size_t j = 0; j < out; ++j) grad(in, j) = layer.grad_bias(0, j);
+
+    const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
+    const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
+    const double pi = std::sqrt(tr_a / tr_g);
+    const double damp = std::sqrt(KfacConfig::damping);
+
+    // Each intermediate overwrites a workspace whose contents are dead.
+    cholesky_solve_into(f.work_b, f.a_batch, f.a, grad, pi * damp);  // A⁻¹ Ḡ
+    transpose_into(f.work_a, f.work_b);
+    cholesky_solve_into(f.work_b, f.g_batch, f.g, f.work_a, damp / pi);  // G⁻¹ (A⁻¹ Ḡ)ᵀ
+    transpose_into(f.natural, f.work_b);                                 // A⁻¹ Ḡ G⁻¹
+
+    // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
+    matmul_into(f.work_a, f.a, f.natural);       // A v
+    matmul_into(f.work_b, f.work_a, f.g);        // A v G
+    quadratic += dot(f.natural, f.work_b);
+  }
 
   // Trust region: eta = min(lr, sqrt(2 * kl_clip / (vᵀ F v))), plus a
   // Euclidean cap on the total step size.

@@ -10,8 +10,6 @@
 // is ACKTR's "gradual policy update" guarantee the paper relies on.
 #pragma once
 
-#include <exception>
-
 #include "nn/optimizer.hpp"
 
 namespace dosc::nn {
@@ -50,8 +48,7 @@ class Kfac final : public Optimizer {
     bool initialised = false;
 
     // Reused per-layer workspaces (update_factors / step). Keeping them here
-    // makes update_factors and step allocation-free at steady state and lets
-    // layers be processed on different compute threads without sharing.
+    // makes update_factors and step allocation-free at steady state.
     // The batch covariances are dead once folded into a and g, so step
     // builds its Cholesky factors of A and G in them.
     Matrix a_batch;     ///< this batch's input covariance; step: A's factor
@@ -59,8 +56,6 @@ class Kfac final : public Optimizer {
     Matrix work_a;      ///< step's intermediates, [ (in+1) x out ] or its
     Matrix work_b;      ///< transpose, each overwritten once it is dead
     Matrix natural;     ///< per-layer natural gradient A⁻¹ Ḡ G⁻¹
-    double quadratic = 0.0;  ///< this layer's contribution to vᵀ F v
-    std::exception_ptr error;  ///< a throwing step, rethrown after the join
   };
 
   KfacConfig config_;

@@ -4,12 +4,10 @@
 // throughout — the networks are small (paper: 2x256 hidden units) and KFAC's
 // factor inversions benefit from the head-room.
 //
-// The matmul family runs on the tiled, optionally multi-threaded kernels in
-// nn/gemm.hpp (thread budget: set_compute_threads() / DOSC_THREADS, see
-// nn/parallel.hpp). Results are bit-identical for any thread count. The
-// *_into / *_acc variants (matmul, transpose, cholesky_solve) write into
-// caller-owned destinations and perform no heap allocation once the
-// destination has capacity — the training step, K-FAC's natural-gradient
+// The matmul family runs on the tiled kernels in nn/gemm.hpp, on the
+// calling thread. The *_into / *_acc variants (matmul, transpose,
+// cholesky_solve) write into caller-owned destinations and perform no heap
+// allocation once the destination has capacity — the training step, K-FAC's natural-gradient
 // solves included, is built exclusively from these.
 #pragma once
 
@@ -17,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "nn/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dosc::nn {

@@ -3,9 +3,9 @@
 // Counters and gauges are lock-free after the first lookup (atomic adds on
 // stable heap objects); histograms take a per-histogram mutex on observe,
 // so hot paths should record into a local telemetry::Histogram and
-// merge() it in at a sync point (what the trainer workers and the
-// simulator do). The registry itself is a singleton (`global()`), but the
-// class is instantiable for tests.
+// merge() it in at a sync point (what the simulator and the serving workers
+// do). The registry itself is a singleton (`global()`), but the class is
+// instantiable for tests.
 //
 // All instrumentation is gated by a process-wide enable flag
 // (`set_enabled`), default off: a disabled run costs the instrumented code

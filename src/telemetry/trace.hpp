@@ -11,8 +11,8 @@
 //    fixed-capacity ring; when it wraps, the oldest events are overwritten
 //    (the exporter reports how many were lost).
 //  * Threads register lazily on first record; their rings outlive them
-//    (shared_ptr), so worker spans from the parallel_envs trainer survive
-//    the join and show up in the export.
+//    (shared_ptr), so spans from the trainer's seed workers survive the
+//    join and show up in the export, one track per worker.
 #pragma once
 
 #include <atomic>

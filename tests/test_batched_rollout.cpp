@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/digest.hpp"
@@ -432,7 +435,7 @@ TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
   // The trainer drives its l envs through one BatchedRollout. The trained
   // parameters must match the sequential reference bit for bit at l = 1
   // (every round one GEMV row) and at l = 3, at one compute thread and at
-  // the default (0): the GEMM budget may not reach the parameters.
+  // the default (0): the compute-thread budget may not reach the parameters.
   const sim::Scenario scenario = tiny_training_scenario();
   for (const std::size_t envs : {std::size_t{1}, std::size_t{3}}) {
     core::TrainingConfig config = tiny_training_config();
@@ -454,6 +457,49 @@ TEST(Trainer, SyncTrainerMatchesSequentialEpisodeReference) {
       }
     }
   }
+}
+
+TEST(Trainer, SeedConcurrencyIsBitIdentical) {
+  // Seeds train on min(compute_threads(), num_seeds) workers. The deployed
+  // policy and every seed's evaluation must be the same at one worker and
+  // at one worker per seed, and the progress callback must see one call at
+  // a time, with each seed's iterations in order.
+  const sim::Scenario scenario = tiny_training_scenario();
+  core::TrainingConfig config = tiny_training_config();
+  config.num_seeds = 3;
+  core::TrainedPolicy serial;
+  {
+    const nn::ComputeThreadsGuard budget(1);
+    serial = core::train_distributed_policy(scenario, config);
+  }
+
+  std::atomic<bool> in_callback{false};
+  std::size_t calls = 0;
+  std::vector<std::size_t> next_iteration(config.num_seeds, 0);
+  core::TrainedPolicy concurrent;
+  {
+    const nn::ComputeThreadsGuard budget(3);
+    concurrent = core::train_distributed_policy(
+        scenario, config, [&](const core::TrainingProgress& p) {
+          EXPECT_FALSE(in_callback.exchange(true)) << "progress calls overlap";
+          // Hold the callback open so an unserialised caller would overlap.
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          ++calls;
+          if (p.seed_index < next_iteration.size()) {
+            EXPECT_EQ(p.iteration, next_iteration[p.seed_index]) << "seed " << p.seed_index;
+            ++next_iteration[p.seed_index];
+          } else {
+            ADD_FAILURE() << "seed index " << p.seed_index;
+          }
+          in_callback.store(false);
+        });
+  }
+  EXPECT_EQ(calls, config.num_seeds * config.iterations);
+  EXPECT_EQ(next_iteration, std::vector<std::size_t>(config.num_seeds, config.iterations));
+  EXPECT_EQ(concurrent.parameters, serial.parameters);
+  EXPECT_EQ(concurrent.per_seed_success, serial.per_seed_success);
+  EXPECT_EQ(concurrent.eval_success_ratio, serial.eval_success_ratio);
+  EXPECT_EQ(concurrent.eval_reward, serial.eval_reward);
 }
 
 // ---- merge_batches_into edge cases (the trainer's merge path) ----

@@ -3,17 +3,15 @@
 // The kernels promise more than approximate correctness: every output
 // element is reduced over k in ascending order by a single accumulator, so
 // tiled results are BIT-IDENTICAL to the naive reference kernels (compiled
-// at the same ISA level) and invariant under the compute-thread count.
-// These tests therefore use exact floating-point equality throughout. The
+// at the same ISA level). These tests therefore use exact floating-point
+// equality throughout. The
 // tiled and reference kernels are checked once per kernel tier the CPU can
 // run (kernel_tiers.hpp), not just the one the dispatch selects.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kernel_tiers.hpp"
@@ -59,7 +57,6 @@ INSTANTIATE_TEST_SUITE_P(EveryTier, Gemm, test::kEveryTier, test::tier_test_name
 const std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 31, 32, 33};
 
 TEST_P(Gemm, TiledMatchesReferenceExhaustively) {
-  ComputeThreadsGuard guard(1);
   util::Rng rng(42);
   for (std::size_t m : kSizes) {
     for (std::size_t n : kSizes) {
@@ -78,33 +75,6 @@ TEST_P(Gemm, TiledMatchesReferenceExhaustively) {
             << "nt " << m << "x" << n << "x" << k;
       }
     }
-  }
-}
-
-TEST_P(Gemm, ThreadCountInvariance) {
-  util::Rng rng(43);
-  const std::size_t shapes[][3] = {{67, 45, 33}, {128, 64, 96}, {257, 129, 65}};
-  for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s[0], s[2], rng);
-    const Matrix b = random_matrix(s[2], s[1], rng);
-    const Matrix at = random_matrix(s[2], s[0], rng);
-    const Matrix bt = random_matrix(s[1], s[2], rng);
-    Matrix c1, c4, tn1, tn4, nt1, nt4;
-    {
-      ComputeThreadsGuard guard(1);
-      matmul_into(c1, a, b);
-      matmul_tn_into(tn1, at, b);
-      matmul_nt_into(nt1, a, bt);
-    }
-    {
-      ComputeThreadsGuard guard(4);
-      matmul_into(c4, a, b);
-      matmul_tn_into(tn4, at, b);
-      matmul_nt_into(nt4, a, bt);
-    }
-    EXPECT_EQ(mismatches(c1, c4), 0u) << "nn " << s[0] << "x" << s[1] << "x" << s[2];
-    EXPECT_EQ(mismatches(tn1, tn4), 0u) << "tn " << s[0] << "x" << s[1] << "x" << s[2];
-    EXPECT_EQ(mismatches(nt1, nt4), 0u) << "nt " << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
 
@@ -179,8 +149,8 @@ TEST(Gemm, FlopCounterAdvances) {
 // one panel, one past it (a one-deep second panel), two panels plus a
 // remainder, and a training-sized batch. Each element's accumulator is
 // carried through C between panels, so every kernel must still equal the
-// unblocked reference bit for bit, at any thread count, and `accumulate`
-// must still add the fully reduced product to C exactly once.
+// unblocked reference bit for bit, and `accumulate` must still add the
+// fully reduced product to C exactly once.
 constexpr std::size_t kPanel = 256;
 const std::size_t kPanelKs[] = {kPanel - 1, kPanel, kPanel + 1, 2 * kPanel + 3, 2400};
 
@@ -193,10 +163,9 @@ Matrix plus(const Matrix& c0, const Matrix& product) {
 
 TEST_P(Gemm, KPanelBlockingMatchesReference) {
   util::Rng rng(49);
-  // m spans several 4-row tiles plus an edge and, at 4 threads, splits into
-  // 3-4 row chunks at every k. n = 21 ends in a partial panel that a 16-wide
-  // tier runs as a one-panel tile, n = 29 in a 16-wide tile with a partial
-  // second panel.
+  // m spans several 4-row tiles plus an edge. n = 21 ends in a partial
+  // panel that a 16-wide tier runs as a one-panel tile, n = 29 in a 16-wide
+  // tile with a partial second panel.
   const std::size_t m = 133;
   for (const std::size_t n : {21u, 29u}) {
     for (const std::size_t k : kPanelKs) {
@@ -211,35 +180,31 @@ TEST_P(Gemm, KPanelBlockingMatchesReference) {
       std::vector<double> slab(gemm::packed_b_size(k, n));
       gemm::pack_b(k, n, b.data(), b.cols(), slab.data());
 
-      for (const std::size_t threads : {1u, 4u}) {
-        ComputeThreadsGuard guard(threads);
-        for (const bool acc : {false, true}) {
-          const auto run = [&](auto&& kernel) {
-            Matrix c = acc ? c0 : Matrix(m, n);
-            kernel(c);
-            return c;
-          };
-          const std::string what = " n=" + std::to_string(n) + " k=" + std::to_string(k) +
-                                   " threads=" + std::to_string(threads) +
-                                   (acc ? " accumulate" : "");
-          const Matrix got_nn = run([&](Matrix& c) {
-            gemm::nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, acc);
-          });
-          const Matrix got_packed = run([&](Matrix& c) {
-            gemm::nn_packed(m, n, k, a.data(), k, slab.data(), c.data(), n, acc);
-          });
-          const Matrix got_tn = run([&](Matrix& c) {
-            gemm::tn(m, n, k, at.data(), m, b.data(), n, c.data(), n, acc);
-          });
-          const Matrix got_nt = run([&](Matrix& c) {
-            gemm::nt(m, n, k, a.data(), k, bt.data(), k, c.data(), n, acc);
-          });
-          EXPECT_EQ(mismatches(got_nn, acc ? plus(c0, ref_nn) : ref_nn), 0u) << "nn" << what;
-          EXPECT_EQ(mismatches(got_packed, acc ? plus(c0, ref_nn) : ref_nn), 0u)
-              << "nn_packed" << what;
-          EXPECT_EQ(mismatches(got_tn, acc ? plus(c0, ref_tn) : ref_tn), 0u) << "tn" << what;
-          EXPECT_EQ(mismatches(got_nt, acc ? plus(c0, ref_nt) : ref_nt), 0u) << "nt" << what;
-        }
+      for (const bool acc : {false, true}) {
+        const auto run = [&](auto&& kernel) {
+          Matrix c = acc ? c0 : Matrix(m, n);
+          kernel(c);
+          return c;
+        };
+        const std::string what = " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                                 (acc ? " accumulate" : "");
+        const Matrix got_nn = run([&](Matrix& c) {
+          gemm::nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, acc);
+        });
+        const Matrix got_packed = run([&](Matrix& c) {
+          gemm::nn_packed(m, n, k, a.data(), k, slab.data(), c.data(), n, acc);
+        });
+        const Matrix got_tn = run([&](Matrix& c) {
+          gemm::tn(m, n, k, at.data(), m, b.data(), n, c.data(), n, acc);
+        });
+        const Matrix got_nt = run([&](Matrix& c) {
+          gemm::nt(m, n, k, a.data(), k, bt.data(), k, c.data(), n, acc);
+        });
+        EXPECT_EQ(mismatches(got_nn, acc ? plus(c0, ref_nn) : ref_nn), 0u) << "nn" << what;
+        EXPECT_EQ(mismatches(got_packed, acc ? plus(c0, ref_nn) : ref_nn), 0u)
+            << "nn_packed" << what;
+        EXPECT_EQ(mismatches(got_tn, acc ? plus(c0, ref_tn) : ref_tn), 0u) << "tn" << what;
+        EXPECT_EQ(mismatches(got_nt, acc ? plus(c0, ref_nt) : ref_nt), 0u) << "nt" << what;
       }
     }
   }
@@ -251,12 +216,9 @@ TEST_P(Gemm, GramAcrossKPanelsMatchesReference) {
   for (const std::size_t k : kPanelKs) {
     const Matrix a = random_matrix(k, m, rng);
     const Matrix expected = matmul_tn_reference(a, a);
-    for (const std::size_t threads : {1u, 4u}) {
-      ComputeThreadsGuard guard(threads);
-      Matrix c(m, m);
-      gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
-      EXPECT_EQ(mismatches(c, expected), 0u) << "gram k=" << k << " threads=" << threads;
-    }
+    Matrix c(m, m);
+    gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
+    EXPECT_EQ(mismatches(c, expected), 0u) << "gram k=" << k;
   }
 }
 
@@ -372,29 +334,6 @@ TEST(Gemm, FmaTiersAreBitIdentical) {
   }
 }
 
-TEST(Parallel, ChunksCoverEveryIndexExactlyOnce) {
-  ComputeThreadsGuard guard(4);
-  for (std::size_t n : {0u, 1u, 3u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    parallel_chunks(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n=" << n;
-  }
-}
-
-TEST(Parallel, ForRowsPartitionIsAlignedAndComplete) {
-  ComputeThreadsGuard guard(3);
-  const std::size_t rows = 103;
-  std::vector<std::atomic<int>> hits(rows);
-  for (auto& h : hits) h.store(0);
-  parallel_for_rows(rows, /*min_rows_per_chunk=*/4, /*align=*/4,
-                    [&](std::size_t row0, std::size_t row1) {
-                      EXPECT_EQ(row0 % 4, 0u);  // chunk starts stay tile-aligned
-                      for (std::size_t r = row0; r < row1; ++r) hits[r].fetch_add(1);
-                    });
-  for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(hits[r].load(), 1) << "row " << r;
-}
-
 TEST(Parallel, GuardRestoresThreadCount) {
   const std::size_t before = compute_threads();
   {
@@ -407,53 +346,6 @@ TEST(Parallel, GuardRestoresThreadCount) {
     EXPECT_EQ(compute_threads(), 2u);
   }
   EXPECT_EQ(compute_threads(), before);
-}
-
-TEST(Parallel, NestedRegionsRunInlineOnEveryParticipant) {
-  // A region opened from inside a chunk — on a pool worker or on the
-  // submitting thread draining its own job — runs inline on that thread
-  // instead of re-entering the pool.
-  ComputeThreadsGuard guard(4);
-  EXPECT_FALSE(detail::in_parallel_region());
-  std::vector<std::atomic<int>> in_region(16);
-  std::vector<std::atomic<int>> same_thread(16);
-  parallel_chunks(16, [&](std::size_t i) {
-    in_region[i].store(detail::in_parallel_region() ? 1 : 0);
-    const std::thread::id outer = std::this_thread::get_id();
-    int inline_chunks = 0;
-    parallel_chunks(5, [&](std::size_t) {
-      if (std::this_thread::get_id() == outer) ++inline_chunks;
-    });
-    same_thread[i].store(inline_chunks);
-  });
-  EXPECT_FALSE(detail::in_parallel_region());
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(in_region[i].load(), 1) << "chunk " << i;
-    EXPECT_EQ(same_thread[i].load(), 5) << "chunk " << i;
-  }
-}
-
-TEST(Parallel, ScratchIsGrownForEveryParticipantBeforeAJob) {
-  // One chunk of the first job asks for a large scratch buffer. In the
-  // second job every participant — whichever chunks it claims — must find
-  // its buffer already that large: asking for it returns the same storage
-  // as asking for one double.
-  ComputeThreadsGuard guard(4);
-  constexpr std::size_t kLarge = std::size_t{1} << 17;
-  for (std::size_t slot = 0; slot < detail::kScratchSlots; ++slot) {
-    parallel_chunks(8, [&](std::size_t i) {
-      detail::thread_scratch(slot, i == 5 ? kLarge : 1);
-    });
-    std::vector<std::atomic<int>> stable(32);
-    parallel_chunks(32, [&](std::size_t i) {
-      const double* small = detail::thread_scratch(slot, 1);
-      const double* large = detail::thread_scratch(slot, kLarge);
-      stable[i].store(small == large ? 1 : 0);
-    });
-    for (std::size_t i = 0; i < 32; ++i) {
-      EXPECT_EQ(stable[i].load(), 1) << "slot " << slot << " chunk " << i;
-    }
-  }
 }
 
 }  // namespace

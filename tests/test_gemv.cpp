@@ -82,7 +82,6 @@ std::vector<double> packed_bias_act(std::size_t in, std::size_t out, const std::
 }
 
 TEST_P(Gemv, BiasActMatchesUnpackedReference) {
-  ComputeThreadsGuard guard(1);
   util::Rng rng(11);
   for (std::size_t in : kWidths) {
     for (std::size_t out : kWidths) {
@@ -119,8 +118,8 @@ TEST(Gemv, PredictRowBitExactForSingleOutput) {
 }
 
 TEST(Gemv, PredictRowInvariantUnderComputeThreads) {
-  // The gemv path is single-threaded by design, but predict() runs through
-  // the threaded GEMM — the equality must hold at any thread budget.
+  // predict() runs through the GEMM, predict_row() through the GEMV; the
+  // equality must hold at any compute-thread budget.
   util::Rng rng(5);
   const Mlp net({20, 64, 64, 6}, Activation::kTanh, Activation::kLinear, 1);
   const std::vector<double> x = random_vector(20, rng);

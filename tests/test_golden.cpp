@@ -157,7 +157,8 @@ TEST(Golden, CentralDrlAbilene) {
 TEST(Golden, CentralTrainingChecksum) {
   // The central DRL baseline's trainer end to end (rollout seeds, the
   // merge, the ACKTR update, per-seed eval and best-seed selection):
-  // CentralDrl.TrainingImprovesOverRandomPolicy's line-3 run at two seeds.
+  // CentralDrl.TrainingImprovesOverRandomPolicy's line-3 run at two seeds,
+  // trained one after the other and side by side.
   if (!exact_nn_pins()) GTEST_SKIP() << "NN goldens pinned for avx2+fma";
   test::TinyScenarioOptions options;
   options.ingress = {0};
@@ -174,14 +175,18 @@ TEST(Golden, CentralTrainingChecksum) {
   config.train_episode_time = 400.0;
   config.eval_episodes = 2;
   config.eval_episode_time = 400.0;
-  const core::TrainedPolicy policy = baselines::train_central_policy(scenario, config);
-  const std::uint64_t checksum = core::policy_checksum(policy.parameters);
-  std::printf("golden central_train success=%.17g,%.17g checksum=%lluULL\n",
-              policy.per_seed_success.size() > 0 ? policy.per_seed_success[0] : -1.0,
-              policy.per_seed_success.size() > 1 ? policy.per_seed_success[1] : -1.0,
-              static_cast<unsigned long long>(checksum));
-  EXPECT_EQ(policy.per_seed_success, (std::vector<double>{1.0, 1.0}));
-  EXPECT_EQ(checksum, 3179301300505001459ULL);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const nn::ComputeThreadsGuard budget(workers);
+    const core::TrainedPolicy policy = baselines::train_central_policy(scenario, config);
+    const std::uint64_t checksum = core::policy_checksum(policy.parameters);
+    std::printf("golden central_train workers=%zu success=%.17g,%.17g checksum=%lluULL\n",
+                workers,
+                policy.per_seed_success.size() > 0 ? policy.per_seed_success[0] : -1.0,
+                policy.per_seed_success.size() > 1 ? policy.per_seed_success[1] : -1.0,
+                static_cast<unsigned long long>(checksum));
+    EXPECT_EQ(policy.per_seed_success, (std::vector<double>{1.0, 1.0})) << workers << " workers";
+    EXPECT_EQ(checksum, 3179301300505001459ULL) << workers << " workers";
+  }
 }
 
 TEST(Golden, OnlineTrainingChecksum) {
@@ -408,7 +413,7 @@ TEST(GoldenCorpus, DigestIsComputeThreadInvariant) {
 
 TEST(Golden, DigestIsComputeThreadInvariant) {
   // The event stream (hence the digest) must not depend on DOSC_THREADS:
-  // the NN kernels are bit-deterministic by thread count.
+  // the NN kernels run on the calling thread whatever the budget.
   const sim::Scenario scenario = golden_scenario();
   const rl::ActorCritic policy = dist_policy(scenario);
   std::uint64_t digests[2] = {0, 0};

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "nn/mlp.hpp"
-#include "nn/parallel.hpp"
 #include "nn/vecmath.hpp"
 #include "util/rng.hpp"
 
@@ -283,15 +282,14 @@ TEST(Mlp, ForwardBackwardBitIdenticalToReferenceKernels) {
 }
 
 TEST(Mlp, ConcurrentPredictCallersAgreeWithSerial) {
-  // predict() and predict_row() are const and documented thread-safe; with
-  // the compute pool enabled, concurrent callers contend for it (losers run
-  // inline) and must still all produce the serial results bit for bit.
+  // predict() and predict_row() are const and documented thread-safe:
+  // concurrent callers of one network (the serving workers, the central
+  // trainer's env threads) must all produce the serial results bit for bit.
   util::Rng rng(32);
   Mlp net({8, 32, 32, 4}, Activation::kTanh, Activation::kLinear, 55);
   const Matrix x = random_matrix(40, 8, rng);
   const Matrix serial = net.predict(x);
 
-  ComputeThreadsGuard guard(2);
   constexpr int kCallers = 4;
   std::vector<int> ok(kCallers, 0);
   std::vector<std::thread> threads;

@@ -53,7 +53,7 @@ TEST(Network, RejectsNegativeDelayOrCapacity) {
 
 TEST(Network, NeighborsSortedAscending) {
   NetworkBuilder b("t");
-  for (int i = 0; i < 5; ++i) b.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) b.add_node(std::string("n").append(std::to_string(i)));
   // Insert links out of order; adjacency must still be sorted by node id.
   b.add_link(2, 4, 1.0, 1.0);
   b.add_link(2, 0, 1.0, 1.0);
@@ -105,7 +105,7 @@ TEST(Network, RandomCapacitiesWithinRanges) {
 
 TEST(Network, MaxNeighborLinkCapacity) {
   NetworkBuilder b("t");
-  for (int i = 0; i < 3; ++i) b.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) b.add_node(std::string("n").append(std::to_string(i)));
   b.add_link(0, 1, 1.0, 2.0);
   b.add_link(0, 2, 1.0, 7.0);
   const Network n = std::move(b).build();

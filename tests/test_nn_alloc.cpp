@@ -2,17 +2,16 @@
 //
 // The zero-allocation contract: after one warm-up pass has sized every
 // workspace (layer caches, gradient buffers, per-thread GEMM panels and
-// k-panel scratch, K-FAC's per-layer solve workspaces, the thread pool
-// itself), repeated Mlp::forward/backward and whole ACKTR updates at a
-// steady batch shape perform NO heap allocation. This binary replaces the
-// global operator new/delete with counting versions and asserts the count
-// stays flat across the steady-state region — on any thread count.
+// k-panel scratch, K-FAC's per-layer solve workspaces), repeated
+// Mlp::forward/backward and whole ACKTR updates at a steady batch shape
+// perform NO heap allocation. This binary replaces the global operator
+// new/delete with counting versions and asserts the count stays flat
+// across the steady-state region.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "nn/mlp.hpp"
-#include "nn/parallel.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/updater.hpp"
 #include "util/rng.hpp"
@@ -28,15 +27,9 @@ Matrix random_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
 }
 
 /// Allocations observed during `iterations` forward/backward passes at
-/// steady state, under the given compute-thread budget. Warm-up runs until a
-/// full pass allocates nothing. Pool chunks are claimed off a dynamic
-/// ticket, so which thread meets which shape first is a race; the pool grows
-/// every participant's GEMM scratch to the largest size any thread has
-/// needed before each job, so once a pass has met every shape no thread
-/// allocates again, whatever the claim order. The measured region gets no
-/// retry: one allocation in it fails the test.
-std::uint64_t steady_state_allocs(std::size_t threads, std::size_t iterations) {
-  ComputeThreadsGuard guard(threads);
+/// steady state. Warm-up runs until a full pass allocates nothing. The
+/// measured region gets no retry: one allocation in it fails the test.
+std::uint64_t steady_state_allocs(std::size_t iterations) {
   util::Rng rng(123);
   Mlp net({20, 256, 256, 5}, Activation::kTanh, Activation::kLinear, 9);
   const Matrix x = random_matrix(64, 20, rng);
@@ -60,11 +53,9 @@ std::uint64_t steady_state_allocs(std::size_t threads, std::size_t iterations) {
 /// forward/backward, K-FAC factor refresh, natural-gradient step) at steady
 /// state. The batch of 600 rows reduces the backward's weight gradients and
 /// the K-FAC factors over three k-panels, so the GEMMs' accumulate scratch
-/// is warmed and then reused too. K-FAC's per-layer tasks (each running
-/// its own GEMMs inline) are claimed off the same ticket as row chunks.
-/// Same warm-up rule as above, and no retry.
-std::uint64_t steady_state_update_allocs(std::size_t threads, std::size_t iterations) {
-  ComputeThreadsGuard guard(threads);
+/// is warmed and then reused too. Same warm-up rule as above, and no
+/// retry.
+std::uint64_t steady_state_update_allocs(std::size_t iterations) {
   util::Rng rng(321);
   rl::ActorCriticConfig net_config;
   net_config.obs_dim = 20;
@@ -102,22 +93,11 @@ TEST(NnAlloc, CountingAllocatorSeesAllocations) {
 }
 
 TEST(NnAlloc, ForwardBackwardSteadyStateIsAllocationFree) {
-  EXPECT_EQ(steady_state_allocs(/*threads=*/1, /*iterations=*/10), 0u);
-}
-
-TEST(NnAlloc, ForwardBackwardSteadyStateIsAllocationFreeMultiThread) {
-  // Pool threads, their pool-owned panel buffers, and the run bookkeeping
-  // all warm up in the first passes; after that the parallel path must be
-  // just as allocation-free as the serial one.
-  EXPECT_EQ(steady_state_allocs(/*threads=*/4, /*iterations=*/10), 0u);
+  EXPECT_EQ(steady_state_allocs(/*iterations=*/10), 0u);
 }
 
 TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFree) {
-  EXPECT_EQ(steady_state_update_allocs(/*threads=*/1, /*iterations=*/5), 0u);
-}
-
-TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFreeMultiThread) {
-  EXPECT_EQ(steady_state_update_allocs(/*threads=*/4, /*iterations=*/5), 0u);
+  EXPECT_EQ(steady_state_update_allocs(/*iterations=*/5), 0u);
 }
 
 TEST(NnAlloc, ReshapeAllocatesOnlyWhenGrowing) {

@@ -45,7 +45,7 @@ TEST(ShortestPaths, PicksCheaperRouteInDiamond) {
 TEST(ShortestPaths, EqualCostTieBreakDeterministic) {
   // Two equal-cost 2-hop routes A->D; the tie must break to the lower id.
   NetworkBuilder b("tie");
-  for (int i = 0; i < 4; ++i) b.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) b.add_node(std::string("n").append(std::to_string(i)));
   b.add_link(0, 1, 1.0, 1.0);
   b.add_link(1, 3, 1.0, 1.0);
   b.add_link(0, 2, 1.0, 1.0);
@@ -58,7 +58,7 @@ TEST(ShortestPaths, EqualCostTieBreakDeterministic) {
 
 TEST(ShortestPaths, UnreachableIsInfinite) {
   NetworkBuilder b("disc");
-  for (int i = 0; i < 4; ++i) b.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) b.add_node(std::string("n").append(std::to_string(i)));
   b.add_link(0, 1, 1.0, 1.0);
   b.add_link(2, 3, 1.0, 1.0);
   const Network n = std::move(b).build();

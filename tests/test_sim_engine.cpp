@@ -37,8 +37,8 @@ TEST(SimEngine, HoldListInlineAndSpill) {
 
 TEST(SimEngine, SteadyStatePoolsAndHeapAreBounded) {
   // Long stationary Poisson episode with generous deadlines: thousands of
-  // flows pass through, but only O(tens) are alive at once. Pool slots and
-  // the event heap must scale with the latter, not the former.
+  // flows pass through, but only O(tens) are alive at once. The pools'
+  // slots and the event heap must scale with the latter, not the former.
   const Scenario scenario =
       make_base_scenario(3, traffic::TrafficSpec::poisson(5.0)).with_end_time(6000.0);
   baselines::ShortestPathCoordinator coordinator;

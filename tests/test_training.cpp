@@ -3,14 +3,18 @@
 // persistence, and that a briefly-trained agent beats a random one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/drl_env.hpp"
 #include "core/policy_io.hpp"
 #include "core/trainer.hpp"
+#include "nn/parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace dosc::core {
@@ -125,6 +129,8 @@ TEST(Trainer, ProgressCallbackFires) {
   config.train_episode_time = 200.0;
   config.eval_episodes = 1;
   config.eval_episode_time = 200.0;
+  // Plain counters: the trainer serialises the callback, however many
+  // seeds train at once.
   std::size_t calls = 0;
   std::size_t max_seed = 0;
   train_distributed_policy(scenario, config, [&](const TrainingProgress& p) {
@@ -156,6 +162,8 @@ TEST(Trainer, BestSeedIsSelected) {
 TEST(Trainer, BestSeedBreaksTiesByRewardThenSeedIndex) {
   // Selection alone, with training and evaluation scripted: the highest
   // success ratio wins, then the highest mean reward, then the earlier seed.
+  // The scripted result is a function of the seed, so the selection must be
+  // the same at one worker and at one worker per seed.
   const sim::Scenario scenario = easy_scenario(100.0);
   TrainingConfig config;
   config.hidden = {4};
@@ -164,23 +172,59 @@ TEST(Trainer, BestSeedBreaksTiesByRewardThenSeedIndex) {
   const std::size_t obs_dim = observation_dim(scenario.network().max_degree());
   const std::size_t num_actions = scenario.num_actions();
   const std::vector<EvalResult> script = {{0.5, 9.0}, {0.7, 1.0}, {0.7, 3.0}, {0.7, 3.0}};
-  std::vector<std::uint64_t> eval_seed_bases;
-  const TrainedPolicy policy = train_best_seed(
-      scenario, config, obs_dim, num_actions, [](rl::ActorCritic&, std::size_t) {},
-      [&](const rl::ActorCritic&, std::uint64_t seed_base) {
-        eval_seed_bases.push_back(seed_base);
-        return script[eval_seed_bases.size() - 1];
-      });
-
   rl::ActorCriticConfig net_config;
   net_config.obs_dim = obs_dim;
   net_config.num_actions = num_actions;
   net_config.hidden = config.hidden;
   net_config.seed = config.seed_base + 2;
-  EXPECT_EQ(policy.parameters, rl::ActorCritic(net_config).get_parameters());
-  EXPECT_EQ(policy.per_seed_success, (std::vector<double>{0.5, 0.7, 0.7, 0.7}));
-  EXPECT_EQ(policy.eval_reward, 3.0);
-  EXPECT_EQ(eval_seed_bases, (std::vector<std::uint64_t>{9000, 9001, 9002, 9003}));
+  const std::vector<double> expected = rl::ActorCritic(net_config).get_parameters();
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const nn::ComputeThreadsGuard budget(workers);
+    std::mutex mu;
+    std::vector<std::uint64_t> eval_seed_bases;
+    const TrainedPolicy policy = train_best_seed(
+        scenario, config, obs_dim, num_actions, [](rl::ActorCritic&, std::size_t) {},
+        [&](const rl::ActorCritic&, std::uint64_t seed_base) {
+          const std::lock_guard<std::mutex> lock(mu);
+          eval_seed_bases.push_back(seed_base);
+          return script[seed_base - 9000];
+        });
+
+    EXPECT_EQ(policy.parameters, expected) << workers << " workers";
+    EXPECT_EQ(policy.per_seed_success, (std::vector<double>{0.5, 0.7, 0.7, 0.7}))
+        << workers << " workers";
+    EXPECT_EQ(policy.eval_reward, 3.0) << workers << " workers";
+    const std::vector<std::uint64_t> bases = {9000, 9001, 9002, 9003};
+    if (workers == 1) {
+      EXPECT_EQ(eval_seed_bases, bases);
+    } else {
+      std::sort(eval_seed_bases.begin(), eval_seed_bases.end());
+      EXPECT_EQ(eval_seed_bases, bases) << workers << " workers";
+    }
+  }
+}
+
+TEST(Trainer, SeedFailureIsRethrownAfterJoin) {
+  // A throwing seed stops the run: train_best_seed joins its workers and
+  // rethrows the seed's own exception.
+  const sim::Scenario scenario = easy_scenario(100.0);
+  TrainingConfig config;
+  config.hidden = {4};
+  config.num_seeds = 3;
+  const std::size_t obs_dim = observation_dim(scenario.network().max_degree());
+  const nn::ComputeThreadsGuard budget(3);
+  try {
+    train_best_seed(
+        scenario, config, obs_dim, scenario.num_actions(),
+        [](rl::ActorCritic&, std::size_t seed_index) {
+          if (seed_index == 1) throw std::runtime_error("seed 1 failed");
+        },
+        [](const rl::ActorCritic&, std::uint64_t) { return EvalResult{}; });
+    ADD_FAILURE() << "train_best_seed returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "seed 1 failed");
+  }
 }
 
 TEST(Trainer, ValidatesConfig) {
