@@ -3,34 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace dosc::bench {
-
-namespace {
-const char* kCacheDir = "dosc_bench_cache";
-
-std::string cache_path(const std::string& key, const BenchScale& scale) {
-  return std::string(kCacheDir) + "/" + key + (scale.full ? "_paper" : "_quick") + ".json";
-}
-
-std::optional<core::TrainedPolicy> load_cached(const std::string& path) {
-  if (!std::filesystem::exists(path)) return std::nullopt;
-  try {
-    return core::load_policy(path);
-  } catch (const std::exception&) {
-    return std::nullopt;  // stale/corrupt cache entry: retrain
-  }
-}
-
-void store_cached(const std::string& path, const core::TrainedPolicy& policy) {
-  std::filesystem::create_directories(kCacheDir);
-  core::save_policy(policy, path);
-}
-}  // namespace
 
 BenchScale BenchScale::from_env() {
   BenchScale scale;
@@ -48,13 +25,8 @@ BenchScale BenchScale::from_env() {
   return scale;
 }
 
-core::TrainedPolicy distributed_policy(const sim::Scenario& scenario,
-                                       const std::string& cache_key, const BenchScale& scale) {
-  const std::string path = cache_path("dist_" + cache_key, scale);
-  if (auto cached = load_cached(path)) {
-    std::printf("  [policy %s: cached]\n", cache_key.c_str());
-    return *cached;
-  }
+core::TrainedPolicy distributed_policy(const sim::Scenario& scenario, const std::string& key,
+                                       const BenchScale& scale) {
   // Larger observation/action spaces (high-degree topologies) need more
   // updates to reach comparable policy quality; scale the budget with the
   // network degree relative to Abilene's (3).
@@ -64,27 +36,18 @@ core::TrainedPolicy distributed_policy(const sim::Scenario& scenario,
   config.iterations = static_cast<std::size_t>(static_cast<double>(config.iterations) *
                                                std::min(4.0, degree_factor));
   config.updater.lr_decay_updates = config.iterations;
-  std::printf("  [policy %s: training %zu seeds x %zu iterations...]\n", cache_key.c_str(),
+  std::printf("  [policy %s: training %zu seeds x %zu iterations...]\n", key.c_str(),
               config.num_seeds, config.iterations);
   std::fflush(stdout);
-  const core::TrainedPolicy policy = core::train_distributed_policy(scenario, config);
-  store_cached(path, policy);
-  return policy;
+  return core::train_distributed_policy(scenario, config);
 }
 
-core::TrainedPolicy central_policy(const sim::Scenario& scenario,
-                                   const std::string& cache_key, const BenchScale& scale) {
-  const std::string path = cache_path("central_" + cache_key, scale);
-  if (auto cached = load_cached(path)) {
-    std::printf("  [central policy %s: cached]\n", cache_key.c_str());
-    return *cached;
-  }
-  std::printf("  [central policy %s: training %zu seeds x %zu iterations...]\n",
-              cache_key.c_str(), scale.training.num_seeds, scale.training.iterations);
+core::TrainedPolicy central_policy(const sim::Scenario& scenario, const std::string& key,
+                                   const BenchScale& scale) {
+  std::printf("  [central policy %s: training %zu seeds x %zu iterations...]\n", key.c_str(),
+              scale.training.num_seeds, scale.training.iterations);
   std::fflush(stdout);
-  const core::TrainedPolicy policy = baselines::train_central_policy(scenario, scale.training);
-  store_cached(path, policy);
-  return policy;
+  return baselines::train_central_policy(scenario, scale.training);
 }
 
 const char* algo_name(Algo algo) {

@@ -3,9 +3,8 @@
 // Every table/figure binary follows the paper's experiment protocol: train
 // the DRL agents on the scenario (centralized offline training), deploy,
 // then evaluate all four algorithms over multiple random seeds and report
-// mean +- stddev of the success ratio (Eq. 1). Trained policies are cached
-// on disk (./dosc_bench_cache) keyed by scenario + scale, so harnesses that
-// share a configuration (e.g. Fig. 6 and Fig. 8) do not retrain.
+// mean +- stddev of the success ratio (Eq. 1). Every run trains its
+// policies from the code it is built from; nothing is cached on disk.
 //
 // Scale: DOSC_BENCH_SCALE=quick (default) runs reduced-but-faithful sizes;
 // DOSC_BENCH_SCALE=full trains at core::TrainingConfig::paper_scale() and
@@ -21,7 +20,6 @@
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
 #include "core/drl_env.hpp"
-#include "core/policy_io.hpp"
 #include "core/trainer.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -56,13 +54,15 @@ struct AlgoStats {
   telemetry::Histogram decision_hist{telemetry::latency_histogram_config()};
 };
 
-/// Train (or load from cache) the distributed DRL policy for a scenario.
-core::TrainedPolicy distributed_policy(const sim::Scenario& scenario,
-                                       const std::string& cache_key, const BenchScale& scale);
+/// Train the distributed DRL policy for a scenario; `key` labels the
+/// progress line.
+core::TrainedPolicy distributed_policy(const sim::Scenario& scenario, const std::string& key,
+                                       const BenchScale& scale);
 
-/// Train (or load from cache) the centralized DRL baseline's policy.
-core::TrainedPolicy central_policy(const sim::Scenario& scenario,
-                                   const std::string& cache_key, const BenchScale& scale);
+/// Train the centralized DRL baseline's policy; `key` labels the progress
+/// line.
+core::TrainedPolicy central_policy(const sim::Scenario& scenario, const std::string& key,
+                                   const BenchScale& scale);
 
 enum class Algo { kDistributedDrl, kCentralDrl, kGcasp, kShortestPath };
 const char* algo_name(Algo algo);

@@ -9,7 +9,7 @@
 //                  algo: dist|gcasp|sp  (--stats prints event-engine
 //                  counters per episode: queue peak, pool sizes, recycling;
 //                  --episodes-parallel runs W independent episodes
-//                  concurrently, 0 = hardware threads, output unchanged)
+//                  concurrently, 0 = DOSC_THREADS, output unchanged)
 //   dosc_cli fuzz  [--seeds N] [--time MS]       differential fuzzing
 //   dosc_cli trace <out.json> [--seed S] [--horizon MS]
 //   dosc_cli serve <scenario.json> <policy.json> [...]   run the decision
@@ -40,7 +40,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/gcasp.hpp"
@@ -55,6 +54,7 @@
 #include "net/topology_io.hpp"
 #include "net/topology_zoo.hpp"
 #include "nn/gemm.hpp"
+#include "nn/parallel.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
 #include "sim/scenario.hpp"
@@ -75,7 +75,7 @@ int usage() {
                "  dosc_cli train <scenario.json> <policy.json> [--iterations N] [--seeds K]\n"
                "  dosc_cli eval <scenario.json> <dist|gcasp|sp> [--policy p.json]\n"
                "                [--episodes N] [--time MS] [--episodes-parallel W]\n"
-               "                [--audit] [--stats]\n"
+               "                [--audit] [--stats]   (W = 0: DOSC_THREADS episodes at once)\n"
                "  dosc_cli fuzz [--seeds N] [--time MS]\n"
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
                "  dosc_cli serve <scenario.json> <policy.json> [--port P] [--threads N]\n"
@@ -233,12 +233,13 @@ int cmd_eval(int argc, char** argv) {
   const double time = real_flag(argc, argv, "--time", 5000.0);
   const bool audit = has_flag(argc, argv, "--audit");
   const bool stats = has_flag(argc, argv, "--stats");
-  // Concurrent independent episodes (0 = one per hardware thread). Episode
+  // Concurrent independent episodes (0 = nn::compute_threads(), the
+  // DOSC_THREADS budget that also bounds the training seeds). Episode
   // seeds are fixed (424242 + e) and results are collected per episode and
   // merged/printed in episode order, so the output is identical to the
   // sequential run at any parallelism level.
   std::size_t parallel = count_flag<std::size_t>(argc, argv, "--episodes-parallel", 1);
-  if (parallel == 0) parallel = std::thread::hardware_concurrency();
+  if (parallel == 0) parallel = nn::compute_threads();
   if (algo != "dist" && algo != "gcasp" && algo != "sp") return usage();
   const sim::Scenario scenario = load_scenario(argv[2]);
   const sim::Scenario eval = scenario.with_end_time(time);

@@ -1,11 +1,9 @@
 #include "baselines/central_drl.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "baselines/shortest_path.hpp"
-#include "util/workers.hpp"
 
 namespace dosc::baselines {
 
@@ -188,37 +186,26 @@ core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
   const std::size_t obs_dim = central_observation_dim(scenario);
   const sim::Scenario train_scenario = scenario.with_end_time(config.train_episode_time);
 
-  const auto train_seed = [&](rl::ActorCritic& net, std::size_t seed_index) {
-    rl::Updater updater(config.updater);
-    rl::Batch merged;
-    util::Rng merge_rng(0);
-    std::vector<rl::Batch> batches(config.parallel_envs);
-    for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
-      // One env per worker. The envs read `net` concurrently: inference is
-      // const and thread-safe, and the update below runs only after every
-      // env joined.
-      util::run_workers(config.parallel_envs, [&](std::size_t env_index) {
-        rl::TrajectoryBuffer buffer(config.gamma);
-        const std::uint64_t es =
-            core::episode_seed(config.seed_base, seed_index, iteration, env_index);
-        CentralDrlCoordinator env(net, config.reward, &buffer, util::Rng(es * 17 + 3));
+  // Each iteration's l episodes run one after another on the seed's thread.
+  const auto train = [&](rl::ActorCritic& net, std::size_t seed_index) {
+    const auto rollout = [&](std::size_t iteration, std::span<rl::TrajectoryBuffer> buffers,
+                             std::span<double> episode_rewards) {
+      for (std::size_t e = 0; e < buffers.size(); ++e) {
+        const std::uint64_t es = core::episode_seed(config.seed_base, seed_index, iteration, e);
+        CentralDrlCoordinator env(net, config.reward, &buffers[e], util::Rng(es * 17 + 3));
         sim::Simulator sim(train_scenario, es);
         sim.run(env, &env);
-        buffer.truncate_all();
-        batches[env_index] = buffer.drain(net, obs_dim);
-      });
-      // Uncapped, the merge keeps every row in env order and draws no rng.
-      rl::merge_batches_into(merged, batches, obs_dim,
-                             std::numeric_limits<std::size_t>::max(), merge_rng);
-      updater.update(net, merged);
-    }
+        episode_rewards[e] = env.episode_reward();
+      }
+    };
+    core::train_seed(net, config, obs_dim, seed_index, rollout);
   };
   const auto evaluate = [&](const rl::ActorCritic& net, std::uint64_t seed_base) {
     return evaluate_central_policy(scenario, net, config.reward, config.eval_episodes,
                                    config.eval_episode_time, seed_base);
   };
   return core::train_best_seed(scenario, config, obs_dim,
-                               /*num_actions=*/scenario.network().num_nodes(), train_seed,
+                               /*num_actions=*/scenario.network().num_nodes(), train,
                                evaluate);
 }
 

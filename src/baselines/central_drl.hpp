@@ -25,7 +25,6 @@
 #include "core/trainer.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/rollout.hpp"
-#include "rl/updater.hpp"
 #include "sim/coordinator.hpp"
 #include "sim/simulator.hpp"
 
@@ -82,13 +81,13 @@ class CentralDrlCoordinator final : public sim::Coordinator, public core::Reward
   std::vector<Rule> targets_;
 };
 
-/// Train the central agent on a scenario through core::train_best_seed;
-/// returns the best seed's policy (net_config.obs_dim ==
-/// central_observation_dim, num_actions == V). Each iteration rolls out
-/// config.parallel_envs episodes, one per thread, and applies one ACKTR
-/// update to all of their rows. Throws std::invalid_argument for a
-/// non-default `observation_mask`, which the central agent cannot honour (it
-/// builds its own observation).
+/// Train the central agent on a scenario through core::train_best_seed and
+/// core::train_seed; returns the best seed's policy (net_config.obs_dim ==
+/// central_observation_dim, num_actions == V). Each iteration runs
+/// config.parallel_envs episodes one after another on the seed's thread and
+/// applies one ACKTR update to their merged rows. Throws
+/// std::invalid_argument for a non-default `observation_mask`, which the
+/// central agent cannot honour (it builds its own observation).
 core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
                                          const core::TrainingConfig& config);
 

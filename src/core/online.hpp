@@ -10,8 +10,8 @@
 // place, which is equivalent for a fully synchronized exchange.
 //
 // This lets an incumbent policy adapt to a scenario drift (new traffic
-// pattern, changed load) without taking coordination offline — see
-// OnlineAdaptation tests and the bench_ablation harness.
+// pattern, changed load) without taking coordination offline — see the
+// OnlineTraining tests and Golden.OnlineTrainingChecksum.
 #pragma once
 
 #include "core/drl_env.hpp"

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/batched_episode.hpp"
 #include "nn/parallel.hpp"
@@ -104,44 +103,28 @@ class EvalSlot final : public rl::BatchedEnv {
   EpisodeResult* out_ = nullptr;
 };
 
-/// One seed's training (Alg. 1): per iteration, the l environments roll out
-/// the same policy for one episode each, then one ACKTR update runs on their
-/// merged experience.
-void run_seed(rl::ActorCritic& net, const TrainingConfig& config,
-              const sim::Scenario& train_scenario, std::size_t max_degree, std::size_t obs_dim,
-              std::size_t seed_index, const ProgressCallback& progress) {
+}  // namespace
+
+void train_seed(rl::ActorCritic& net, const TrainingConfig& config, std::size_t obs_dim,
+                std::size_t seed_index, const IterationRollout& rollout,
+                const ProgressCallback& progress) {
   rl::Updater updater(config.updater);
-  // The l environments advance together through one driver, so their
-  // decision forwards fuse into one predict_batch; each env has its own rng
-  // stream and buffer. Buffers and batches are reused across iterations.
-  rl::BatchedRollout driver(net.actor(), obs_dim);
   std::vector<rl::TrajectoryBuffer> buffers;
   for (std::size_t e = 0; e < config.parallel_envs; ++e) buffers.emplace_back(config.gamma);
   std::vector<rl::Batch> batches(config.parallel_envs);
   std::vector<double> episode_rewards(config.parallel_envs, 0.0);
-  std::vector<std::unique_ptr<TrainingEpisode>> episodes;
-  std::vector<rl::BatchedEnv*> envs;
   rl::Batch merged;
   for (std::size_t iteration = 0; iteration < config.iterations; ++iteration) {
     {
       DOSC_TRACE_SCOPE("train", "rollout");
       const util::Timer rollout_timer;
-      envs.clear();
-      for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-        episodes.push_back(std::make_unique<TrainingEpisode>(
-            train_scenario, episode_seed(config.seed_base, seed_index, iteration, e), net,
-            buffers[e], config.reward, max_degree, config.observation_mask));
-        envs.push_back(episodes.back().get());
-      }
-      driver.run(envs);
+      rollout(iteration, buffers, episode_rewards);
       std::size_t total_steps = 0;
       for (std::size_t e = 0; e < config.parallel_envs; ++e) {
-        episode_rewards[e] = episodes[e]->finish();
         buffers[e].truncate_all();
         buffers[e].drain_into(batches[e], net, obs_dim);
         total_steps += batches[e].size();
       }
-      episodes.clear();  // free the simulators before the update
       if (telemetry::enabled()) {
         const double rollout_s = rollout_timer.elapsed_seconds();
         telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
@@ -179,8 +162,6 @@ void run_seed(rl::ActorCritic& net, const TrainingConfig& config,
   }
 }
 
-}  // namespace
-
 EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic& policy,
                            const RewardConfig& reward, std::size_t episodes,
                            double episode_time, std::uint64_t seed_base, ObservationMask mask,
@@ -188,7 +169,7 @@ EvalResult evaluate_policy(const sim::Scenario& scenario, const rl::ActorCritic&
   const sim::Scenario eval_scenario = scenario.with_end_time(episode_time);
   const std::size_t max_degree = scenario.network().max_degree();
   std::vector<EpisodeResult> per_episode(episodes);
-  if (parallel_episodes == 0) parallel_episodes = std::thread::hardware_concurrency();
+  if (parallel_episodes == 0) parallel_episodes = nn::compute_threads();
   const std::size_t width = std::max<std::size_t>(1, batch_envs);
   // Episodes are claimed one at a time off a shared counter. Each worker
   // streams its claims through one BatchedRollout that keeps `width`
@@ -321,7 +302,28 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
   return train_best_seed(
       scenario, config, obs_dim, /*num_actions=*/max_degree + 1,
       [&](rl::ActorCritic& net, std::size_t seed_index) {
-        run_seed(net, config, train_scenario, max_degree, obs_dim, seed_index, serialised);
+        // The l environments advance together through one driver, so their
+        // decision forwards fuse into one predict_batch; each env has its
+        // own rng stream and buffer.
+        rl::BatchedRollout driver(net.actor(), obs_dim);
+        std::vector<std::unique_ptr<TrainingEpisode>> episodes;
+        std::vector<rl::BatchedEnv*> envs;
+        const auto rollout = [&](std::size_t iteration, std::span<rl::TrajectoryBuffer> buffers,
+                                 std::span<double> episode_rewards) {
+          envs.clear();
+          for (std::size_t e = 0; e < buffers.size(); ++e) {
+            episodes.push_back(std::make_unique<TrainingEpisode>(
+                train_scenario, episode_seed(config.seed_base, seed_index, iteration, e), net,
+                buffers[e], config.reward, max_degree, config.observation_mask));
+            envs.push_back(episodes.back().get());
+          }
+          driver.run(envs);
+          for (std::size_t e = 0; e < buffers.size(); ++e) {
+            episode_rewards[e] = episodes[e]->finish();
+          }
+          episodes.clear();  // free the simulators before the update
+        };
+        train_seed(net, config, obs_dim, seed_index, rollout, serialised);
       },
       [&](const rl::ActorCritic& net, std::uint64_t seed_base) {
         return evaluate_policy(scenario, net, config.reward, config.eval_episodes,

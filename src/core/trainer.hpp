@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,14 +32,16 @@ struct TrainingConfig {
   ObservationMask observation_mask;     ///< ablations only; default: all parts on
   double gamma = 0.99;             ///< paper: discount factor 0.99
   std::size_t num_seeds = 3;       ///< paper: k = 10 training seeds
-  /// paper: l = 4 parallel environments. The l episodes of an iteration
-  /// advance together on one thread through one rl::BatchedRollout (their
-  /// decision forwards fuse into one GEMM).
+  /// paper: l = 4 parallel environments, all on the seed's thread. The
+  /// distributed agent's l episodes of an iteration advance together
+  /// through one rl::BatchedRollout (their decision forwards fuse into one
+  /// GEMM); the central baseline runs its l one after another.
   std::size_t parallel_envs = 4;
   std::size_t iterations = 150;    ///< updates per seed (l episodes each)
   double train_episode_time = 1000.0;  ///< T of each training episode (ms)
-  /// Updates use at most this many experiences (uniform row subsample);
-  /// keeps the per-update cost bounded when episodes produce many steps.
+  /// Each update of either agent (train_seed) uses at most this many rows,
+  /// a uniform subsample of the iteration's l batches; keeps the per-update
+  /// cost bounded when episodes produce many steps.
   static constexpr std::size_t max_update_steps = 4096;
   std::size_t eval_episodes = 3;   ///< greedy evaluation for agent selection
   double eval_episode_time = 2000.0;
@@ -73,9 +76,9 @@ struct TrainingProgress {
   double mean_episode_reward = 0.0;
   rl::UpdateStats update;
 };
-/// Called once per update. train_distributed_policy serialises the calls:
-/// seeds that train concurrently never call it at the same time, and one
-/// seed's iterations arrive in order, but calls of different seeds
+/// Called once per update (train_seed). train_distributed_policy serialises
+/// the calls: seeds that train concurrently never call it at the same time,
+/// and one seed's iterations arrive in order, but calls of different seeds
 /// interleave and may come from different threads.
 using ProgressCallback = std::function<void(const TrainingProgress&)>;
 
@@ -92,12 +95,12 @@ struct EvalResult {
   double mean_reward = 0.0;
   double mean_e2e_delay = 0.0;
 };
-/// `parallel_episodes` worker threads claim episodes concurrently (0 = one
-/// worker per hardware thread). The episodes are fully independent — each
-/// gets its own Simulator seeded seed_base + e and its own coordinator —
-/// and the per-episode stats are merged in ascending episode order after
-/// all workers join, so the result is bit-identical for every parallelism
-/// level, including the sequential default. Each worker streams its claims
+/// `parallel_episodes` worker threads claim episodes concurrently (0 =
+/// nn::compute_threads(), the DOSC_THREADS budget). The episodes are fully
+/// independent — each gets its own Simulator seeded seed_base + e and its
+/// own coordinator — and the per-episode stats are merged in ascending
+/// episode order after all workers join, so the result is bit-identical for
+/// every parallelism level, including the sequential default. Each worker streams its claims
 /// through one rl::BatchedRollout with `batch_envs` episodes in flight,
 /// fusing their greedy policy forwards into one GEMM (1 = per-row GEMV);
 /// the greedy decision per row depends only on that row's logits, so this
@@ -118,6 +121,29 @@ using SeedTrainer = std::function<void(rl::ActorCritic& net, std::size_t seed_in
 /// SeedTrainer.
 using SeedEvaluator =
     std::function<EvalResult(const rl::ActorCritic& net, std::uint64_t seed_base)>;
+
+/// Rolls out one iteration of a seed's training: environment e = 0 .. l-1
+/// runs one episode of the network being trained, on simulator seed
+/// episode_seed(config.seed_base, seed_index, iteration, e), records its
+/// decisions and rewards into buffers[e] and writes its total shaped reward
+/// into episode_rewards[e]. Runs on the seed's thread.
+using IterationRollout =
+    std::function<void(std::size_t iteration, std::span<rl::TrajectoryBuffer> buffers,
+                       std::span<double> episode_rewards)>;
+
+/// One seed's Alg. 1 iteration loop, the only one both DRL agents train
+/// through (each agent's SeedTrainer calls it with its own rollout). Per
+/// iteration: `rollout` fills the l = config.parallel_envs buffers; the loop
+/// truncates the open trajectories, drains each buffer into its batch,
+/// merges the l batches in env order (capped at max_update_steps rows by a
+/// reservoir subsample drawn from episode_seed(config.seed_base,
+/// seed_index, iteration, 777)), applies one update to `net` and calls
+/// `progress`. Buffers and batches are reused across iterations. Records
+/// the `train`/`rollout` and `train`/`update` trace spans and, with
+/// telemetry on, the train.* metrics.
+void train_seed(rl::ActorCritic& net, const TrainingConfig& config, std::size_t obs_dim,
+                std::size_t seed_index, const IterationRollout& rollout,
+                const ProgressCallback& progress = nullptr);
 
 /// The k-seed recipe of Alg. 1, the one loop both DRL agents (distributed
 /// and the central baseline) train through. For each seed i = 0 ..

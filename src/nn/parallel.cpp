@@ -20,7 +20,7 @@ std::size_t default_threads() {
       return std::min<std::size_t>(static_cast<std::size_t>(parsed), kMaxComputeThreads);
     }
   }
-  // The same count hardware_concurrency() reports on glibc.
+  // The online processors: the hardware concurrency std::thread reports on glibc.
   const long online = sysconf(_SC_NPROCESSORS_ONLN);
   return online <= 0 ? 1
                      : std::min<std::size_t>(static_cast<std::size_t>(online), kMaxComputeThreads);

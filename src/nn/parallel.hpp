@@ -1,6 +1,8 @@
 // The compute-thread budget: how many training seeds core::train_best_seed
-// runs at once. The NN kernels themselves always run on the calling thread,
-// so no result depends on the budget; it only changes wall clock.
+// runs at once, and how many episode workers core::evaluate_policy and
+// `dosc_cli eval` start when asked for 0. The NN kernels themselves always
+// run on the calling thread, so no result depends on the budget; it only
+// changes wall clock.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,8 @@
-// Fork/join over a fixed number of workers for the episode-level
-// parallelism of evaluation and central training. Callers keep their own
-// work split (a shared claim counter, or one item per worker); this only
-// owns the threads and the error path.
+// Fork/join over a fixed number of workers: the trainer's seed workers
+// (core::train_best_seed) and the episode workers of evaluation
+// (core::evaluate_policy, `dosc_cli eval`). Callers keep their own work
+// split (a shared claim counter, or one item per worker); this only owns
+// the threads and the error path.
 #pragma once
 
 #include <cstddef>

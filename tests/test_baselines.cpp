@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "baselines/central_drl.hpp"
 #include "baselines/gcasp.hpp"
 #include "baselines/shortest_path.hpp"
+#include "nn/parallel.hpp"
+#include "telemetry/telemetry.hpp"
 #include "test_helpers.hpp"
 
 namespace dosc::baselines {
@@ -303,6 +307,78 @@ TEST(CentralDrl, TrainingRejectsZeroEnvs) {
   core::TrainingConfig config = small_central_training();
   config.parallel_envs = 0;
   expect_central_training_rejected(config, "parallel_envs");
+}
+
+/// Turns the global tracer and metrics on for one test. On exit it puts
+/// back the switches it found and clears what the test recorded into the
+/// global tracer and registry, which nothing else in this binary records
+/// into.
+class GlobalTelemetryOn {
+ public:
+  GlobalTelemetryOn()
+      : tracing_(telemetry::Tracer::global().is_enabled()), metrics_(telemetry::enabled()) {
+    telemetry::Tracer::global().set_enabled(true);
+    telemetry::set_enabled(true);
+  }
+  ~GlobalTelemetryOn() {
+    telemetry::Tracer::global().set_enabled(tracing_);
+    telemetry::set_enabled(metrics_);
+    telemetry::Tracer::global().clear();
+    telemetry::MetricsRegistry::global().clear();
+  }
+  GlobalTelemetryOn(const GlobalTelemetryOn&) = delete;
+  GlobalTelemetryOn& operator=(const GlobalTelemetryOn&) = delete;
+
+ private:
+  bool tracing_;
+  bool metrics_;
+};
+
+TEST(CentralDrl, TrainingRunsTheSharedLoopOnTheSeedThread) {
+  // The central agent trains through core::train_seed: every iteration
+  // records one train/rollout and one train/update span and one update. At
+  // one compute thread, both seeds and all their episodes run on one thread.
+  const nn::ComputeThreadsGuard budget(1);
+  TinyScenarioOptions options;
+  options.ingress = {0};
+  options.egress = 2;
+  const sim::Scenario scenario =
+      tiny_scenario(test::line3(), test::one_component_catalog(), options);
+  core::TrainingConfig config = small_central_training();
+  config.num_seeds = 2;
+  config.iterations = 3;
+
+  std::vector<telemetry::TraceEvent> spans;
+  std::uint64_t updates = 0;
+  {
+    const GlobalTelemetryOn telemetry_on;
+    telemetry::Tracer& tracer = telemetry::Tracer::global();
+    telemetry::Counter& counter = telemetry::MetricsRegistry::global().counter("train.updates");
+    const double start_us = tracer.now_us();
+    const std::uint64_t updates_before = counter.value();
+    train_central_policy(scenario, config);
+    updates = counter.value() - updates_before;
+    ASSERT_EQ(tracer.dropped_events(), 0u);
+    for (const telemetry::TraceEvent& event : tracer.events()) {
+      if (event.ts_us >= start_us && std::string_view(event.category) == "train") {
+        spans.push_back(event);
+      }
+    }
+  }
+
+  std::size_t rollouts = 0;
+  std::size_t update_spans = 0;
+  std::set<std::uint32_t> tids;
+  for (const telemetry::TraceEvent& event : spans) {
+    const std::string_view name = event.name;
+    if (name == "rollout") ++rollouts;
+    if (name == "update") ++update_spans;
+    if (name == "rollout" || name == "update") tids.insert(event.tid);
+  }
+  EXPECT_EQ(rollouts, 6u);
+  EXPECT_EQ(update_spans, 6u);
+  EXPECT_EQ(tids.size(), 1u);
+  EXPECT_EQ(updates, 6u);
 }
 
 TEST(CentralDrl, TrainingRejectsObservationMask) {

@@ -283,8 +283,8 @@ TEST(Mlp, ForwardBackwardBitIdenticalToReferenceKernels) {
 
 TEST(Mlp, ConcurrentPredictCallersAgreeWithSerial) {
   // predict() and predict_row() are const and documented thread-safe:
-  // concurrent callers of one network (the serving workers, the central
-  // trainer's env threads) must all produce the serial results bit for bit.
+  // concurrent callers of one network (the serving workers, evaluate_policy's
+  // episode workers) must all produce the serial results bit for bit.
   util::Rng rng(32);
   Mlp net({8, 32, 32, 4}, Activation::kTanh, Activation::kLinear, 55);
   const Matrix x = random_matrix(40, 8, rng);
